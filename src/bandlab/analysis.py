@@ -14,7 +14,7 @@ import numpy as np
 
 from .blowup import BlowupSpec, build_blowup
 from .fiber import Scheme, modified_scheme, uniform_scheme
-from .lattice import EmptyBasis, KPointSet, Lattice, enumerate_basis, uniform_grid
+from .lattice import EmptyBasis, KPointSet, Lattice, _basis_coords, uniform_grid
 from .observables import fermi_level, idoe
 from .potential import FourierPotential
 from .spectra import BandStructure, compute_bands
@@ -164,7 +164,7 @@ def _detect_basis_change(lat: Lattice, Ec: float, center, direction, halfwidth: 
     counts = np.empty(n_scan, dtype=int)
     for i, t in enumerate(ts):
         try:
-            counts[i] = len(enumerate_basis(lat, center + t * direction, Ec))
+            counts[i] = _basis_coords(lat, center + t * direction, Ec).shape[0]
         except EmptyBasis:
             counts[i] = 0
     flips = np.nonzero(np.diff(counts))[0]
@@ -212,7 +212,7 @@ def regularity_probe(lat: Lattice, V: FourierPotential, Ec: float, blowup_spec: 
         offsets = (np.arange(2 * half_count + 1) - half_count) * delta
         points = center + offsets[:, None] * direction
         kset = KPointSet(points=points, kind="path")
-        counts = np.array([len(enumerate_basis(lat, kpt, Ec)) for kpt in points])
+        counts = np.array([_basis_coords(lat, kpt, Ec).shape[0] for kpt in points])
         flips = np.nonzero(np.diff(counts))[0]
         if flips.size == 0:
             raise NoBasisChangeOnPath(

@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -114,7 +115,10 @@ def _build_potential(cfg: dict, lat: Lattice) -> FourierPotential:
     if "file" in spec:
         V = load_potential(spec["file"])
         if V.lattice.to_dict() != lat.to_dict():
-            raise ValueError("potential file was built for a different lattice")
+            raise ValueError(
+                f"potential file {spec['file']} was built for primitive "
+                f"{V.lattice.primitive.tolist()}, not the configured {lat.primitive.tolist()}"
+            )
         return V
     if "synth" in spec:
         s = spec["synth"]
@@ -369,8 +373,16 @@ def cmd_cellscan(args) -> int:
     def make_lattice(a: float):
         return new_lattice(a * unit)
 
-    def make_potential(lat):
-        return _build_potential(cfg, lat)
+    if "file" in (cfg.get("potential") or {}):
+        # a saved potential belongs to the base cell; its integer-indexed
+        # coefficients are reused unchanged on every scaled cell
+        saved = _build_potential(cfg, base)
+
+        def make_potential(lat):
+            return replace(saved, lattice=lat)
+    else:
+        def make_potential(lat):
+            return _build_potential(cfg, lat)
 
     names = cfg.get("schemes", ["kdep", "modified"])
     schemes = [_build_scheme({**cfg, "scheme": name}) for name in names]

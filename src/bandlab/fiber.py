@@ -13,6 +13,18 @@ In the modified scheme the blow-up argument satisfies x < 1 by the strict
 cutoff, and whenever x <= 1/2 the diagonal is written as the plain kinetic
 value itself: there Ec * G(x) = 0.5*|k+G|^2 exactly, and reusing the same
 float makes the restriction identity below hold to the bit.
+
+The potential block is one scatter on integer arrays.  The basis is an
+(M, d) int array of G-indices and the potential supplies, cached, the
+(n, d) index array and values of its Hermitian part 0.5 * (c[dG] +
+conj(c[-dG])).  A dense position table over the integer box holding every
+G_j + dG maps a coordinate to its basis index (-1 outside the basis); one
+lookup gives the (n, M) array of rows i with G_i = G_j + dG, and every hit
+writes its value to entry (i, j).  Work and memory are O(n * M), never
+O(M^2 * d), and no M x M temporary is formed.  The result is bit-identical
+to summing the coefficients entry by entry and then forming 0.5 * (H + H^H):
+for fixed (i, j) only dG = G_i - G_j can hit, so H holds 0 + c at (i, j)
+and at (j, i), and the cached value is that same arithmetic.
 """
 
 from __future__ import annotations
@@ -22,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blowup import BlowupFunction, BlowupSpec, build_blowup
-from .lattice import Lattice, enumerate_basis, kinetic_values
+from .lattice import Lattice, _basis_coords, kinetic_values
 from .potential import FourierPotential
 
 
@@ -58,31 +70,54 @@ def modified_scheme(blowup: BlowupFunction) -> Scheme:
 class FiberMatrix:
     k: np.ndarray
     Ec: float
-    basis: list          # GIndex list in deterministic order
+    coords: np.ndarray   # (M, d) int64 G-indices in deterministic order
     entries: np.ndarray  # (M, M) complex Hermitian
     scheme: Scheme
 
+    @property
+    def basis(self) -> list:
+        """The G-indices as a list of int tuples, as enumerate_basis returns them."""
+        return list(map(tuple, self.coords.tolist()))
+
     def __len__(self) -> int:
-        return len(self.basis)
+        return self.coords.shape[0]
+
+
+def _rows(basis: np.ndarray, points: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Row in `basis` of every points[j] + shifts[s], as an (n_shift, n_point)
+    array holding -1 where that coordinate is not a basis row.
+
+    A dense table over the integer box spanned by both maps the row-major
+    linear index of a coordinate to its basis row.  The linear index is
+    affine, so lin(points[j] + shifts[s]) = lin(points[j]) + shifts[s] . strides
+    and no (n_shift, n_point, d) array is formed.
+    """
+    lo = np.minimum(basis.min(axis=0), points.min(axis=0) + shifts.min(axis=0))
+    dims = np.maximum(basis.max(axis=0), points.max(axis=0) + shifts.max(axis=0)) - lo + 1
+    strides = np.cumprod(np.r_[1, dims[:0:-1]])[::-1]  # row-major: last coordinate fastest
+    table = np.full(np.prod(dims), -1, dtype=np.intp)
+    table[(basis - lo) @ strides] = np.arange(basis.shape[0])
+    return table[((points - lo) @ strides)[None, :] + (shifts @ strides)[:, None]]
 
 
 def assemble(lat: Lattice, V: FourierPotential, k, Ec: float, scheme: Scheme) -> FiberMatrix:
     """Dense fiber matrix at k for the given scheme and cutoff."""
     k = np.zeros(lat.dim) if k is None else np.asarray(k, dtype=float)
-    basis = enumerate_basis(lat, k, Ec, scheme.basis_mode)
-    M = len(basis)
+    coords = _basis_coords(lat, k, Ec, scheme.basis_mode)
+    M = coords.shape[0]
     H = np.zeros((M, M), dtype=complex)
 
-    pos = {g: i for i, g in enumerate(basis)}
-    for dg, c in V.coeffs.items():
-        for j, g in enumerate(basis):
-            i = pos.get(tuple(gi + di for gi, di in zip(g, dg)))
-            if i is not None:
-                H[i, j] += c
-    # exact-conjugate coefficient pairs pass through unchanged ((c+c)/2 == c)
-    H = 0.5 * (H + H.conj().T)
+    # a dG longer than the basis box in some coordinate couples no pair
+    dG, c = V.hermitian_coeffs
+    near = np.all(np.abs(dG) <= coords.max(axis=0) - coords.min(axis=0), axis=1)
+    if near.any():
+        rows = _rows(coords, coords, dG[near])  # rows[n, j]: G_i = G_j + dG_n
+        n, j = np.nonzero(rows >= 0)
+        # each (i, j) has one difference G_i - G_j; an entry no dG reaches
+        # keeps its 0, which is what 0.5 * (0 + conj(0)) gives
+        H[rows[n, j], j] = c[near][n]
 
-    kin = kinetic_values(lat, k, basis)
+    kin = kinetic_values(lat, k, coords)
     if scheme.tag == "modified":
         x = np.sqrt(kin / Ec)  # |k+G| / sqrt(2 Ec)
         diag = np.where(x <= 0.5, kin, 0.0)
@@ -92,7 +127,7 @@ def assemble(lat: Lattice, V: FourierPotential, k, Ec: float, scheme: Scheme) ->
     else:
         diag = kin
     H[np.diag_indices(M)] += diag
-    return FiberMatrix(k=k, Ec=float(Ec), basis=basis, entries=H, scheme=scheme)
+    return FiberMatrix(k=k, Ec=float(Ec), coords=coords, entries=H, scheme=scheme)
 
 
 _CHECK_BLOWUP = BlowupSpec(m=1, p=1.5, C=1.0)
@@ -108,7 +143,6 @@ def project_modified_identity_check(lat: Lattice, V: FourierPotential, k, Ec: fl
     """
     inner = assemble(lat, V, k, Ec, kdependent_scheme())
     big = assemble(lat, V, k, 4.0 * Ec, modified_scheme(build_blowup(_CHECK_BLOWUP)))
-    where = {g: i for i, g in enumerate(big.basis)}
-    idx = np.array([where[g] for g in inner.basis])
+    idx = _rows(big.coords, inner.coords, np.zeros((1, lat.dim), dtype=np.int64))[0]
     sub = big.entries[np.ix_(idx, idx)]
     return float(np.max(np.abs(sub - inner.entries))) if len(idx) else 0.0

@@ -100,14 +100,8 @@ class KPointSet:
         return self.points.shape[0]
 
 
-def enumerate_basis(lat: Lattice, k, Ec: float, mode: str = "kdependent") -> list[GIndex]:
-    """List the G-indices selected by the cutoff, deterministically ordered.
-
-    mode "kdependent" keeps G with 0.5*|k+G|^2 < Ec, mode "uniform" keeps G
-    with 0.5*|G|^2 < Ec.  The result is sorted by the k-dependent kinetic
-    value 0.5*|k+G|^2 ascending (0.5*|G|^2 in uniform mode), ties broken by
-    lexicographic G-index, so equal inputs give identical lists.
-    """
+def _basis_coords(lat: Lattice, k, Ec: float, mode: str = "kdependent") -> np.ndarray:
+    """The basis of enumerate_basis as an (M, d) int64 array, in the same order."""
     if mode not in ("uniform", "kdependent"):
         raise ValueError(f"unknown basis mode {mode!r}")
     if Ec <= 0:
@@ -119,7 +113,7 @@ def enumerate_basis(lat: Lattice, k, Ec: float, mode: str = "kdependent") -> lis
     inv_rows = np.linalg.norm(np.linalg.inv(lat.reciprocal), axis=1)
     bound = int(np.ceil(radius * inv_rows.max()))
 
-    rng = np.arange(-bound, bound + 1)
+    rng = np.arange(-bound, bound + 1, dtype=np.int64)
     coords = np.stack(np.meshgrid(*([rng] * lat.dim), indexing="ij"), axis=-1)
     coords = coords.reshape(-1, lat.dim)
     gvecs = coords @ lat.reciprocal.T
@@ -131,12 +125,22 @@ def enumerate_basis(lat: Lattice, k, Ec: float, mode: str = "kdependent") -> lis
     coords, kinetic = coords[keep], kinetic[keep]
     # primary key kinetic, then the integer coordinates left to right
     keys = tuple(coords[:, i] for i in reversed(range(lat.dim))) + (kinetic,)
-    order = np.lexsort(keys)
-    return [tuple(int(c) for c in coords[i]) for i in order]
+    return coords[np.lexsort(keys)]
 
 
-def kinetic_values(lat: Lattice, k, basis: list[GIndex]) -> np.ndarray:
-    """0.5*|k+G|^2 for each G-index of a basis, in basis order."""
+def enumerate_basis(lat: Lattice, k, Ec: float, mode: str = "kdependent") -> list[GIndex]:
+    """List the G-indices selected by the cutoff, deterministically ordered.
+
+    mode "kdependent" keeps G with 0.5*|k+G|^2 < Ec, mode "uniform" keeps G
+    with 0.5*|G|^2 < Ec.  The result is sorted by the k-dependent kinetic
+    value 0.5*|k+G|^2 ascending (0.5*|G|^2 in uniform mode), ties broken by
+    lexicographic G-index, so equal inputs give identical lists.
+    """
+    return list(map(tuple, _basis_coords(lat, k, Ec, mode).tolist()))
+
+
+def kinetic_values(lat: Lattice, k, basis) -> np.ndarray:
+    """0.5*|k+G|^2 for each G-index of a basis (list or (M, d) array), in basis order."""
     k = np.zeros(lat.dim) if k is None else np.asarray(k, dtype=float)
     gvecs = np.asarray(basis, dtype=float) @ lat.reciprocal.T
     return 0.5 * np.sum((gvecs + k) ** 2, axis=1)
@@ -147,7 +151,7 @@ def basis_cardinality_bounds(lat: Lattice, Ec: float, probe_grid: KPointSet) -> 
     counts = []
     for k in probe_grid.points:
         try:
-            counts.append(len(enumerate_basis(lat, k, Ec)))
+            counts.append(_basis_coords(lat, k, Ec).shape[0])
         except EmptyBasis:
             counts.append(0)
     return min(counts), max(counts)

@@ -1,9 +1,13 @@
 """Fourier-space periodic potentials.
 
 A potential is stored as a sparse map from integer G-indices to complex
-coefficients.  The stored numbers are the matrix-element coefficients of the
-multiplication operator between normalized plane waves: the fiber assembly
-reads entry (G', G) directly as coeffs[G' - G], with no extra volume factor.
+coefficients; `coeff_indices` and `coeff_values` give the same map as an
+(n_coef, d) int64 array and an (n_coef,) complex array, built once per
+potential and shared by every k of a run; `hermitian_coeffs` gives the
+Hermitian part that the fiber assembly scatters.  The stored numbers are the
+matrix-element coefficients of the multiplication operator between
+normalized plane waves: the fiber assembly reads entry (G', G) directly as
+coeffs[G' - G], with no extra volume factor.
 The real-space diagnostic evaluation uses the matching expansion
 V(x) = sum_G coeffs[G] * e_G(x) with e_G(x) = |cell|^(-1/2) exp(i G.x).
 """
@@ -12,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +33,40 @@ class FourierPotential:
     lattice: Lattice
     coeffs: dict  # GIndex -> complex
     real_valued: bool
+
+    @cached_property
+    def coeff_indices(self) -> np.ndarray:
+        """(n_coef, d) int64 G-indices of the stored coefficients, read-only."""
+        out = np.array(list(self.coeffs), dtype=np.int64).reshape(-1, self.lattice.dim)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def coeff_values(self) -> np.ndarray:
+        """(n_coef,) complex coefficients in the order of coeff_indices, read-only."""
+        out = np.array(list(self.coeffs.values()), dtype=complex)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def hermitian_coeffs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The coefficient map of the operator's Hermitian part, read-only.
+
+        Returns the sorted (n, d) union of the G-indices and their negatives,
+        and values 0.5 * (c[G] + conj(c[-G])) with an absent coefficient
+        counted as an exact 0, each term 0 + c as in a zeroed matrix.  Entry
+        (i, j) of 0.5 * (H + H^H) for the plain coefficient block H is thus
+        the value at G_i - G_j, to the bit.
+        """
+        both = np.concatenate([self.coeff_indices, -self.coeff_indices])
+        indices, where = np.unique(both, axis=0, return_inverse=True)
+        plain = np.zeros(indices.shape[0], dtype=complex)
+        plain[where.reshape(-1)[: len(self.coeffs)]] += self.coeff_values
+        # negation reverses the lexicographic order of a set closed under it
+        values = plain + plain[::-1].conj()
+        values *= 0.5
+        indices.flags.writeable = values.flags.writeable = False
+        return indices, values
 
     def to_dict(self) -> dict:
         items = sorted(self.coeffs.items())
@@ -116,13 +155,9 @@ def evaluate_real(V: FourierPotential, x):
     x = np.asarray(x, dtype=float)
     single = x.ndim == 0 or (x.ndim == 1 and d > 1)
     pts = x.reshape(-1, d)
-    if not V.coeffs:
-        vals = np.zeros(pts.shape[0], dtype=complex)
-    else:
-        gs = np.array(list(V.coeffs.keys()), dtype=float) @ V.lattice.reciprocal.T
-        cs = np.array(list(V.coeffs.values()))
-        phases = np.exp(1j * pts @ gs.T)
-        vals = (phases @ cs) / np.sqrt(V.lattice.cell_volume)
+    gs = V.coeff_indices @ V.lattice.reciprocal.T
+    phases = np.exp(1j * pts @ gs.T)
+    vals = (phases @ V.coeff_values) / np.sqrt(V.lattice.cell_volume)
     if V.real_valued:
         vals = vals.real
         return float(vals[0]) if single else vals
@@ -141,10 +176,8 @@ def sobolev_norm(V: FourierPotential, s: float) -> SobolevReport:
     |G| is the physical reciprocal-space norm, so the report depends on the
     lattice geometry, not just the integer indices.
     """
-    if not V.coeffs:
-        return SobolevReport(s=float(s), norm=0.0)
-    gs = np.array(list(V.coeffs.keys()), dtype=float) @ V.lattice.reciprocal.T
-    cs = np.abs(np.array(list(V.coeffs.values())))
+    gs = V.coeff_indices @ V.lattice.reciprocal.T
+    cs = np.abs(V.coeff_values)
     weights = (1.0 + np.sum(gs**2, axis=1)) ** s
     return SobolevReport(s=float(s), norm=float(np.sqrt(np.sum(weights * cs**2))))
 

@@ -40,8 +40,11 @@ def _graded_split(H: np.ndarray) -> np.ndarray | None:
     those entries are handled separately instead.
     """
     d = np.real(np.diag(H)).copy()
-    off = H - np.diag(np.diag(H))
-    scale = max(1.0, float(np.max(np.abs(off))) if off.size else 0.0)
+    # |H - diag(H)| in one real temporary; the diagonal keeps |h - h|, which
+    # is nan for a non-finite h
+    off = np.abs(H)
+    off.flat[:: H.shape[0] + 1] = np.abs(np.diag(H) - np.diag(H))
+    scale = max(1.0, float(np.max(off)) if off.size else 0.0)
     steep = d > _GRADED_RATIO * scale
     if not steep.any() or np.all(steep):
         return None

@@ -141,6 +141,42 @@ def test_cellscan_run(tmp_path):
     assert set(payload["second_differences"]) == {"kdependent", "modified"}
 
 
+def test_cellscan_reuses_potential_file(tmp_path):
+    pot = tmp_path / "pot"
+    cfg = write_cfg(tmp_path, "pot.json", {"lattice": LAT_1D, "out": str(pot)})
+    assert main(["potential", "synth", "--config", cfg,
+                 "--t", "2.1", "--gmax", "3", "--seed", "9"]) == 0
+    scan = {
+        "lattice": LAT_1D, "ec": 50.0, "grid": 4, "nbands": 3,
+        "electrons": 1.0, "a_ladder": {"center": 1.0, "span": 0.05, "count": 7},
+        "blowup": {"m": 1, "p": 1.5, "c": 1.0},
+    }
+    out_file, out_coeffs = tmp_path / "from_file", tmp_path / "from_coeffs"
+    cfg = write_cfg(tmp_path, "scan_file.json", scan | {
+        "potential": {"file": str(pot / "potential.json")}, "out": str(out_file)})
+    assert main(["cellscan", "--config", cfg]) == 0
+    # the same integer-indexed coefficients given inline on every cell
+    coeffs = json.loads((pot / "potential.json").read_text())["coeffs"]
+    cfg = write_cfg(tmp_path, "scan_coeffs.json", scan | {
+        "potential": {"coeffs": coeffs}, "out": str(out_coeffs)})
+    assert main(["cellscan", "--config", cfg]) == 0
+    assert (out_file / "cellscan.csv").read_bytes() == (out_coeffs / "cellscan.csv").read_bytes()
+
+
+def test_cellscan_potential_file_needs_base_cell(tmp_path, capsys):
+    pot = tmp_path / "pot"
+    cfg = write_cfg(tmp_path, "pot.json", {"lattice": LAT_1D, "out": str(pot)})
+    assert main(["potential", "synth", "--config", cfg, "--t", "2.1", "--gmax", "3"]) == 0
+    capsys.readouterr()
+    cfg = write_cfg(tmp_path, "scan.json", {
+        "lattice": {"dim": 1, "primitive": [[1.1]]}, "ec": 50.0, "grid": 4, "nbands": 3,
+        "a_ladder": {"center": 1.1, "span": 0.05, "count": 5},
+        "potential": {"file": str(pot / "potential.json")}, "out": str(tmp_path / "run"),
+    })
+    assert main(["cellscan", "--config", cfg]) == 2
+    assert "potential file" in capsys.readouterr().err
+
+
 def test_potential_synth_roundtrip(tmp_path, lat1d):
     out = tmp_path / "pot"
     cfg = write_cfg(tmp_path, "cfg.json", {"lattice": LAT_1D, "out": str(out)})

@@ -120,3 +120,28 @@ def test_save_load_complex_roundtrip(tmp_path, lat1d):
     path = tmp_path / "v.json"
     bl.save_potential(V, path)
     assert bl.load_potential(path).coeffs == V.coeffs
+
+
+def test_coefficient_arrays_cached(hex2d):
+    V = bl.synth_power_law(hex2d, t=2.2, gmax=2, seed=4)
+    assert V.coeff_indices is V.coeff_indices and V.coeff_values is V.coeff_values
+    assert [tuple(g) for g in V.coeff_indices.tolist()] == list(V.coeffs)
+    assert V.coeff_values.tolist() == list(V.coeffs.values())
+    assert not V.coeff_indices.flags.writeable and not V.coeff_values.flags.writeable
+    empty = bl.potential_from_coeffs(hex2d, [])
+    assert empty.coeff_indices.shape == (0, 2) and empty.coeff_values.shape == (0,)
+
+
+def test_hermitian_coeffs(hex2d, lat1d):
+    V = bl.synth_power_law(hex2d, t=2.2, gmax=2, seed=4)
+    idx, vals = V.hermitian_coeffs
+    assert V.hermitian_coeffs[0] is idx
+    assert not idx.flags.writeable and not vals.flags.writeable
+    # a real-valued map is its own Hermitian part: 0.5 * (c + c) == c
+    assert dict(zip(map(tuple, idx.tolist()), vals.tolist())) == V.coeffs
+    lone = bl.potential_from_coeffs(lat1d, [((2,), 1.0 + 3.0j)], real_valued=False)
+    idx, vals = lone.hermitian_coeffs
+    assert idx.tolist() == [[-2], [2]]
+    assert vals.tolist() == [0.5 - 1.5j, 0.5 + 1.5j]
+    empty = bl.potential_from_coeffs(hex2d, [])
+    assert empty.hermitian_coeffs[0].shape == (0, 2)

@@ -86,6 +86,31 @@ def test_eigh_graded_matches_plain_when_benign():
     assert np.allclose(graded, plain, rtol=0, atol=2e-6)
 
 
+def test_graded_split_scale_matches_off_diagonal_max():
+    """The split sees max |H - diag(H)|: nan, and so no split, when a
+    diagonal entry is not finite."""
+    from bandlab.spectra import _graded_split
+
+    def reference(H):
+        d = np.real(np.diag(H))
+        off = H - np.diag(np.diag(H))
+        scale = max(1.0, float(np.max(np.abs(off))))
+        steep = d > 1e8 * scale
+        if not steep.any() or np.all(steep) or np.max(d[~steep]) > 1e-2 * np.min(d[steep]):
+            return None
+        return np.nonzero(steep)[0]
+
+    # |off-diagonal| = 100, so 5e9 is steep only when the scale falls back to 1
+    for top in (1e3, 5e9, 1e13, np.inf, np.nan):
+        H = np.full((5, 5), 60.0 + 80.0j)
+        H[np.tril_indices(5, -1)] = 60.0 - 80.0j
+        H[np.diag_indices(5)] = [0.0, 1.0, 2.0, 5e9, top]
+        got, want = _graded_split(H), reference(H)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.array_equal(got, want)
+
+
 def test_free_electron_bands_fold(lat1d, zero):
     grid = bl.uniform_grid(lat1d, 64)
     bands = bl.compute_bands(lat1d, zero, grid, 200.0, bl.kdependent_scheme(), 1)
