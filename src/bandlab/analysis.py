@@ -14,7 +14,7 @@ import numpy as np
 
 from .blowup import BlowupSpec, build_blowup
 from .fiber import Scheme, modified_scheme, uniform_scheme
-from .lattice import EmptyBasis, KPointSet, Lattice, _basis_coords, uniform_grid
+from .lattice import KPointSet, Lattice, _basis_sizes, uniform_grid
 from .observables import fermi_level, idoe
 from .potential import FourierPotential
 from .spectra import BandStructure, compute_bands
@@ -161,13 +161,7 @@ class RegularityProbe:
 def _detect_basis_change(lat: Lattice, Ec: float, center, direction, halfwidth: float,
                          n_scan: int) -> np.ndarray:
     ts = np.linspace(-halfwidth, halfwidth, n_scan)
-    counts = np.empty(n_scan, dtype=int)
-    for i, t in enumerate(ts):
-        try:
-            counts[i] = _basis_coords(lat, center + t * direction, Ec).shape[0]
-        except EmptyBasis:
-            counts[i] = 0
-    flips = np.nonzero(np.diff(counts))[0]
+    flips = np.nonzero(np.diff(_basis_sizes(lat, Ec, center + ts[:, None] * direction)))[0]
     return np.array([center + 0.5 * (ts[i] + ts[i + 1]) * direction for i in flips])
 
 
@@ -212,8 +206,7 @@ def regularity_probe(lat: Lattice, V: FourierPotential, Ec: float, blowup_spec: 
         offsets = (np.arange(2 * half_count + 1) - half_count) * delta
         points = center + offsets[:, None] * direction
         kset = KPointSet(points=points, kind="path")
-        counts = np.array([_basis_coords(lat, kpt, Ec).shape[0] for kpt in points])
-        flips = np.nonzero(np.diff(counts))[0]
+        flips = np.nonzero(np.diff(_basis_sizes(lat, Ec, points)))[0]
         if flips.size == 0:
             raise NoBasisChangeOnPath(
                 f"no basis rank change within {halfwidth:g} of the probe center"
@@ -249,14 +242,13 @@ def periodicity_report(lat: Lattice, V: FourierPotential, Ec: float, schemes,
     point noise; the uniform scheme is not, which this report quantifies.
     """
     pts = k_samples.points if isinstance(k_samples, KPointSet) else np.asarray(k_samples, float)
+    base = KPointSet(points=pts, kind="path")
     report = {}
     for scheme in schemes:
+        e0 = compute_bands(lat, V, base, Ec, scheme, n_bands, threads=threads).energies
         worst = 0.0
         for shift in shifts:
-            gvec = lat.gvector(shift)
-            base = KPointSet(points=pts, kind="path")
-            moved = KPointSet(points=pts + gvec, kind="path")
-            e0 = compute_bands(lat, V, base, Ec, scheme, n_bands, threads=threads).energies
+            moved = KPointSet(points=pts + lat.gvector(shift), kind="path")
             e1 = compute_bands(lat, V, moved, Ec, scheme, n_bands, threads=threads).energies
             worst = max(worst, float(np.max(np.abs(e1 - e0))))
         report[scheme.tag] = worst

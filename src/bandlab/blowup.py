@@ -118,20 +118,7 @@ class BlowupFunction:
 
     def eval(self, x):
         """G(x) for scalar or array input; even in x."""
-        arr = np.asarray(x, dtype=float)
-        y = np.abs(arr)
-        if np.any(y == 1.0):
-            raise SingularArgument("G is singular at |x| = 1")
-        out = np.empty_like(y)
-        quad = (y <= 0.5) | (y > 1.0)
-        out[quad] = y[quad] ** 2
-        mid = (y > 0.5) & (y < self.spec.a)
-        if mid.any():
-            u = (y[mid] - 0.5) / (self.spec.a - 0.5)
-            out[mid] = self.bridge(u)
-        tail = (y >= self.spec.a) & (y < 1.0)
-        out[tail] = _tail_derivative(self.spec.C, self.spec.p, y[tail], 0)
-        return float(out) if arr.ndim == 0 else out
+        return self.eval_derivative(x, 0)
 
     def eval_derivative(self, x, order: int):
         """order-th derivative (order <= m); even extension to x < 0."""

@@ -30,7 +30,7 @@ from .analysis import (
 )
 from .blowup import BlowupSpec, build_blowup
 from .fiber import Scheme, kdependent_scheme, modified_scheme, uniform_scheme
-from .lattice import Lattice, kpath, lattice_from_dict, new_lattice, uniform_grid
+from .lattice import KPointSet, Lattice, kpath, lattice_from_dict, new_lattice, uniform_grid
 from .observables import TruncationWarning, fermi_level, idoe, idos
 from .potential import (
     FourierPotential,
@@ -39,7 +39,7 @@ from .potential import (
     save_potential,
     synth_power_law,
 )
-from .spectra import SolverFailure, bands_to_csv, compute_bands
+from .spectra import BandStructure, SolverFailure, bands_to_csv, compute_bands
 
 EXIT_OK, EXIT_CONFIG, EXIT_SOLVER = 0, 2, 3
 
@@ -50,15 +50,6 @@ def _need(cfg: dict, key: str):
     if key not in cfg:
         raise ValueError(f"config is missing the {key!r} field")
     return cfg[key]
-
-
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    cfg = json.loads(Path(path).read_text())
-    if not isinstance(cfg, dict):
-        raise ValueError("config file must hold a JSON object")
-    return cfg
 
 
 def _parse_path_flag(text: str) -> dict:
@@ -73,39 +64,33 @@ def _parse_path_flag(text: str) -> dict:
     return {"nodes": nodes}
 
 
-def _merge_flags(cfg: dict, args) -> dict:
-    cfg = dict(cfg)
-    simple = {
-        "ec": "ec", "nbands": "nbands", "grid": "grid", "electrons": "electrons",
-        "seed": "seed", "threads": "threads", "out": "out",
-    }
-    for attr, key in simple.items():
-        value = getattr(args, attr, None)
+def _config(args) -> dict:
+    """The JSON object of --config (empty without one), overridden by the flags."""
+    cfg = {} if args.config is None else json.loads(Path(args.config).read_text())
+    if not isinstance(cfg, dict):
+        raise ValueError("config file must hold a JSON object")
+    for key in ("ec", "nbands", "grid", "electrons", "seed", "threads", "out", "scheme"):
+        value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
     if getattr(args, "ec_ladder", None) is not None:
         cfg["ec_ladder"] = [float(v) for v in args.ec_ladder.split(",")]
-    if getattr(args, "scheme", None) is not None:
-        cfg["scheme"] = args.scheme
     if getattr(args, "path", None) is not None:
         merged = _parse_path_flag(args.path)
-        samples = cfg.get("path", {}).get("samples")
-        if samples is not None:
-            merged["samples"] = samples
+        path = cfg.get("path", {})
+        if not isinstance(path, dict):
+            raise ValueError("config field 'path' must be an object to merge --path into")
+        if path.get("samples") is not None:
+            merged["samples"] = path["samples"]
         cfg["path"] = merged
     blow = dict(cfg.get("blowup", {}))
-    for attr, key in (("blowup_m", "m"), ("blowup_p", "p"),
-                      ("blowup_c", "c"), ("blowup_a", "a")):
-        value = getattr(args, attr, None)
+    for key in ("m", "p", "c", "a"):
+        value = getattr(args, f"blowup_{key}", None)
         if value is not None:
             blow[key] = value
     if blow:
         cfg["blowup"] = blow
     return cfg
-
-
-def _build_lattice(cfg: dict) -> Lattice:
-    return lattice_from_dict(_need(cfg, "lattice"))
 
 
 def _build_potential(cfg: dict, lat: Lattice) -> FourierPotential:
@@ -137,15 +122,15 @@ def _build_potential(cfg: dict, lat: Lattice) -> FourierPotential:
     raise ValueError("potential config needs one of: file, synth, coeffs")
 
 
-def _build_blowup_from_cfg(cfg: dict):
-    blow = cfg.get("blowup", {"m": 1, "p": 1.5, "c": 1.0})
-    spec = BlowupSpec(
+def _blowup_spec(blow: dict) -> BlowupSpec:
+    """The blow-up spec of a config or flag dict: m and p are required, c and
+    msmooth may be absent or null (auto C, msmooth = m), a defaults to 0.75."""
+    return BlowupSpec(
         m=int(_need(blow, "m")), p=float(_need(blow, "p")),
         C=None if blow.get("c") is None else float(blow["c"]),
         a=float(blow.get("a", 0.75)),
         msmooth=None if blow.get("msmooth") is None else int(blow["msmooth"]),
     )
-    return build_blowup(spec)
 
 
 def _build_scheme(cfg: dict) -> Scheme:
@@ -156,14 +141,15 @@ def _build_scheme(cfg: dict) -> Scheme:
         return uniform_scheme()
     if name == "kdependent":
         return kdependent_scheme()
-    return modified_scheme(_build_blowup_from_cfg(cfg))
+    blow = cfg.get("blowup", {"m": 1, "p": 1.5, "c": 1.0})
+    return modified_scheme(build_blowup(_blowup_spec(blow)))
 
 
-def _build_kset(cfg: dict, lat: Lattice, require: str | None = None):
+def _build_kset(cfg: dict, lat: Lattice, require: str | None = None) -> KPointSet:
     has_path, has_grid = "path" in cfg, "grid" in cfg
-    if require == "grid" or (require is None and has_grid and not has_path):
+    if require == "grid" or (has_grid and not has_path):
         return uniform_grid(lat, int(_need(cfg, "grid")))
-    if require == "path" or (require is None and has_path and not has_grid):
+    if has_path and not has_grid:
         path = _need(cfg, "path")
         nodes = [
             (str(label), lat.reciprocal @ np.asarray(frac, dtype=float))
@@ -173,9 +159,34 @@ def _build_kset(cfg: dict, lat: Lattice, require: str | None = None):
     raise ValueError("exactly one of 'path' and 'grid' must be configured")
 
 
-def _outdir(cfg: dict) -> Path:
+def _run_context(args, solve: bool = False, require: str | None = None) -> tuple:
+    """(cfg, lattice, potential) of a run, with the flags merged into the config.
+
+    solve=True appends the scheme and then the k-set (require="grid" demands
+    a grid), built in that order, so a config with several faults reports
+    the first of them in every subcommand alike.
+    """
+    cfg = _config(args)
+    lat = lattice_from_dict(_need(cfg, "lattice"))
+    V = _build_potential(cfg, lat)
+    if not solve:
+        return cfg, lat, V
+    return cfg, lat, V, _build_scheme(cfg), _build_kset(cfg, lat, require)
+
+
+def _solve_bands(args, require: str | None = None) -> tuple[dict, BandStructure]:
+    """The shared run of bands, dos and fermi: nbands (default 4) bands at each k."""
+    cfg, lat, V, scheme, kset = _run_context(args, solve=True, require=require)
+    bands = compute_bands(lat, V, kset, float(_need(cfg, "ec")), scheme,
+                          int(cfg.get("nbands", 4)), threads=int(cfg.get("threads", 1)))
+    return cfg, bands
+
+
+def _output_dir(cfg: dict) -> Path:
+    """Create the output directory and echo the merged config into it."""
     out = Path(cfg.get("out", "."))
     out.mkdir(parents=True, exist_ok=True)
+    _write_json(out / "resolved_config.json", cfg)
     return out
 
 
@@ -200,20 +211,10 @@ def _fmt(v) -> str:
     return f"{float(v):.17g}"
 
 
-def _resolve(cfg: dict, out: Path) -> None:
-    _write_json(out / "resolved_config.json", cfg)
-
-
 def cmd_bands(args) -> int:
-    cfg = _merge_flags(_load_config(args.config), args)
-    lat = _build_lattice(cfg)
-    V = _build_potential(cfg, lat)
-    scheme = _build_scheme(cfg)
-    kset = _build_kset(cfg, lat)
-    bands = compute_bands(lat, V, kset, float(_need(cfg, "ec")), scheme,
-                          int(cfg.get("nbands", 4)), threads=int(cfg.get("threads", 1)))
-    out = _outdir(cfg)
-    _resolve(cfg, out)
+    cfg, bands = _solve_bands(args)
+    kset = bands.kset
+    out = _output_dir(cfg)
     bands_to_csv(bands, out / "bands.csv")
     _write_json(out / "summary.json", {
         "command": "bands", "n_k": len(kset), "labels": {str(i): s for i, s in kset.labels.items()},
@@ -224,25 +225,17 @@ def cmd_bands(args) -> int:
 
 
 def cmd_dos(args) -> int:
-    cfg = _merge_flags(_load_config(args.config), args)
-    lat = _build_lattice(cfg)
-    V = _build_potential(cfg, lat)
-    scheme = _build_scheme(cfg)
-    grid = _build_kset(cfg, lat, require="grid")
-    bands = compute_bands(lat, V, grid, float(_need(cfg, "ec")), scheme,
-                          int(cfg.get("nbands", 4)), threads=int(cfg.get("threads", 1)))
+    cfg, bands = _solve_bands(args, require="grid")
     lo, hi = float(bands.energies.min()), float(bands.energies.max())
     margin = 0.05 * (hi - lo) if hi > lo else 1.0
     mus = np.linspace(lo - margin, hi + margin, int(cfg.get("mu_points", 200)))
-    truncated = False
     rows = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", TruncationWarning)
         for mu in mus:
             rows.append((mu, idos(bands, mu), idoe(bands, mu)))
         truncated = any(issubclass(w.category, TruncationWarning) for w in caught)
-    out = _outdir(cfg)
-    _resolve(cfg, out)
+    out = _output_dir(cfg)
     _write_csv(out / "dos.csv", ["mu", "idos", "idoe"], rows)
     _write_json(out / "summary.json", {
         "command": "dos", "truncated_top_band": truncated, **bands.metadata,
@@ -252,16 +245,9 @@ def cmd_dos(args) -> int:
 
 
 def cmd_fermi(args) -> int:
-    cfg = _merge_flags(_load_config(args.config), args)
-    lat = _build_lattice(cfg)
-    V = _build_potential(cfg, lat)
-    scheme = _build_scheme(cfg)
-    grid = _build_kset(cfg, lat, require="grid")
-    bands = compute_bands(lat, V, grid, float(_need(cfg, "ec")), scheme,
-                          int(cfg.get("nbands", 4)), threads=int(cfg.get("threads", 1)))
+    cfg, bands = _solve_bands(args, require="grid")
     level = fermi_level(bands, float(cfg.get("electrons", 1.0)))
-    out = _outdir(cfg)
-    _resolve(cfg, out)
+    out = _output_dir(cfg)
     payload = {
         "command": "fermi", "mu": level.mu, "plateau_lower": level.lower,
         "plateau_upper": level.upper,
@@ -274,23 +260,18 @@ def cmd_fermi(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    cfg = _merge_flags(_load_config(args.config), args)
-    lat = _build_lattice(cfg)
-    V = _build_potential(cfg, lat)
-    scheme = _build_scheme(cfg)
-    kset = _build_kset(cfg, lat)
+    cfg, lat, V, scheme, kset = _run_context(args, solve=True)
     ladder = [float(v) for v in _need(cfg, "ec_ladder")]
     ec_ref = float(cfg.get("ec_reference", 16.0 * max(ladder)))
     band_index = int(cfg.get("band_index", 1))
     threads = int(cfg.get("threads", 1))
     r = cfg.get("sobolev_r")
-    if r is None and "synth" in cfg.get("potential", {}):
+    if r is None and "synth" in (cfg.get("potential") or {}):  # null: zero potential
         r = float(cfg["potential"]["synth"]["t"]) - lat.dim / 2.0
     reference = make_reference(lat, V, kset, ec_ref, band_index, threads=threads)
     study = convergence_study(lat, V, band_index, kset, ladder, scheme, reference,
                               r_potential=r, threads=threads)
-    out = _outdir(cfg)
-    _resolve(cfg, out)
+    out = _output_dir(cfg)
     _write_csv(out / "converge.csv", ["ec", "error", "clamped"],
                zip(study.ec_ladder, study.errors, study.clamped))
     _write_json(out / "converge.json", {
@@ -307,16 +288,8 @@ def cmd_converge(args) -> int:
 
 
 def cmd_regularity(args) -> int:
-    cfg = _merge_flags(_load_config(args.config), args)
-    lat = _build_lattice(cfg)
-    V = _build_potential(cfg, lat)
-    blow = cfg.get("blowup", {})
-    spec = BlowupSpec(
-        m=int(_need(blow, "m")), p=float(_need(blow, "p")),
-        C=None if blow.get("c") is None else float(blow["c"]),
-        a=float(blow.get("a", 0.75)),
-        msmooth=None if blow.get("msmooth") is None else int(blow["msmooth"]),
-    )
+    cfg, lat, V = _run_context(args)
+    spec = _blowup_spec(cfg.get("blowup", {}))
     deltas = cfg.get("deltas", [1e-2, 5e-3, 2.5e-3, 1.25e-3])
     probe = regularity_probe(
         lat, V, float(_need(cfg, "ec")), spec,
@@ -324,8 +297,7 @@ def cmd_regularity(args) -> int:
         order=int(cfg.get("derivative_order", 1)),
         deltas=deltas, threads=int(cfg.get("threads", 1)),
     )
-    out = _outdir(cfg)
-    _resolve(cfg, out)
+    out = _output_dir(cfg)
     _write_csv(out / "regularity.csv", ["delta", "peak"], zip(probe.deltas, probe.peaks))
     _write_json(out / "regularity.json", {
         "command": "regularity", "verdict": probe.verdict,
@@ -337,13 +309,9 @@ def cmd_regularity(args) -> int:
 
 
 def cmd_periodicity(args) -> int:
-    cfg = _merge_flags(_load_config(args.config), args)
-    lat = _build_lattice(cfg)
-    V = _build_potential(cfg, lat)
+    cfg, lat, V = _run_context(args)
     names = cfg.get("schemes", ["uniform", "kdep", "modified"])
-    schemes = []
-    for name in names:
-        schemes.append(_build_scheme({**cfg, "scheme": name}))
+    schemes = [_build_scheme({**cfg, "scheme": name}) for name in names]
     rng = np.random.default_rng(int(cfg.get("seed", 0)))
     count = int(cfg.get("k_samples", 50))
     fracs = rng.uniform(-0.5, 0.5, size=(count, lat.dim))
@@ -352,8 +320,7 @@ def cmd_periodicity(args) -> int:
     report = periodicity_report(lat, V, float(_need(cfg, "ec")), schemes, samples,
                                 shifts, n_bands=int(cfg.get("nbands", 1)),
                                 threads=int(cfg.get("threads", 1)))
-    out = _outdir(cfg)
-    _resolve(cfg, out)
+    out = _output_dir(cfg)
     _write_json(out / "periodicity.json", {"command": "periodicity", **report})
     for tag, worst in report.items():
         print(f"{tag:>10}: max |e(k) - e(k+G)| = {worst:.3e}")
@@ -361,8 +328,7 @@ def cmd_periodicity(args) -> int:
 
 
 def cmd_cellscan(args) -> int:
-    cfg = _merge_flags(_load_config(args.config), args)
-    base = _build_lattice(cfg)
+    cfg, base, saved = _run_context(args)
     ladder = cfg.get("a_ladder", {})
     center = float(ladder.get("center", 1.0))
     span = float(ladder.get("span", 0.05))
@@ -376,8 +342,6 @@ def cmd_cellscan(args) -> int:
     if "file" in (cfg.get("potential") or {}):
         # a saved potential belongs to the base cell; its integer-indexed
         # coefficients are reused unchanged on every scaled cell
-        saved = _build_potential(cfg, base)
-
         def make_potential(lat):
             return replace(saved, lattice=lat)
     else:
@@ -391,8 +355,7 @@ def cmd_cellscan(args) -> int:
         n_electrons=float(cfg.get("electrons", 1.0)), grid_n=int(cfg.get("grid", 6)),
         n_bands=int(cfg.get("nbands", 6)), threads=int(cfg.get("threads", 1)),
     )
-    out = _outdir(cfg)
-    _resolve(cfg, out)
+    out = _output_dir(cfg)
     tags = [s.tag for s in schemes]
     rows = [
         [a] + [scan.energies[tag][i] for tag in tags]
@@ -409,24 +372,19 @@ def cmd_cellscan(args) -> int:
 
 
 def cmd_potential_synth(args) -> int:
-    cfg = _merge_flags(_load_config(args.config), args)
-    lat = _build_lattice(cfg)
+    cfg = _config(args)
+    lat = lattice_from_dict(_need(cfg, "lattice"))
     V = synth_power_law(lat, t=float(args.t), gmax=int(args.gmax),
                         seed=int(cfg.get("seed", 0)), amplitude=float(args.amplitude))
-    target = _outdir(cfg) / "potential.json"
-    save_potential(V, target)
-    print(f"wrote {target} ({len(V.coeffs)} coefficients)")
+    out = Path(cfg.get("out", "."))
+    out.mkdir(parents=True, exist_ok=True)
+    save_potential(V, out / "potential.json")
+    print(f"wrote {out / 'potential.json'} ({len(V.coeffs)} coefficients)")
     return EXIT_OK
 
 
 def cmd_blowup_check(args) -> int:
-    spec = BlowupSpec(
-        m=int(args.m), p=float(args.p),
-        C=None if args.c is None else float(args.c),
-        a=float(args.a),
-        msmooth=None if args.msmooth is None else int(args.msmooth),
-    )
-    fn = build_blowup(spec)
+    fn = build_blowup(_blowup_spec(vars(args)))  # --m, --p, --c, --a, --msmooth
     payload = {
         **fn.spec.to_dict(),
         "value_at_half": fn.eval(0.5),

@@ -100,6 +100,21 @@ class KPointSet:
         return self.points.shape[0]
 
 
+def _gbox(lat: Lattice, Ec: float, kmax: float) -> tuple[np.ndarray, np.ndarray]:
+    """Integer coordinates and Cartesian vectors of a G-box that holds every
+    G with 0.5*|k+G|^2 < Ec for any |k| <= kmax."""
+    # Any selected G satisfies |G| <= sqrt(2 Ec) + |k|; the integer coordinate
+    # n_i = row_i(B^-1) . G is then bounded by that radius times the row norm.
+    radius = np.sqrt(2.0 * Ec) + kmax
+    inv_rows = np.linalg.norm(np.linalg.inv(lat.reciprocal), axis=1)
+    bound = int(np.ceil(radius * inv_rows.max()))
+
+    rng = np.arange(-bound, bound + 1, dtype=np.int64)
+    coords = np.stack(np.meshgrid(*([rng] * lat.dim), indexing="ij"), axis=-1)
+    coords = coords.reshape(-1, lat.dim)
+    return coords, coords @ lat.reciprocal.T
+
+
 def _basis_coords(lat: Lattice, k, Ec: float, mode: str = "kdependent") -> np.ndarray:
     """The basis of enumerate_basis as an (M, d) int64 array, in the same order."""
     if mode not in ("uniform", "kdependent"):
@@ -107,16 +122,7 @@ def _basis_coords(lat: Lattice, k, Ec: float, mode: str = "kdependent") -> np.nd
     if Ec <= 0:
         raise EmptyBasis(f"cutoff Ec={Ec:g} selects no plane wave")
     k = np.zeros(lat.dim) if k is None else np.asarray(k, dtype=float)
-    # Any selected G satisfies |G| <= sqrt(2 Ec) + |k|; the integer coordinate
-    # n_i = row_i(B^-1) . G is then bounded by that radius times the row norm.
-    radius = np.sqrt(2.0 * Ec) + np.linalg.norm(k)
-    inv_rows = np.linalg.norm(np.linalg.inv(lat.reciprocal), axis=1)
-    bound = int(np.ceil(radius * inv_rows.max()))
-
-    rng = np.arange(-bound, bound + 1, dtype=np.int64)
-    coords = np.stack(np.meshgrid(*([rng] * lat.dim), indexing="ij"), axis=-1)
-    coords = coords.reshape(-1, lat.dim)
-    gvecs = coords @ lat.reciprocal.T
+    coords, gvecs = _gbox(lat, Ec, np.linalg.norm(k))
     shift = k if mode == "kdependent" else np.zeros(lat.dim)
     kinetic = 0.5 * np.sum((gvecs + shift) ** 2, axis=1)
     keep = kinetic < Ec
@@ -146,15 +152,25 @@ def kinetic_values(lat: Lattice, k, basis) -> np.ndarray:
     return 0.5 * np.sum((gvecs + k) ** 2, axis=1)
 
 
+def _basis_sizes(lat: Lattice, Ec: float, points) -> np.ndarray:
+    """k-dependent basis size at each of the (P, d) points, 0 for an empty
+    basis: the row counts of _basis_coords, from one G-box for all points."""
+    points = np.asarray(points, dtype=float).reshape(-1, lat.dim)
+    counts = np.zeros(points.shape[0], dtype=np.int64)
+    if Ec <= 0 or points.shape[0] == 0:
+        return counts
+    _, gvecs = _gbox(lat, Ec, np.linalg.norm(points, axis=1).max())
+    step = max(1, 2**18 // gvecs.shape[0])  # bounds the (step, N, d) temporary
+    for lo in range(0, points.shape[0], step):
+        kinetic = 0.5 * np.sum((gvecs + points[lo:lo + step, None, :]) ** 2, axis=2)
+        counts[lo:lo + step] = np.count_nonzero(kinetic < Ec, axis=1)
+    return counts
+
+
 def basis_cardinality_bounds(lat: Lattice, Ec: float, probe_grid: KPointSet) -> tuple[int, int]:
     """(min, max) of the k-dependent basis size over the probe points."""
-    counts = []
-    for k in probe_grid.points:
-        try:
-            counts.append(_basis_coords(lat, k, Ec).shape[0])
-        except EmptyBasis:
-            counts.append(0)
-    return min(counts), max(counts)
+    counts = _basis_sizes(lat, Ec, probe_grid.points)
+    return int(counts.min()), int(counts.max())
 
 
 def kpath(lat: Lattice, nodes, samples_per_segment: int) -> KPointSet:

@@ -225,3 +225,86 @@ def test_band_count_is_config_error(tmp_path, capsys):
     })
     assert main(["bands", "--config", cfg]) == 2
     assert "plane waves" in capsys.readouterr().err
+
+
+RERUN_CONFIGS = {
+    "bands": {"potential": {"coeffs": COSINE["coeffs"]}, "scheme": "modified",
+              "blowup": {"m": 1, "p": 1.5, "c": 1.0}, "ec": 150.0, "nbands": 2, "grid": 6},
+    "dos": {"potential": {"coeffs": COSINE["coeffs"]}, "scheme": "kdep", "ec": 100.0,
+            "grid": 8, "nbands": 3},
+    "fermi": {"scheme": "kdep", "ec": 200.0, "grid": 16, "electrons": 1.0},
+    "converge": {"potential": {"synth": {"t": 2.1, "gmax": 4, "seed": 1}}, "scheme": "kdep",
+                 "ec_ladder": [25.0, 50.0], "ec_reference": 400.0, "grid": 4},
+    "regularity": {"potential": {"synth": {"t": 1.55, "gmax": 8, "seed": 7}}, "ec": 750.0,
+                   "blowup": {"m": 0, "p": 0.5, "c": 1.0}, "deltas": [8e-3, 4e-3, 2e-3]},
+    "periodicity": {"potential": {"coeffs": COSINE["coeffs"]}, "ec": 25.0, "k_samples": 6,
+                    "seed": 2, "blowup": {"m": 1, "p": 1.5, "c": 1.0}},
+    "cellscan": {"ec": 50.0, "grid": 4, "nbands": 3,
+                 "a_ladder": {"center": 1.0, "span": 0.05, "count": 7},
+                 "blowup": {"m": 1, "p": 1.5, "c": 1.0}},
+}
+
+
+@pytest.mark.parametrize("command", sorted(RERUN_CONFIGS))
+def test_rerun_from_resolved_config_is_byte_identical(tmp_path, command):
+    first, second = tmp_path / "first", tmp_path / "second"
+    cfg = write_cfg(tmp_path, "cfg.json",
+                    {"lattice": LAT_1D, **RERUN_CONFIGS[command], "out": str(first)})
+    assert main([command, "--config", cfg]) == 0
+    resolved = str(first / "resolved_config.json")
+    assert main([command, "--config", resolved, "--out", str(second)]) == 0
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in second.iterdir())
+    for name in names:
+        if name != "resolved_config.json":
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+    echoed = [json.loads((d / "resolved_config.json").read_text()) for d in (first, second)]
+    assert echoed[0] | {"out": None} == echoed[1] | {"out": None}
+
+
+def test_regularity_needs_blowup(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "cfg.json", {
+        "lattice": LAT_1D, "ec": 750.0, "out": str(tmp_path / "run"),
+    })
+    assert main(["regularity", "--config", cfg]) == 2
+    assert "'m'" in capsys.readouterr().err
+
+
+def test_blowup_check_flags_match_config_dict(capsys):
+    from bandlab.cli import _blowup_spec
+
+    blow = {"m": 2, "p": 2.5, "c": 1, "a": 0.8, "msmooth": 3}
+    spec = _blowup_spec(blow)
+    assert spec == bl.BlowupSpec(m=2, p=2.5, C=1.0, a=0.8, msmooth=3)
+    assert main(["blowup", "check", "--m", "2", "--p", "2.5", "--c", "1",
+                 "--a", "0.8", "--msmooth", "3"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    fn = bl.build_blowup(spec)
+    assert {k: payload[k] for k in ("m", "p", "C", "a", "msmooth")} == fn.spec.to_dict()
+    assert payload["value_at_half"] == fn.eval(0.5)
+    assert payload["value_at_a"] == fn.eval(0.8)
+
+
+def test_converge_null_potential_is_zero_potential(tmp_path):
+    out = tmp_path / "run"
+    cfg = write_cfg(tmp_path, "cfg.json", {
+        "lattice": LAT_1D, "potential": None, "scheme": "kdep",
+        "ec_ladder": [25.0, 50.0], "ec_reference": 400.0, "grid": 4, "out": str(out),
+    })
+    assert main(["converge", "--config", cfg]) == 0
+    payload = json.loads((out / "converge.json").read_text())
+    assert payload["r_potential"] is None
+    # free electrons: both cutoffs already hold the lowest band exactly
+    rows = [line.split(",") for line in (out / "converge.csv").read_text().splitlines()[1:]]
+    assert [(float(e), float(err), flag) for e, err, flag in rows] == [
+        (25.0, 1e-16, "1"), (50.0, 1e-16, "1")]
+
+
+def test_path_flag_needs_path_object(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "cfg.json", {
+        "lattice": LAT_1D, "ec": 25.0, "nbands": 1,
+        "path": [["G", [0.0]], ["X", [0.5]]], "out": str(tmp_path / "run"),
+    })
+    assert main(["bands", "--config", cfg, "--path", "G:0 X:0.5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "'path'" in err
