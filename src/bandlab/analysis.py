@@ -70,8 +70,8 @@ class ConvergenceStudy:
     ec_ladder: np.ndarray
     errors: np.ndarray
     clamped: np.ndarray        # entries floored at 1e-16 (exactly converged)
-    fitted_rate: float         # decay exponent, fit on the upper half ladder
-    fitted_rate_full: float    # same fit over the whole ladder (diagnostic)
+    fitted_rate: float | None       # decay exponent, fit on the upper half ladder
+    fitted_rate_full: float | None  # same fit over the whole ladder (diagnostic)
     r_potential: float | None  # declared Sobolev order of the potential
     predicted_rate: float | None
 
@@ -83,8 +83,9 @@ def convergence_study(lat: Lattice, V: FourierPotential, band_index: int, kset: 
 
     The fitted rate is the slope magnitude of log(error) versus log(Ec),
     using only the upper half of the ladder where the asymptotic regime has
-    set in; the full-ladder fit is kept as a diagnostic.  The predicted rate
-    for a potential of Sobolev order r is r + 1 - d/4.
+    set in; the full-ladder fit is kept as a diagnostic.  A fit whose errors
+    are all exact (clamped to 1e-16) measures nothing and is None.  The
+    predicted rate for a potential of Sobolev order r is r + 1 - d/4.
     """
     ladder = np.asarray(sorted(float(e) for e in ec_ladder))
     if ladder.size < 2:
@@ -102,7 +103,9 @@ def convergence_study(lat: Lattice, V: FourierPotential, band_index: int, kset: 
     clamped = errors <= 0.0
     errors = np.where(clamped, 1e-16, errors)
 
-    def fit(idx) -> float:
+    def fit(idx) -> float | None:
+        if np.all(clamped[idx]):
+            return None
         slope = np.polyfit(np.log(ladder[idx]), np.log(errors[idx]), 1)[0]
         return float(-slope)
 

@@ -46,10 +46,37 @@ EXIT_OK, EXIT_CONFIG, EXIT_SOLVER = 0, 2, 3
 _SCHEME_NAMES = {"uniform": "uniform", "kdep": "kdependent", "modified": "modified"}
 
 
-def _need(cfg: dict, key: str):
+_REQUIRED = object()
+_KINDS = {int: "an integer", float: "a number", str: "a string", dict: "an object",
+          list: "a list"}
+
+
+def _as(value, kind, key: str):
+    """value as an int or float (what int() or float() accepts), or checked to
+    be a str, dict or list; a ValueError naming the field otherwise."""
+    if kind in (str, dict, list):
+        if isinstance(value, kind):
+            return value
+    else:
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"config field {key!r} must be {_KINDS[kind]}, got {json.dumps(value)}")
+
+
+def _field(cfg: dict, key: str, kind, default=_REQUIRED):
+    """cfg[key] checked by _as, or the default when the key is absent."""
     if key not in cfg:
-        raise ValueError(f"config is missing the {key!r} field")
-    return cfg[key]
+        if default is _REQUIRED:
+            raise ValueError(f"config is missing the {key!r} field")
+        return default
+    return _as(cfg[key], kind, key)
+
+
+def _floats(cfg: dict, key: str, default=_REQUIRED) -> list:
+    """cfg[key] as a list of floats, or the default when the key is absent."""
+    return [_as(v, float, key) for v in _field(cfg, key, list, default)]
 
 
 def _parse_path_flag(text: str) -> dict:
@@ -77,13 +104,11 @@ def _config(args) -> dict:
         cfg["ec_ladder"] = [float(v) for v in args.ec_ladder.split(",")]
     if getattr(args, "path", None) is not None:
         merged = _parse_path_flag(args.path)
-        path = cfg.get("path", {})
-        if not isinstance(path, dict):
-            raise ValueError("config field 'path' must be an object to merge --path into")
+        path = _field(cfg, "path", dict, {})
         if path.get("samples") is not None:
             merged["samples"] = path["samples"]
         cfg["path"] = merged
-    blow = dict(cfg.get("blowup", {}))
+    blow = dict(_field(cfg, "blowup", dict, {}))
     for key in ("m", "p", "c", "a"):
         value = getattr(args, f"blowup_{key}", None)
         if value is not None:
@@ -93,12 +118,20 @@ def _config(args) -> dict:
     return cfg
 
 
+def _build_lattice(cfg: dict) -> Lattice:
+    lattice = _field(cfg, "lattice", dict)
+    primitive = [[_as(v, float, "primitive") for v in _as(row, list, "primitive")]
+                 for row in _field(lattice, "primitive", list)]
+    return lattice_from_dict({"dim": _field(lattice, "dim", int), "primitive": primitive})
+
+
 def _build_potential(cfg: dict, lat: Lattice) -> FourierPotential:
     spec = cfg.get("potential")
     if spec is None:
         return potential_from_coeffs(lat, [])
+    spec = _as(spec, dict, "potential")
     if "file" in spec:
-        V = load_potential(spec["file"])
+        V = load_potential(_field(spec, "file", str))
         if V.lattice.to_dict() != lat.to_dict():
             raise ValueError(
                 f"potential file {spec['file']} was built for primitive "
@@ -106,17 +139,19 @@ def _build_potential(cfg: dict, lat: Lattice) -> FourierPotential:
             )
         return V
     if "synth" in spec:
-        s = spec["synth"]
+        s = _field(spec, "synth", dict)
+        seed = _field(s, "seed", int, None)
         return synth_power_law(
-            lat, t=float(_need(s, "t")), gmax=int(_need(s, "gmax")),
-            seed=int(s.get("seed", cfg.get("seed", 0))),
-            amplitude=float(s.get("amplitude", 1.0)),
+            lat, t=_field(s, "t", float), gmax=_field(s, "gmax", int),
+            seed=_field(cfg, "seed", int, 0) if seed is None else seed,
+            amplitude=_field(s, "amplitude", float, 1.0),
         )
     if "coeffs" in spec:
-        entries = [
-            (tuple(int(v) for v in item["g"]), complex(item["re"], item.get("im", 0.0)))
-            for item in spec["coeffs"]
-        ]
+        entries = []
+        for item in _field(spec, "coeffs", list):
+            item = _as(item, dict, "coeffs")
+            g = tuple(_as(v, int, "g") for v in _field(item, "g", list))
+            entries.append((g, complex(_field(item, "re", float), _field(item, "im", float, 0.0))))
         return potential_from_coeffs(lat, entries,
                                      real_valued=bool(spec.get("real_valued", True)))
     raise ValueError("potential config needs one of: file, synth, coeffs")
@@ -126,36 +161,37 @@ def _blowup_spec(blow: dict) -> BlowupSpec:
     """The blow-up spec of a config or flag dict: m and p are required, c and
     msmooth may be absent or null (auto C, msmooth = m), a defaults to 0.75."""
     return BlowupSpec(
-        m=int(_need(blow, "m")), p=float(_need(blow, "p")),
-        C=None if blow.get("c") is None else float(blow["c"]),
-        a=float(blow.get("a", 0.75)),
-        msmooth=None if blow.get("msmooth") is None else int(blow["msmooth"]),
+        m=_field(blow, "m", int), p=_field(blow, "p", float),
+        C=None if blow.get("c") is None else _field(blow, "c", float),
+        a=_field(blow, "a", float, 0.75),
+        msmooth=None if blow.get("msmooth") is None else _field(blow, "msmooth", int),
     )
 
 
 def _build_scheme(cfg: dict) -> Scheme:
-    name = _SCHEME_NAMES.get(cfg.get("scheme", "kdep"))
+    name = _SCHEME_NAMES.get(_field(cfg, "scheme", str, "kdep"))
     if name is None:
         raise ValueError(f"unknown scheme {cfg.get('scheme')!r}")
     if name == "uniform":
         return uniform_scheme()
     if name == "kdependent":
         return kdependent_scheme()
-    blow = cfg.get("blowup", {"m": 1, "p": 1.5, "c": 1.0})
+    blow = _field(cfg, "blowup", dict, {"m": 1, "p": 1.5, "c": 1.0})
     return modified_scheme(build_blowup(_blowup_spec(blow)))
 
 
 def _build_kset(cfg: dict, lat: Lattice, require: str | None = None) -> KPointSet:
     has_path, has_grid = "path" in cfg, "grid" in cfg
     if require == "grid" or (has_grid and not has_path):
-        return uniform_grid(lat, int(_need(cfg, "grid")))
+        return uniform_grid(lat, _field(cfg, "grid", int))
     if has_path and not has_grid:
-        path = _need(cfg, "path")
-        nodes = [
-            (str(label), lat.reciprocal @ np.asarray(frac, dtype=float))
-            for label, frac in _need(path, "nodes")
-        ]
-        return kpath(lat, nodes, int(path.get("samples", 100)))
+        path = _field(cfg, "path", dict)
+        nodes = []
+        for node in _field(path, "nodes", list):
+            label, frac = _as(node, list, "nodes")
+            frac = [_as(v, float, "nodes") for v in _as(frac, list, "nodes")]
+            nodes.append((str(label), lat.reciprocal @ np.array(frac)))
+        return kpath(lat, nodes, _field(path, "samples", int, 100))
     raise ValueError("exactly one of 'path' and 'grid' must be configured")
 
 
@@ -167,7 +203,7 @@ def _run_context(args, solve: bool = False, require: str | None = None) -> tuple
     the first of them in every subcommand alike.
     """
     cfg = _config(args)
-    lat = lattice_from_dict(_need(cfg, "lattice"))
+    lat = _build_lattice(cfg)
     V = _build_potential(cfg, lat)
     if not solve:
         return cfg, lat, V
@@ -177,14 +213,14 @@ def _run_context(args, solve: bool = False, require: str | None = None) -> tuple
 def _solve_bands(args, require: str | None = None) -> tuple[dict, BandStructure]:
     """The shared run of bands, dos and fermi: nbands (default 4) bands at each k."""
     cfg, lat, V, scheme, kset = _run_context(args, solve=True, require=require)
-    bands = compute_bands(lat, V, kset, float(_need(cfg, "ec")), scheme,
-                          int(cfg.get("nbands", 4)), threads=int(cfg.get("threads", 1)))
+    bands = compute_bands(lat, V, kset, _field(cfg, "ec", float), scheme,
+                          _field(cfg, "nbands", int, 4), threads=_field(cfg, "threads", int, 1))
     return cfg, bands
 
 
 def _output_dir(cfg: dict) -> Path:
     """Create the output directory and echo the merged config into it."""
-    out = Path(cfg.get("out", "."))
+    out = Path(_field(cfg, "out", str, "."))
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "resolved_config.json", cfg)
     return out
@@ -228,7 +264,7 @@ def cmd_dos(args) -> int:
     cfg, bands = _solve_bands(args, require="grid")
     lo, hi = float(bands.energies.min()), float(bands.energies.max())
     margin = 0.05 * (hi - lo) if hi > lo else 1.0
-    mus = np.linspace(lo - margin, hi + margin, int(cfg.get("mu_points", 200)))
+    mus = np.linspace(lo - margin, hi + margin, _field(cfg, "mu_points", int, 200))
     rows = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", TruncationWarning)
@@ -246,7 +282,7 @@ def cmd_dos(args) -> int:
 
 def cmd_fermi(args) -> int:
     cfg, bands = _solve_bands(args, require="grid")
-    level = fermi_level(bands, float(cfg.get("electrons", 1.0)))
+    level = fermi_level(bands, _field(cfg, "electrons", float, 1.0))
     out = _output_dir(cfg)
     payload = {
         "command": "fermi", "mu": level.mu, "plateau_lower": level.lower,
@@ -261,11 +297,11 @@ def cmd_fermi(args) -> int:
 
 def cmd_converge(args) -> int:
     cfg, lat, V, scheme, kset = _run_context(args, solve=True)
-    ladder = [float(v) for v in _need(cfg, "ec_ladder")]
-    ec_ref = float(cfg.get("ec_reference", 16.0 * max(ladder)))
-    band_index = int(cfg.get("band_index", 1))
-    threads = int(cfg.get("threads", 1))
-    r = cfg.get("sobolev_r")
+    ladder = _floats(cfg, "ec_ladder")
+    ec_ref = _field(cfg, "ec_reference", float, 16.0 * max(ladder))
+    band_index = _field(cfg, "band_index", int, 1)
+    threads = _field(cfg, "threads", int, 1)
+    r = None if cfg.get("sobolev_r") is None else _field(cfg, "sobolev_r", float)
     if r is None and "synth" in (cfg.get("potential") or {}):  # null: zero potential
         r = float(cfg["potential"]["synth"]["t"]) - lat.dim / 2.0
     reference = make_reference(lat, V, kset, ec_ref, band_index, threads=threads)
@@ -281,21 +317,24 @@ def cmd_converge(args) -> int:
         "predicted_rate": study.predicted_rate, "ec_reference": ec_ref,
         "band_index": band_index, "scheme": scheme.tag,
     })
-    print(f"fitted rate {study.fitted_rate:.3f}"
-          + ("" if study.predicted_rate is None
-             else f" (predicted {study.predicted_rate:.3f})"))
+    if study.fitted_rate is None:
+        print("no rate could be fitted: every error in the fit window is exact")
+    else:
+        print(f"fitted rate {study.fitted_rate:.3f}"
+              + ("" if study.predicted_rate is None
+                 else f" (predicted {study.predicted_rate:.3f})"))
     return EXIT_OK
 
 
 def cmd_regularity(args) -> int:
     cfg, lat, V = _run_context(args)
-    spec = _blowup_spec(cfg.get("blowup", {}))
-    deltas = cfg.get("deltas", [1e-2, 5e-3, 2.5e-3, 1.25e-3])
+    spec = _blowup_spec(_field(cfg, "blowup", dict, {}))
+    deltas = _floats(cfg, "deltas", [1e-2, 5e-3, 2.5e-3, 1.25e-3])
     probe = regularity_probe(
-        lat, V, float(_need(cfg, "ec")), spec,
-        band_index=int(cfg.get("band_index", 1)),
-        order=int(cfg.get("derivative_order", 1)),
-        deltas=deltas, threads=int(cfg.get("threads", 1)),
+        lat, V, _field(cfg, "ec", float), spec,
+        band_index=_field(cfg, "band_index", int, 1),
+        order=_field(cfg, "derivative_order", int, 1),
+        deltas=deltas, threads=_field(cfg, "threads", int, 1),
     )
     out = _output_dir(cfg)
     _write_csv(out / "regularity.csv", ["delta", "peak"], zip(probe.deltas, probe.peaks))
@@ -310,16 +349,17 @@ def cmd_regularity(args) -> int:
 
 def cmd_periodicity(args) -> int:
     cfg, lat, V = _run_context(args)
-    names = cfg.get("schemes", ["uniform", "kdep", "modified"])
+    names = _field(cfg, "schemes", list, ["uniform", "kdep", "modified"])
     schemes = [_build_scheme({**cfg, "scheme": name}) for name in names]
-    rng = np.random.default_rng(int(cfg.get("seed", 0)))
-    count = int(cfg.get("k_samples", 50))
+    rng = np.random.default_rng(_field(cfg, "seed", int, 0))
+    count = _field(cfg, "k_samples", int, 50)
     fracs = rng.uniform(-0.5, 0.5, size=(count, lat.dim))
     samples = fracs @ lat.reciprocal.T
-    shifts = [tuple(int(v) for v in s) for s in cfg.get("shifts", [[1] + [0] * (lat.dim - 1)])]
-    report = periodicity_report(lat, V, float(_need(cfg, "ec")), schemes, samples,
-                                shifts, n_bands=int(cfg.get("nbands", 1)),
-                                threads=int(cfg.get("threads", 1)))
+    shifts = [tuple(_as(v, int, "shifts") for v in _as(s, list, "shifts"))
+              for s in _field(cfg, "shifts", list, [[1] + [0] * (lat.dim - 1)])]
+    report = periodicity_report(lat, V, _field(cfg, "ec", float), schemes, samples,
+                                shifts, n_bands=_field(cfg, "nbands", int, 1),
+                                threads=_field(cfg, "threads", int, 1))
     out = _output_dir(cfg)
     _write_json(out / "periodicity.json", {"command": "periodicity", **report})
     for tag, worst in report.items():
@@ -329,10 +369,10 @@ def cmd_periodicity(args) -> int:
 
 def cmd_cellscan(args) -> int:
     cfg, base, saved = _run_context(args)
-    ladder = cfg.get("a_ladder", {})
-    center = float(ladder.get("center", 1.0))
-    span = float(ladder.get("span", 0.05))
-    count = int(ladder.get("count", 50))
+    ladder = _field(cfg, "a_ladder", dict, {})
+    center = _field(ladder, "center", float, 1.0)
+    span = _field(ladder, "span", float, 0.05)
+    count = _field(ladder, "count", int, 50)
     a_values = np.linspace(center * (1.0 - span), center * (1.0 + span), count)
     unit = base.primitive / center
 
@@ -348,12 +388,12 @@ def cmd_cellscan(args) -> int:
         def make_potential(lat):
             return _build_potential(cfg, lat)
 
-    names = cfg.get("schemes", ["kdep", "modified"])
+    names = _field(cfg, "schemes", list, ["kdep", "modified"])
     schemes = [_build_scheme({**cfg, "scheme": name}) for name in names]
     scan = energy_vs_cell_parameter(
-        make_lattice, make_potential, float(_need(cfg, "ec")), schemes, a_values,
-        n_electrons=float(cfg.get("electrons", 1.0)), grid_n=int(cfg.get("grid", 6)),
-        n_bands=int(cfg.get("nbands", 6)), threads=int(cfg.get("threads", 1)),
+        make_lattice, make_potential, _field(cfg, "ec", float), schemes, a_values,
+        n_electrons=_field(cfg, "electrons", float, 1.0), grid_n=_field(cfg, "grid", int, 6),
+        n_bands=_field(cfg, "nbands", int, 6), threads=_field(cfg, "threads", int, 1),
     )
     out = _output_dir(cfg)
     tags = [s.tag for s in schemes]
@@ -373,10 +413,10 @@ def cmd_cellscan(args) -> int:
 
 def cmd_potential_synth(args) -> int:
     cfg = _config(args)
-    lat = lattice_from_dict(_need(cfg, "lattice"))
+    lat = _build_lattice(cfg)
     V = synth_power_law(lat, t=float(args.t), gmax=int(args.gmax),
-                        seed=int(cfg.get("seed", 0)), amplitude=float(args.amplitude))
-    out = Path(cfg.get("out", "."))
+                        seed=_field(cfg, "seed", int, 0), amplitude=float(args.amplitude))
+    out = Path(_field(cfg, "out", str, "."))
     out.mkdir(parents=True, exist_ok=True)
     save_potential(V, out / "potential.json")
     print(f"wrote {out / 'potential.json'} ({len(V.coeffs)} coefficients)")

@@ -1,0 +1,229 @@
+"""The block eigensolver behind spectra.eigh for large fibers with few bands.
+
+It is checked against LAPACK on random Hermitian matrices (kinetic-like,
+graded and exactly degenerate) and on matrices that split into decoupled
+blocks, against the exact Schur-complement solve on graded fibers, through
+its dense fallback, and for thread independence.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import bandlab as bl
+from bandlab import spectra
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+given, settings = hypothesis.given, hypothesis.settings
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+EPS = np.finfo(float).eps
+HEX = np.array([[1.0, -0.5], [0.0, np.sqrt(3.0) / 2.0]])
+
+
+def kinetic_like(rng, m, amplitude):
+    """Spread diagonal plus a random Hermitian coupling of spectral norm ~ 2 amplitude."""
+    G = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    H = amplitude * (G + G.conj().T) / (2.0 * np.sqrt(2.0 * m))
+    H[np.diag_indices(m)] = 40.0 * rng.uniform(0.0, 1.0, m) ** (2.0 / 3.0)
+    return H
+
+
+@st.composite
+def block_matrices(draw):
+    """(H, take) with the order of H at or above the block crossover."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["kinetic", "graded", "degenerate"]))
+    amplitude = draw(st.floats(0.05, 2.0))
+    take = draw(st.integers(1, 8))
+    if kind == "degenerate":
+        # r identical copies, interleaved: every eigenvalue exactly r-fold
+        r = draw(st.sampled_from([2, 3, 6]))
+        A = kinetic_like(rng, -(-spectra._BLOCK_MIN_ORDER // r) + draw(st.integers(0, 20)),
+                         amplitude)
+        H = np.kron(np.eye(r), A)
+        perm = rng.permutation(H.shape[0])
+        return H[np.ix_(perm, perm)], take
+    H = kinetic_like(rng, draw(st.integers(spectra._BLOCK_MIN_ORDER, 280)), amplitude)
+    if kind == "graded":
+        # blown-up entries on the top part of the diagonal, up to 1e6 times the rest
+        d = np.real(H.diagonal())
+        top = d > np.quantile(d, draw(st.floats(0.5, 0.95)))
+        H[np.diag_indices(len(d))] = np.where(
+            top, d * 10.0 ** draw(st.floats(1.0, 6.0)), d)
+    return H, take
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_matrices())
+def test_block_path_matches_lapack(case):
+    H, take = case
+    n = H.shape[0]
+    assert n >= spectra._BLOCK_MIN_ORDER
+    assert take + spectra._BLOCK_GUARD <= n // spectra._BLOCK_MIN_RATIO
+    block = spectra._eigh_block(H, take)
+    assert block is not None, "block solver hit its iteration cap"
+    values, vectors, residual = block
+    dense = np.linalg.eigvalsh(H)[:take]
+    # LAPACK itself is only accurate to a few eps * ||H||
+    tol = 1e-9 * (1.0 + np.abs(dense)) + 64 * EPS * np.max(np.abs(H))
+    assert np.all(np.abs(values - dense) <= tol)
+    assert residual <= 1e-10
+    res = np.linalg.norm(H @ vectors - vectors * values, axis=0) / (1.0 + np.abs(values))
+    assert np.max(res) <= 1e-10
+    assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(take))) <= 1e-12
+    sol = bl.eigh(H, n_lowest=take)   # eigh takes the block path here
+    assert np.array_equal(sol.values, values) and sol.residual_bound == residual
+    assert sol.vectors is None
+
+
+def cubic_potential(lat):
+    """Real coefficients with the full cubic symmetry: 2-, 3- and 6-fold
+    degenerate levels at the zone center."""
+    coeffs = []
+    for i in range(3):
+        for s in (1, -1):
+            coeffs += [(tuple(s * np.eye(3, dtype=int)[i]), -1.0),
+                       (tuple(2 * s * np.eye(3, dtype=int)[i]), 0.3)]
+            for j in range(i + 1, 3):
+                for t in (1, -1):
+                    coeffs.append((tuple(s * np.eye(3, dtype=int)[i] + t * np.eye(3, dtype=int)[j]),
+                                   0.5))
+    return bl.potential_from_coeffs(lat, coeffs)
+
+
+@pytest.mark.parametrize("frac", [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.5, 0.5, 0.0],
+                                  [0.5, 0.5, 0.5]])
+def test_block_path_on_degenerate_clusters(frac):
+    lat = bl.new_lattice(np.eye(3))
+    H = bl.assemble(lat, cubic_potential(lat), lat.reciprocal @ np.array(frac), 400.0,
+                    bl.kdependent_scheme()).entries
+    dense = np.linalg.eigvalsh(H)
+    assert np.min(np.diff(dense[:8])) <= 1e-9  # a degenerate level among the lowest 8
+    for take in range(1, 8):
+        sol = bl.eigh(H, n_lowest=take)
+        assert sol.residual_bound is not None, f"n_lowest={take} left the block path"
+        assert np.max(np.abs(sol.values - dense[:take])) <= 1e-10
+
+
+def test_block_path_finds_a_block_with_higher_diagonal():
+    """H = A (+) B, interleaved: the diagonal of B lies above the smallest
+    entries of A, but B's coupling puts its lowest eigenvalues below A's.
+    H keeps both blocks invariant, so a start inside A alone never finds them."""
+    rng = np.random.default_rng(5)
+    A = kinetic_like(rng, 180, 0.05)
+    B = kinetic_like(rng, 60, 20.0)
+    B[np.diag_indices(60)] = 20.0 + np.linspace(0.0, 1.0, 60)
+    take = 4
+    nb = take + spectra._BLOCK_GUARD
+    assert np.sort(np.real(A.diagonal()))[nb] < np.min(np.real(B.diagonal()))
+    assert np.linalg.eigvalsh(B)[take - 1] < np.linalg.eigvalsh(A)[0]
+    H = np.zeros((240, 240), dtype=complex)
+    H[:180, :180], H[180:, 180:] = A, B
+    perm = rng.permutation(240)
+    H = H[np.ix_(perm, perm)]
+    sol = bl.eigh(H, n_lowest=take)
+    assert sol.residual_bound is not None and sol.residual_bound <= 1e-10  # block path
+    assert np.max(np.abs(sol.values - np.linalg.eigvalsh(H)[:take])) <= 1e-10
+
+
+@pytest.mark.parametrize("frac", [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
+def test_block_path_on_potential_on_a_sublattice(frac):
+    """V on 2Z^3 couples G only to G + 2Z^3: H splits into 8 decoupled cosets,
+    and the lowest bands come from several of them."""
+    lat = bl.new_lattice(np.eye(3))
+    V = bl.potential_from_coeffs(lat, [(tuple(2 * s * np.eye(3, dtype=int)[i]), -40.0)
+                                       for i in range(3) for s in (1, -1)])
+    H = bl.assemble(lat, V, lat.reciprocal @ np.array(frac), 400.0,
+                    bl.kdependent_scheme()).entries
+    sol = bl.eigh(H, n_lowest=8)
+    assert sol.residual_bound is not None and sol.residual_bound <= 1e-10  # block path
+    assert np.max(np.abs(sol.values - np.linalg.eigvalsh(H)[:8])) <= 1e-10
+
+
+def schur_reference(H, take):
+    """_eigh_graded with every entry 1e3 above the off-diagonal scale split off."""
+    d = np.real(H.diagonal())
+    off = np.max(np.abs(H - np.diag(H.diagonal())))
+    steep = np.nonzero(d > 1e3 * max(1.0, off))[0]
+    assert steep.size and take <= len(d) - steep.size
+    return spectra._eigh_graded(H, steep, take, False)[0]
+
+
+def test_block_path_matches_schur_on_graded_fibers():
+    lat = bl.new_lattice(np.eye(3))
+    V = bl.synth_power_law(lat, t=2.1, gmax=1, seed=1, amplitude=5.0)
+    scheme = bl.modified_scheme(bl.build_blowup(bl.BlowupSpec(m=1, p=1.5)))
+    for frac in ([0.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.13, 0.27, 0.41]):
+        H = bl.assemble(lat, V, lat.reciprocal @ np.array(frac), 400.0, scheme).entries
+        assert len(H) >= spectra._BLOCK_MIN_ORDER
+        assert np.max(np.real(H.diagonal())) > 1e5
+        sol = bl.eigh(H, n_lowest=4)
+        assert sol.residual_bound is not None and sol.residual_bound <= 1e-10  # block path
+        assert np.max(np.abs(sol.values - schur_reference(H, 4))) <= 1e-10
+
+
+def test_block_solver_on_graded_matrix_below_the_split():
+    """A grid2d fiber whose diagonal reaches 2e8 but which _graded_split
+    declines, so the dense path would solve it without a checked bound."""
+    lat = bl.new_lattice(HEX)
+    V = bl.synth_power_law(lat, t=2.1, gmax=6, seed=1)
+    scheme = bl.modified_scheme(bl.build_blowup(bl.BlowupSpec(m=1, p=1.5)))
+    k = bl.uniform_grid(lat, 12).points[131]
+    H = bl.assemble(lat, V, k, 800.0, scheme).entries
+    assert spectra._graded_split(H) is None
+    ref = schur_reference(H, 4)
+    values, _, residual = spectra._eigh_block(H, 4)
+    assert residual <= 1e-10
+    assert np.max(np.abs(values - ref)) <= 1e-10
+
+
+def test_orthonormal_complement_drops_zero_columns():
+    """A search direction can vanish exactly (seen at M = 245 with a block of
+    100 vectors); it must not turn into nan."""
+    rng = np.random.default_rng(0)
+    X = np.linalg.qr(rng.normal(size=(50, 4)))[0]
+    V = rng.normal(size=(50, 3))
+    V[:, 1] = 0.0
+    Q = spectra._orthonormal_complement(V, X)
+    assert Q.shape == (50, 2)
+    assert np.max(np.abs(Q.T @ Q - np.eye(2))) <= 1e-12
+    assert np.max(np.abs(X.T @ Q)) <= 1e-12
+
+
+def test_iteration_cap_falls_back_to_dense(monkeypatch):
+    lat = bl.new_lattice(np.eye(3))
+    V = bl.synth_power_law(lat, t=2.1, gmax=1, seed=2, amplitude=5.0)
+    H = bl.assemble(lat, V, lat.reciprocal @ np.array([0.1, 0.2, 0.3]), 300.0,
+                    bl.kdependent_scheme()).entries
+    assert bl.eigh(H, n_lowest=4).residual_bound is not None  # block path by default
+    monkeypatch.setattr(spectra, "_BLOCK_MAX_ITER", 1)
+    assert spectra._eigh_block(H, 4) is None
+    capped = bl.eigh(H, n_lowest=4)
+    assert capped.residual_bound is None
+    assert np.array_equal(capped.values, np.linalg.eigvalsh(H)[:4])
+
+
+def test_threads_bit_identical_on_block_path():
+    lat = bl.new_lattice(np.eye(3))
+    V = bl.synth_power_law(lat, t=2.1, gmax=1, seed=3, amplitude=5.0)
+    scheme = bl.modified_scheme(bl.build_blowup(bl.BlowupSpec(m=1, p=1.5)))
+    grid = bl.uniform_grid(lat, 2)
+    sizes = [len(bl.assemble(lat, V, k, 300.0, scheme)) for k in grid.points]
+    assert min(sizes) >= max(spectra._BLOCK_MIN_ORDER,
+                             spectra._BLOCK_MIN_RATIO * (4 + spectra._BLOCK_GUARD))
+    serial = bl.compute_bands(lat, V, grid, 300.0, scheme, 4, threads=1)
+    threaded = bl.compute_bands(lat, V, grid, 300.0, scheme, 4, threads=2)
+    assert np.array_equal(serial.energies, threaded.energies)
+
+
+def test_import_pulls_in_no_scipy():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    subprocess.run([sys.executable, "-c",
+                    "import bandlab, sys; assert 'scipy' not in sys.modules"],
+                   env=env, check=True)

@@ -308,3 +308,51 @@ def test_path_flag_needs_path_object(tmp_path, capsys):
     assert main(["bands", "--config", cfg, "--path", "G:0 X:0.5"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1 and "'path'" in err
+
+
+@pytest.mark.parametrize("command", ["bands", "regularity"])
+def test_null_blowup_is_config_error(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, "cfg.json", {
+        "lattice": LAT_1D, "scheme": "modified", "blowup": None, "ec": 25.0, "grid": 4,
+        "out": str(tmp_path / "run"),
+    })
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "'blowup'" in err and "null" in err
+
+
+def test_grid_of_wrong_type_is_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "cfg.json", {
+        "lattice": LAT_1D, "scheme": "kdep", "ec": 25.0, "grid": {"n": 4},
+        "out": str(tmp_path / "run"),
+    })
+    assert main(["bands", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "'grid'" in err and "integer" in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("nbands", None), ("ec", "high"), ("threads", [2]), ("path", 3), ("scheme", 1),
+    ("lattice", [[1.0]]), ("potential", "cosine"), ("out", 7),
+])
+def test_fields_of_wrong_type_are_config_errors(tmp_path, capsys, field, value):
+    cfg = {"lattice": LAT_1D, "scheme": "kdep", "ec": 25.0, "nbands": 1,
+           "path": {"nodes": [["G", [0.0]], ["X", [0.5]]], "samples": 4},
+           "out": str(tmp_path / "run")}
+    assert main(["bands", "--config", write_cfg(tmp_path, "cfg.json", cfg | {field: value})]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and repr(field) in err
+
+
+def test_converge_without_rate_reports_null(tmp_path, capsys):
+    out = tmp_path / "run"
+    cfg = write_cfg(tmp_path, "cfg.json", {
+        "lattice": LAT_1D, "potential": None, "scheme": "kdep",
+        "ec_ladder": [25.0, 50.0, 100.0], "ec_reference": 800.0, "grid": 4, "out": str(out),
+    })
+    assert main(["converge", "--config", cfg]) == 0
+    payload = json.loads((out / "converge.json").read_text())
+    assert payload["fitted_rate"] is None and payload["fitted_rate_full"] is None
+    assert "no rate" in capsys.readouterr().out
