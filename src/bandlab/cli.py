@@ -13,6 +13,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import difflib
 import json
 import sys
 import warnings
@@ -46,22 +47,36 @@ EXIT_OK, EXIT_CONFIG, EXIT_SOLVER = 0, 2, 3
 _SCHEME_NAMES = {"uniform": "uniform", "kdep": "kdependent", "modified": "modified"}
 
 
+# Top-level config keys each subcommand knows: every key a common flag can set,
+# plus lattice and potential, and the subcommand's own keys.  Any other key
+# (a typo such as "nband") is a configuration error.
+_COMMON_KEYS = frozenset({"lattice", "potential", "blowup", "ec", "ec_ladder", "electrons",
+                          "grid", "nbands", "out", "path", "scheme", "seed", "threads"})
+_KNOWN_KEYS = {
+    "bands": _COMMON_KEYS,
+    "dos": _COMMON_KEYS | {"mu_points"},
+    "fermi": _COMMON_KEYS,
+    "converge": _COMMON_KEYS | {"ec_reference", "band_index", "sobolev_r"},
+    "regularity": _COMMON_KEYS | {"band_index", "deltas", "derivative_order"},
+    "periodicity": _COMMON_KEYS | {"k_samples", "shifts", "schemes"},
+    "cellscan": _COMMON_KEYS | {"a_ladder", "schemes"},
+    "potential": _COMMON_KEYS,
+}
+
 _REQUIRED = object()
 _KINDS = {int: "an integer", float: "a number", str: "a string", dict: "an object",
           list: "a list"}
 
 
 def _as(value, kind, key: str):
-    """value as an int or float (what int() or float() accepts), or checked to
-    be a str, dict or list; a ValueError naming the field otherwise."""
-    if kind in (str, dict, list):
+    """value checked to have the JSON type of `kind`, a ValueError naming the
+    field otherwise: an int field takes only an integer, a float field an
+    integer or a real number (as a float), and a bool is never a number."""
+    if not isinstance(value, bool):
+        if kind is float and isinstance(value, (int, float)):
+            return float(value)
         if isinstance(value, kind):
             return value
-    else:
-        try:
-            return kind(value)
-        except (TypeError, ValueError):
-            pass
     raise ValueError(f"config field {key!r} must be {_KINDS[kind]}, got {json.dumps(value)}")
 
 
@@ -96,6 +111,12 @@ def _config(args) -> dict:
     cfg = {} if args.config is None else json.loads(Path(args.config).read_text())
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object")
+    unknown = sorted(set(cfg) - _KNOWN_KEYS[args.command])
+    if unknown:
+        hint = difflib.get_close_matches(unknown[0], _KNOWN_KEYS[args.command], n=1)
+        raise ValueError(f"unknown config key {', '.join(map(repr, unknown))} for "
+                         f"bandlab {args.command}"
+                         + (f" (did you mean {hint[0]!r}?)" if hint else ""))
     for key in ("ec", "nbands", "grid", "electrons", "seed", "threads", "out", "scheme"):
         value = getattr(args, key, None)
         if value is not None:

@@ -25,6 +25,11 @@ O(M^2 * d), and no M x M temporary is formed.  The result is bit-identical
 to summing the coefficients entry by entry and then forming 0.5 * (H + H^H):
 for fixed (i, j) only dG = G_i - G_j can hit, so H holds 0 + c at (i, j)
 and at (j, i), and the cached value is that same arithmetic.
+
+A (B, d) stack of k-points whose bases have one size M is assembled in one
+pass: one G-box and one sort for the B bases, one table lookup with a table
+copy per member for the B potential blocks, and one vectorized diagonal.
+A single k is the B = 1 case of the same code.
 """
 
 from __future__ import annotations
@@ -70,54 +75,78 @@ def modified_scheme(blowup: BlowupFunction) -> Scheme:
 class FiberMatrix:
     k: np.ndarray
     Ec: float
-    coords: np.ndarray   # (M, d) int64 G-indices in deterministic order
-    entries: np.ndarray  # (M, M) complex Hermitian
+    coords: np.ndarray   # (M, d) int64 G-indices in deterministic order; (B, M, d) for a stack
+    entries: np.ndarray  # (M, M) complex Hermitian; (B, M, M) for a stack
     scheme: Scheme
 
     @property
     def basis(self) -> list:
-        """The G-indices as a list of int tuples, as enumerate_basis returns them."""
-        return list(map(tuple, self.coords.tolist()))
+        """The G-indices as a list of int tuples, as enumerate_basis returns them.
+
+        For a stack, entry j holds the j-th G-index of every member, as a
+        tuple of B tuples, so the list has M entries either way.
+        """
+        rows = self.coords.tolist()
+        if self.coords.ndim == 2:
+            return list(map(tuple, rows))
+        return [tuple(map(tuple, g)) for g in zip(*rows)]
 
     def __len__(self) -> int:
-        return self.coords.shape[0]
+        return self.coords.shape[-2]
 
 
 def _rows(basis: np.ndarray, points: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Row in `basis` of every points[j] + shifts[s], as an (n_shift, n_point)
-    array holding -1 where that coordinate is not a basis row.
+    """Row in member b of `basis` of every points[b, j] + shifts[s], as an
+    (n_shift, B, n_point) array holding -1 where that coordinate is not a
+    basis row of member b.
 
-    A dense table over the integer box spanned by both maps the row-major
-    linear index of a coordinate to its basis row.  The linear index is
-    affine, so lin(points[j] + shifts[s]) = lin(points[j]) + shifts[s] . strides
-    and no (n_shift, n_point, d) array is formed.
+    basis (B, M, d) and points (B, n_point, d) are stacks of B members.  A
+    dense table over the integer box spanned by all of them, one copy per
+    member at offset b times the box size, maps the row-major linear index
+    of a coordinate to its basis row.  The linear index is affine, so
+    lin(points[b, j] + shifts[s]) = lin(points[b, j]) + shifts[s] . strides
+    and no (n_shift, B, n_point, d) array is formed.
     """
-    lo = np.minimum(basis.min(axis=0), points.min(axis=0) + shifts.min(axis=0))
-    dims = np.maximum(basis.max(axis=0), points.max(axis=0) + shifts.max(axis=0)) - lo + 1
+    lo = np.minimum(basis.min(axis=(0, 1)), points.min(axis=(0, 1)) + shifts.min(axis=0))
+    dims = np.maximum(basis.max(axis=(0, 1)),
+                      points.max(axis=(0, 1)) + shifts.max(axis=0)) - lo + 1
     strides = np.cumprod(np.r_[1, dims[:0:-1]])[::-1]  # row-major: last coordinate fastest
-    table = np.full(np.prod(dims), -1, dtype=np.intp)
-    table[(basis - lo) @ strides] = np.arange(basis.shape[0])
-    return table[((points - lo) @ strides)[None, :] + (shifts @ strides)[:, None]]
+    size = int(np.prod(dims))
+    offset = size * np.arange(basis.shape[0])[:, None]
+    table = np.full(size * basis.shape[0], -1, dtype=np.intp)
+    table[(basis - lo) @ strides + offset] = np.arange(basis.shape[1])
+    return table[((points - lo) @ strides + offset)[None] + (shifts @ strides)[:, None, None]]
 
 
 def assemble(lat: Lattice, V: FourierPotential, k, Ec: float, scheme: Scheme) -> FiberMatrix:
-    """Dense fiber matrix at k for the given scheme and cutoff."""
+    """Dense fiber matrix at k for the given scheme and cutoff.
+
+    k may also be a (B, d) stack of points whose bases all hold M plane
+    waves.  The result then has (B, M, d) coords and (B, M, M) entries, built
+    from one basis pass, one scatter and one diagonal pass; a single k is
+    the B = 1 case, and every member equals its own single-k matrix to the bit.
+    """
     k = np.zeros(lat.dim) if k is None else np.asarray(k, dtype=float)
-    coords = _basis_coords(lat, k, Ec, scheme.basis_mode)
-    M = coords.shape[0]
-    H = np.zeros((M, M), dtype=complex)
+    ks = k.reshape(-1, lat.dim)
+    coords = _basis_coords(lat, k, Ec, scheme.basis_mode).reshape(len(ks), -1, lat.dim)
+    B, M = coords.shape[:2]
+    H = np.zeros((B, M, M), dtype=complex)
 
     # a dG longer than the basis box in some coordinate couples no pair
     dG, c = V.hermitian_coeffs
-    near = np.all(np.abs(dG) <= coords.max(axis=0) - coords.min(axis=0), axis=1)
+    near = np.all(np.abs(dG) <= coords.max(axis=(0, 1)) - coords.min(axis=(0, 1)), axis=1)
     if near.any():
-        rows = _rows(coords, coords, dG[near])  # rows[n, j]: G_i = G_j + dG_n
-        n, j = np.nonzero(rows >= 0)
+        rows = _rows(coords, coords, dG[near])  # rows[n, b, j]: G_i = G_j + dG_n in member b
+        hit = rows >= 0
+        # flat position of entry (b, i, j) of H, computed in place on rows
+        rows += M * np.arange(B)[:, None]
+        rows *= M
+        rows += np.arange(M)
         # each (i, j) has one difference G_i - G_j; an entry no dG reaches
         # keeps its 0, which is what 0.5 * (0 + conj(0)) gives
-        H[rows[n, j], j] = c[near][n]
+        H.reshape(-1)[rows[hit]] = np.broadcast_to(c[near][:, None, None], rows.shape)[hit]
 
-    kin = kinetic_values(lat, k, coords)
+    kin = kinetic_values(lat, ks[:, None, :], coords)  # (B, M)
     if scheme.tag == "modified":
         x = np.sqrt(kin / Ec)  # |k+G| / sqrt(2 Ec)
         diag = np.where(x <= 0.5, kin, 0.0)
@@ -126,7 +155,9 @@ def assemble(lat: Lattice, V: FourierPotential, k, Ec: float, scheme: Scheme) ->
             diag[steep] = Ec * scheme.blowup.eval(x[steep])
     else:
         diag = kin
-    H[np.diag_indices(M)] += diag
+    H.reshape(B, M * M)[:, :: M + 1] += diag
+    if k.ndim < 2:
+        coords, H = coords[0], H[0]
     return FiberMatrix(k=k, Ec=float(Ec), coords=coords, entries=H, scheme=scheme)
 
 
@@ -143,6 +174,7 @@ def project_modified_identity_check(lat: Lattice, V: FourierPotential, k, Ec: fl
     """
     inner = assemble(lat, V, k, Ec, kdependent_scheme())
     big = assemble(lat, V, k, 4.0 * Ec, modified_scheme(build_blowup(_CHECK_BLOWUP)))
-    idx = _rows(big.coords, inner.coords, np.zeros((1, lat.dim), dtype=np.int64))[0]
+    idx = _rows(big.coords[None], inner.coords[None],
+                np.zeros((1, lat.dim), dtype=np.int64))[0, 0]
     sub = big.entries[np.ix_(idx, idx)]
     return float(np.max(np.abs(sub - inner.entries))) if len(idx) else 0.0

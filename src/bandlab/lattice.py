@@ -116,22 +116,34 @@ def _gbox(lat: Lattice, Ec: float, kmax: float) -> tuple[np.ndarray, np.ndarray]
 
 
 def _basis_coords(lat: Lattice, k, Ec: float, mode: str = "kdependent") -> np.ndarray:
-    """The basis of enumerate_basis as an (M, d) int64 array, in the same order."""
+    """The basis of enumerate_basis as an (M, d) int64 array, in the same order.
+
+    k may also be a (B, d) stack of points whose bases all hold M plane waves;
+    the result is then (B, M, d), from one G-box and one sort with the member
+    index as the primary key, each member equal to its single-k basis.
+    """
     if mode not in ("uniform", "kdependent"):
         raise ValueError(f"unknown basis mode {mode!r}")
     if Ec <= 0:
         raise EmptyBasis(f"cutoff Ec={Ec:g} selects no plane wave")
     k = np.zeros(lat.dim) if k is None else np.asarray(k, dtype=float)
-    coords, gvecs = _gbox(lat, Ec, np.linalg.norm(k))
-    shift = k if mode == "kdependent" else np.zeros(lat.dim)
-    kinetic = 0.5 * np.sum((gvecs + shift) ** 2, axis=1)
+    ks = k.reshape(-1, lat.dim)
+    coords, gvecs = _gbox(lat, Ec, np.linalg.norm(ks, axis=1).max())
+    shift = ks if mode == "kdependent" else np.zeros_like(ks)
+    kinetic = 0.5 * np.sum((gvecs + shift[:, None, :]) ** 2, axis=2)  # (B, box)
     keep = kinetic < Ec
-    if not keep.any():
-        raise EmptyBasis(f"no plane wave below Ec={Ec:g} at k={k}")
-    coords, kinetic = coords[keep], kinetic[keep]
-    # primary key kinetic, then the integer coordinates left to right
-    keys = tuple(coords[:, i] for i in reversed(range(lat.dim))) + (kinetic,)
-    return coords[np.lexsort(keys)]
+    counts = np.count_nonzero(keep, axis=1)
+    if not counts.all():
+        empty = k if k.ndim < 2 else k[np.argmin(counts)]
+        raise EmptyBasis(f"no plane wave below Ec={Ec:g} at k={empty}")
+    if np.any(counts != counts[0]):
+        raise ValueError(f"the bases of a k stack differ in size: {sorted(set(counts.tolist()))}")
+    member, box = np.nonzero(keep)
+    coords, kinetic = coords[box], kinetic[member, box]
+    # primary key the member, then kinetic, then the integer coordinates left to right
+    keys = tuple(coords[:, i] for i in reversed(range(lat.dim))) + (kinetic, member)
+    coords = coords[np.lexsort(keys)]
+    return coords if k.ndim < 2 else coords.reshape(ks.shape[0], counts[0], lat.dim)
 
 
 def enumerate_basis(lat: Lattice, k, Ec: float, mode: str = "kdependent") -> list[GIndex]:
@@ -146,10 +158,11 @@ def enumerate_basis(lat: Lattice, k, Ec: float, mode: str = "kdependent") -> lis
 
 
 def kinetic_values(lat: Lattice, k, basis) -> np.ndarray:
-    """0.5*|k+G|^2 for each G-index of a basis (list or (M, d) array), in basis order."""
+    """0.5*|k+G|^2 for each G-index of a basis (list or (M, d) array), in basis order;
+    a (B, 1, d) stack of k with a (B, M, d) stack of bases gives (B, M)."""
     k = np.zeros(lat.dim) if k is None else np.asarray(k, dtype=float)
     gvecs = np.asarray(basis, dtype=float) @ lat.reciprocal.T
-    return 0.5 * np.sum((gvecs + k) ** 2, axis=1)
+    return 0.5 * np.sum((gvecs + k) ** 2, axis=-1)
 
 
 def _basis_sizes(lat: Lattice, Ec: float, points) -> np.ndarray:
@@ -160,9 +173,11 @@ def _basis_sizes(lat: Lattice, Ec: float, points) -> np.ndarray:
     if Ec <= 0 or points.shape[0] == 0:
         return counts
     _, gvecs = _gbox(lat, Ec, np.linalg.norm(points, axis=1).max())
-    step = max(1, 2**18 // gvecs.shape[0])  # bounds the (step, N, d) temporary
+    step = max(1, 2**14 // gvecs.shape[0])  # bounds the (step, N, d) temporary
     for lo in range(0, points.shape[0], step):
-        kinetic = 0.5 * np.sum((gvecs + points[lo:lo + step, None, :]) ** 2, axis=2)
+        shifted = gvecs + points[lo:lo + step, None, :]
+        shifted **= 2
+        kinetic = 0.5 * np.sum(shifted, axis=2)
         counts[lo:lo + step] = np.count_nonzero(kinetic < Ec, axis=1)
     return counts
 

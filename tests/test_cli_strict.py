@@ -1,0 +1,100 @@
+"""Strict config reading in the CLI: JSON types are never converted silently,
+and a top-level key the subcommand does not know is an error."""
+
+import json
+
+import pytest
+
+from bandlab.cli import main
+
+LAT_1D = {"dim": 1, "primitive": [[1.0]]}
+BANDS = {"lattice": LAT_1D, "scheme": "kdep", "ec": 25.0, "nbands": 2,
+         "path": {"nodes": [["G", [0.0]], ["X", [0.5]]], "samples": 4}}
+
+
+def run(tmp_path, command, cfg, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg | {"out": str(tmp_path / "run")}))
+    code = main([command, "--config", str(path)])
+    return code, capsys.readouterr().err
+
+
+def assert_config_error(code, err, field):
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1 and repr(field) in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("nbands", 2.7), ("nbands", 2.0), ("nbands", True), ("nbands", "2"),
+    ("ec", "25"), ("ec", True), ("threads", False), ("threads", 1.5),
+])
+def test_values_are_not_converted(tmp_path, capsys, field, value):
+    code, err = run(tmp_path, "bands", BANDS | {field: value}, capsys)
+    assert_config_error(code, err, field)
+
+
+@pytest.mark.parametrize("grid", ["4", 4.0, True])
+def test_grid_takes_only_an_integer(tmp_path, capsys, grid):
+    cfg = {k: v for k, v in BANDS.items() if k != "path"} | {"grid": grid}
+    code, err = run(tmp_path, "bands", cfg, capsys)
+    assert_config_error(code, err, "grid")
+
+
+@pytest.mark.parametrize("blowup, field", [
+    ({"m": True, "p": 1.5}, "m"), ({"m": 1, "p": "1.5"}, "p"), ({"m": 1.0, "p": 1.5}, "m"),
+    ({"m": 1, "p": 1.5, "c": False}, "c"),
+])
+def test_blowup_fields_are_not_converted(tmp_path, capsys, blowup, field):
+    cfg = BANDS | {"scheme": "modified", "blowup": blowup}
+    code, err = run(tmp_path, "bands", cfg, capsys)
+    assert_config_error(code, err, field)
+
+
+def test_integer_is_a_number(tmp_path, capsys):
+    code, _ = run(tmp_path, "bands", BANDS | {"ec": 25}, capsys)
+    assert code == 0
+    assert json.loads((tmp_path / "run" / "resolved_config.json").read_text())["ec"] == 25
+
+
+@pytest.mark.parametrize("command, key", [
+    ("bands", "nband"), ("bands", "mu_points"), ("regularity", "delta"),
+    ("periodicity", "k_sample"), ("cellscan", "a_ladders"), ("converge", "ec_refrence"),
+    ("dos", "band_index"),
+])
+def test_unknown_key_is_config_error(tmp_path, capsys, command, key):
+    code, err = run(tmp_path, command, BANDS | {key: 1}, capsys)
+    assert_config_error(code, err, key)
+    assert f"bandlab {command}" in err
+
+
+def test_unknown_key_names_a_close_match(tmp_path, capsys):
+    code, err = run(tmp_path, "bands", BANDS | {"nband": 2}, capsys)
+    assert code == 2 and "did you mean 'nbands'" in err
+
+
+def test_potential_synth_rejects_unknown_key(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"lattice": LAT_1D, "out": str(tmp_path), "sed": 3}))
+    assert main(["potential", "synth", "--config", str(path), "--t", "2.1", "--gmax", "3"]) == 2
+    assert "'sed'" in capsys.readouterr().err
+
+
+README_CONFIG = {
+    "lattice": {"dim": 1, "primitive": [[1.0]]},
+    "potential": {"coeffs": [{"g": [1], "re": 1.0, "im": 0.0},
+                             {"g": [-1], "re": 1.0, "im": 0.0}]},
+    "scheme": "modified", "blowup": {"m": 1, "p": 1.5}, "ec": 100.0, "nbands": 2,
+    "path": {"nodes": [["-X", [-0.5]], ["G", [0.0]], ["X", [0.5]]], "samples": 40},
+}
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("bands", []), ("fermi", ["--grid", "4", "--electrons", "1.0"]),
+    ("converge", ["--ec-ladder", "25,50"]), ("regularity", []), ("periodicity", []),
+    ("cellscan", ["--grid", "2"]), ("dos", ["--grid", "4"]),
+])
+def test_readme_config_runs_every_subcommand(tmp_path, command, flags):
+    """The README shares one config between the quick-start commands."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(README_CONFIG))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "run")] + flags) == 0
