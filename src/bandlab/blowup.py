@@ -18,6 +18,7 @@ near 1 and the construction loses its purpose.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,12 +96,9 @@ def _bridge_polynomial(spec: BlowupSpec, C: float) -> Polynomial:
     quad = {0: 0.25, 1: 1.0, 2: 2.0}  # derivatives of x^2 at x = 1/2
     for j in range(M + 1):
         # q^(j)(0) = j! c_j   and   q^(j)(1) = sum_i i!/(i-j)! c_i
-        coeff_at_1 = np.zeros(degree + 1)
-        for i in range(j, degree + 1):
-            coeff_at_1[i] = np.prod(np.arange(i - j + 1, i + 1))
-        A[j, j] = float(np.prod(np.arange(1, j + 1)))
+        A[j, j] = math.factorial(j)
+        A[M + 1 + j] = [math.perm(i, j) for i in range(degree + 1)]
         rhs[j] = s**j * quad.get(j, 0.0)
-        A[M + 1 + j] = coeff_at_1
         rhs[M + 1 + j] = s**j * _tail_derivative(C, spec.p, spec.a, j)
     coeffs = np.linalg.solve(A, rhs)
     return Polynomial(coeffs)
@@ -160,40 +158,17 @@ def _domination_margin(fn: BlowupFunction) -> float:
     return float(np.min(fn.eval(xs) - xs**2))
 
 
-def _central_fd(fn: BlowupFunction, x0: float, j: int, h: float) -> float:
-    """Central j-th difference with binomial weights at offsets (j/2 - i) h."""
-    if j == 0:
-        return fn.eval(x0)
-    total = 0.0
-    binom = 1.0
-    for i in range(j + 1):
-        total += (-1.0) ** i * binom * fn.eval(x0 + (j / 2.0 - i) * h)
-        binom = binom * (j - i) / (i + 1)
-    return total / h**j
-
-
 def _junction_mismatch(fn: BlowupFunction) -> float:
-    """Worst relative gap between central differences and eval_derivative
-    at the junctions, over derivative orders 0..m.
-
-    The step starts at 1e-5 and adapts in both directions: high orders
-    need a coarser step before rounding noise wins.  Derivatives of order
-    m+1 jump at the junctions, which leaves an O(h) term in the plain
-    central stencil; the paired evaluation at h and h/2 extrapolates it
-    away.
-    """
-    steps = 1e-5 * 2.0 ** np.arange(-8, 13)
+    """Worst relative gap, over orders 0..m, between the bridge's end
+    derivatives and eval_derivative at x = 1/2 and x = a, where it takes the
+    quadratic and tail branches that assembly calls."""
+    s = fn.spec.a - 0.5
+    junctions = np.array([0.5, fn.spec.a])
     worst = 0.0
-    for x0 in (0.5, fn.spec.a):
-        for j in range(fn.spec.m + 1):
-            exact = fn.eval_derivative(x0, j)
-            best = np.inf
-            for h in steps:
-                coarse = _central_fd(fn, x0, j, h)
-                fine = _central_fd(fn, x0, j, h / 2.0)
-                for fd in (coarse, 2.0 * fine - coarse):
-                    best = min(best, abs(fd - exact) / max(1.0, abs(exact)))
-            worst = max(worst, best)
+    for j in range(fn.spec.m + 1):
+        ends = fn.bridge.deriv(j)(np.array([0.0, 1.0])) / s**j
+        want = fn.eval_derivative(junctions, j)
+        worst = max(worst, float(np.max(np.abs(ends - want) / np.maximum(1.0, np.abs(want)))))
     return worst
 
 

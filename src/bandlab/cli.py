@@ -62,6 +62,16 @@ _KNOWN_KEYS = {
     "cellscan": _COMMON_KEYS | {"a_ladder", "schemes"},
     "potential": _COMMON_KEYS,
 }
+# Keys of the nested config objects by dotted path ("[]": each item of a list).
+_NESTED_KEYS = {
+    "blowup": frozenset({"m", "p", "c", "a", "msmooth"}),
+    "path": frozenset({"nodes", "samples"}),
+    "lattice": frozenset({"dim", "primitive"}),
+    "potential": frozenset({"file", "synth", "coeffs", "real_valued"}),
+    "potential.synth": frozenset({"t", "gmax", "seed", "amplitude"}),
+    "potential.coeffs[]": frozenset({"g", "re", "im"}),
+    "a_ladder": frozenset({"center", "span", "count"}),
+}
 
 _REQUIRED = object()
 _KINDS = {int: "an integer", float: "a number", str: "a string", dict: "an object",
@@ -106,17 +116,31 @@ def _parse_path_flag(text: str) -> dict:
     return {"nodes": nodes}
 
 
+def _check_keys(obj: dict, known: frozenset, prefix: str, command: str) -> None:
+    """A ValueError naming the keys of obj outside known by dotted path, with a
+    close match as a hint; then the same for the _NESTED_KEYS objects in obj."""
+    unknown = sorted(set(obj) - known)
+    if unknown:
+        hint = difflib.get_close_matches(unknown[0].lower(), known, n=1)
+        raise ValueError(f"unknown config key {', '.join(repr(prefix + k) for k in unknown)}"
+                         f" for bandlab {command}"
+                         + (f" (did you mean {prefix + hint[0]!r}?)" if hint else ""))
+    for key, value in obj.items():
+        path = prefix + key
+        if isinstance(value, dict) and path in _NESTED_KEYS:
+            _check_keys(value, _NESTED_KEYS[path], path + ".", command)
+        elif isinstance(value, list) and path + "[]" in _NESTED_KEYS:
+            for i, item in enumerate(value):
+                if isinstance(item, dict):
+                    _check_keys(item, _NESTED_KEYS[path + "[]"], f"{path}[{i}].", command)
+
+
 def _config(args) -> dict:
     """The JSON object of --config (empty without one), overridden by the flags."""
     cfg = {} if args.config is None else json.loads(Path(args.config).read_text())
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object")
-    unknown = sorted(set(cfg) - _KNOWN_KEYS[args.command])
-    if unknown:
-        hint = difflib.get_close_matches(unknown[0], _KNOWN_KEYS[args.command], n=1)
-        raise ValueError(f"unknown config key {', '.join(map(repr, unknown))} for "
-                         f"bandlab {args.command}"
-                         + (f" (did you mean {hint[0]!r}?)" if hint else ""))
+    _check_keys(cfg, _KNOWN_KEYS[args.command], "", args.command)
     for key in ("ec", "nbands", "grid", "electrons", "seed", "threads", "out", "scheme"):
         value = getattr(args, key, None)
         if value is not None:

@@ -63,8 +63,7 @@ class FourierPotential:
         plain = np.zeros(indices.shape[0], dtype=complex)
         plain[where.reshape(-1)[: len(self.coeffs)]] += self.coeff_values
         # negation reverses the lexicographic order of a set closed under it
-        values = plain + plain[::-1].conj()
-        values *= 0.5
+        values = 0.5 * (plain + plain[::-1].conj())
         indices.flags.writeable = values.flags.writeable = False
         return indices, values
 

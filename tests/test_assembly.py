@@ -100,6 +100,9 @@ SIGNED_ZEROS = bl.FourierPotential(
 @settings(max_examples=200, deadline=None)
 @given(cases())
 @hypothesis.example((LAT1, SIGNED_ZEROS, np.array([0.3]), 25.0, bl.kdependent_scheme()))
+# A subnormal coefficient: halving its conjugate must give -0.0, as the oracle's does.
+@hypothesis.example((LAT1, bl.potential_from_coeffs(LAT1, [((1,), 5e-324j)], real_valued=False),
+                     np.array([0.0]), 20.0, bl.uniform_scheme()))
 def test_scatter_matches_entrywise_sum(case):
     lat, V, k, Ec, scheme = case
     try:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 import bandlab as bl
+import bandlab.blowup as blowup_module
 from bandlab import BlowupSpec, build_blowup
 
 # independently evaluated tail values, C (1-x)^(-p) at p = 3/2
@@ -81,6 +83,67 @@ def test_junction_smoothness(m, p):
     assert fn.validation["weighted_tail_diverges"]
 
 
+def central_fd(fn, x0: float, j: int, h: float) -> float:
+    """Central j-th difference with binomial weights at offsets (j/2 - i) h."""
+    if j == 0:
+        return fn.eval(x0)
+    total = 0.0
+    binom = 1.0
+    for i in range(j + 1):
+        total += (-1.0) ** i * binom * fn.eval(x0 + (j / 2.0 - i) * h)
+        binom = binom * (j - i) / (i + 1)
+    return total / h**j
+
+
+def fd_junction_mismatch(fn) -> float:
+    """Worst relative gap between central differences and eval_derivative
+    at the junctions, over derivative orders 0..m.
+
+    The step starts at 1e-5 and adapts in both directions: high orders
+    need a coarser step before rounding noise wins.  Derivatives of order
+    m+1 jump at the junctions, which leaves an O(h) term in the plain
+    central stencil; the paired evaluation at h and h/2 extrapolates it
+    away.
+    """
+    steps = 1e-5 * 2.0 ** np.arange(-8, 13)
+    worst = 0.0
+    for x0 in (0.5, fn.spec.a):
+        for j in range(fn.spec.m + 1):
+            exact = fn.eval_derivative(x0, j)
+            best = np.inf
+            for h in steps:
+                coarse = central_fd(fn, x0, j, h)
+                fine = central_fd(fn, x0, j, h / 2.0)
+                for fd in (coarse, 2.0 * fine - coarse):
+                    best = min(best, abs(fd - exact) / max(1.0, abs(exact)))
+            worst = max(worst, best)
+    return worst
+
+
+@pytest.mark.parametrize("m,p", [(0, 0.5), (1, 1.5), (2, 2.5), (2, 4.0)])
+def test_finite_differences_agree_at_junctions(m, p):
+    # an independent cross-check of the exact record: difference quotients
+    # see only G's values, never the bridge coefficients
+    fn = build_blowup(BlowupSpec(m=m, p=p, C=1.0))
+    assert fd_junction_mismatch(fn) <= 1e-4
+    assert fn.validation["junction_mismatch"] <= 1e-12
+
+
+@pytest.mark.parametrize("m,p", [(0, 0.5), (1, 1.5), (2, 2.5), (2, 4.0)])
+def test_record_catches_a_perturbed_bridge(monkeypatch, m, p):
+    # raising one coefficient by 1e-6 of itself keeps G >= x^2 on the bridge,
+    # so the build succeeds and only the junction record can see the fault
+    exact = blowup_module._bridge_polynomial
+    for i in range(2 * m + 2):
+        def perturbed(spec, C, i=i):
+            coef = exact(spec, C).coef.copy()
+            coef[i] += 1e-6 * abs(coef[i])
+            return Polynomial(coef)
+        monkeypatch.setattr(blowup_module, "_bridge_polynomial", perturbed)
+        fn = build_blowup(BlowupSpec(m=m, p=p, C=1.0))
+        assert fn.validation["junction_mismatch"] > 1e-8, i
+
+
 @pytest.mark.parametrize("m,p", [(0, 0.5), (1, 1.5), (2, 2.5)])
 def test_weighted_blowup_increases(m, p):
     fn = build_blowup(BlowupSpec(m=m, p=p, C=1.0))
@@ -112,3 +175,4 @@ def test_spec_serialization():
     assert BlowupSpec(m=1, p=1.5, C=1.0).to_dict() == {
         "m": 1, "p": 1.5, "C": 1.0, "a": 0.75, "msmooth": 1}
     assert BlowupSpec(m=0, p=0.5, C=2.0, msmooth=6).to_dict()["msmooth"] == 6
+

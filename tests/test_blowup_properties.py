@@ -1,0 +1,35 @@
+"""Property test: build_blowup on random specs either refuses the spec or
+returns a function whose validation record and weighted tail hold."""
+
+import numpy as np
+import pytest
+
+import bandlab as bl
+from bandlab import BlowupSpec, build_blowup
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+
+@st.composite
+def specs(draw):
+    m = draw(st.integers(0, 3))
+    return BlowupSpec(m=m, p=draw(st.floats(m, m + 3.0, exclude_min=True)),
+                      a=draw(st.floats(0.55, 0.95)))
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(specs())
+def test_random_specs_build_valid_or_raise(spec):
+    try:
+        fn = build_blowup(spec)
+    except bl.DominationViolated:
+        return
+    assert fn.validation["junction_mismatch"] <= 1e-10
+    assert fn.validation["domination_margin"] >= -1e-12
+    xs = 1.0 - 2.0 ** -np.arange(5, 21)
+    weighted = (1.0 - xs) ** spec.m * fn.eval(xs)
+    # each step multiplies the weighted tail by 2^(p - m), which rounds to 1
+    # when p is within a few ulps of m: only ties are allowed there
+    steps = np.diff(weighted)
+    assert np.all(steps > 0) if spec.p - spec.m > 1e-12 else np.all(steps >= 0)

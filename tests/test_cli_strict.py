@@ -72,6 +72,39 @@ def test_unknown_key_names_a_close_match(tmp_path, capsys):
     assert code == 2 and "did you mean 'nbands'" in err
 
 
+COSINE = [{"g": [1], "re": 1.0}, {"g": [-1], "re": 1.0}]
+
+
+@pytest.mark.parametrize("command, nested, key, hint", [
+    ("bands", {"scheme": "modified", "blowup": {"m": 1, "p": 1.5, "C": 64.0}},
+     "blowup.C", "blowup.c"),
+    ("bands", {"path": {"nodes": BANDS["path"]["nodes"], "sample": 4}},
+     "path.sample", "path.samples"),
+    ("bands", {"lattice": LAT_1D | {"primitve": [[1.0]]}},
+     "lattice.primitve", "lattice.primitive"),
+    ("bands", {"potential": {"coeffs": COSINE, "realvalued": True}},
+     "potential.realvalued", "potential.real_valued"),
+    ("bands", {"potential": {"synth": {"t": 2.1, "gmax": 4, "sed": 1}}},
+     "potential.synth.sed", "potential.synth.seed"),
+    ("bands", {"potential": {"coeffs": [COSINE[0], {"g": [-1], "re": 1.0, "img": 0.0}]}},
+     "potential.coeffs[1].img", "potential.coeffs[1].im"),
+    ("cellscan", {"a_ladder": {"center": 1.0, "span": 0.05, "counts": 7}},
+     "a_ladder.counts", "a_ladder.count"),
+])
+def test_unknown_nested_key_is_config_error(tmp_path, capsys, command, nested, key, hint):
+    code, err = run(tmp_path, command, BANDS | nested, capsys)
+    assert_config_error(code, err, key)
+    assert f"did you mean {hint!r}" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_unknown_nested_key_without_close_match(tmp_path, capsys):
+    cfg = BANDS | {"scheme": "modified", "blowup": {"m": 1, "p": 1.5, "tail": 64.0}}
+    code, err = run(tmp_path, "bands", cfg, capsys)
+    assert_config_error(code, err, "blowup.tail")
+    assert "did you mean" not in err
+
+
 def test_potential_synth_rejects_unknown_key(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"lattice": LAT_1D, "out": str(tmp_path), "sed": 3}))
