@@ -172,12 +172,28 @@ def _junction_mismatch(fn: BlowupFunction) -> float:
     return worst
 
 
+def _weighted_tail_grows(fn: BlowupFunction) -> bool:
+    """Whether (1 - x)^m G(x) increases strictly on x = 1 - 2^-j for sixteen
+    consecutive j from j = 5, or from the first j with x in the tail [a, 1).
+
+    In the tail the weighted value is C 2^(j (p - m)), so each step
+    multiplies it by 2^(p - m): p > m is the divergence that p certifies,
+    and for p within rounding of m that factor rounds to 1 and the growth
+    cannot be seen in double precision.
+    """
+    first = max(5, math.ceil(-math.log2(1.0 - fn.spec.a)))
+    xs = 1.0 - 2.0 ** -np.arange(first, first + 16)
+    return bool(np.all(np.diff((1.0 - xs) ** fn.spec.m * fn.eval(xs)) > 0))
+
+
 def build_blowup(spec: BlowupSpec) -> BlowupFunction:
     """Construct and validate the piecewise blow-up function for a spec.
 
     With spec.C = None, the smallest tail constant in 1, 2, 4, ... passing
     the sampled domination check is selected.  An explicit C that fails
-    domination raises DominationViolated.  The returned function carries a
+    domination raises DominationViolated.  A spec whose weighted tail
+    (1 - x)^m G(x) does not grow strictly in double precision, p within
+    rounding of m, raises IllPosedSpec.  The returned function carries a
     validation record with the measured check results.
     """
     spec.validate()
@@ -188,11 +204,16 @@ def build_blowup(spec: BlowupSpec) -> BlowupFunction:
         fn = BlowupFunction(spec=resolved, bridge=_bridge_polynomial(spec, float(C)))
         margin = _domination_margin(fn)
         if margin >= -1e-12:
+            if not _weighted_tail_grows(fn):
+                raise IllPosedSpec(
+                    f"p={spec.p:.17g} is within rounding of m={spec.m}: the weighted tail "
+                    "(1-x)^m G(x) does not grow in double precision"
+                )
             record = {
                 "quadratic_regions_exact": True,          # piecewise by construction
                 "junction_mismatch": _junction_mismatch(fn),
                 "domination_margin": margin,
-                "weighted_tail_diverges": spec.p > spec.m,  # analytic, p > m
+                "weighted_tail_diverges": True,           # checked just above
             }
             return BlowupFunction(spec=resolved, bridge=fn.bridge, validation=record)
     raise DominationViolated(

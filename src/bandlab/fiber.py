@@ -14,27 +14,36 @@ cutoff, and whenever x <= 1/2 the diagonal is written as the plain kinetic
 value itself: there Ec * G(x) = 0.5*|k+G|^2 exactly, and reusing the same
 float makes the restriction identity below hold to the bit.
 
-The potential block is one scatter on integer arrays.  The basis is an
-(M, d) int array of G-indices and the potential supplies, cached, the
-(n, d) index array and values of its Hermitian part 0.5 * (c[dG] +
+The potential block is kept as a row table on integer arrays.  The basis
+is an (M, d) int array of G-indices and the potential supplies, cached,
+the (n, d) index array and values of its Hermitian part 0.5 * (c[dG] +
 conj(c[-dG])).  A dense position table over the integer box holding every
 G_j + dG maps a coordinate to its basis index (-1 outside the basis); one
-lookup gives the (n, M) array of rows i with G_i = G_j + dG, and every hit
-writes its value to entry (i, j).  Work and memory are O(n * M), never
-O(M^2 * d), and no M x M temporary is formed.  The result is bit-identical
-to summing the coefficients entry by entry and then forming 0.5 * (H + H^H):
-for fixed (i, j) only dG = G_i - G_j can hit, so H holds 0 + c at (i, j)
-and at (j, i), and the cached value is that same arithmetic.
+lookup gives the (n, M) table of rows i with G_i = G_j + dG for the
+nonzero dG, and the mean value c[0] joins the kinetic diagonal.  Work and
+memory are O(n * M), never O(M^2 * d).
+
+From the table the fiber applies H to a block of vectors without forming
+it (FiberMatrix.apply), which is all the block eigensolver needs.  The
+dense matrix `entries` is built on first access, by one scatter that writes
+every hit of the table to entry (i, j), and the table is dropped then.  The
+result is bit-identical to summing the coefficients entry by entry and then
+forming 0.5 * (H + H^H): for fixed (i, j) only dG = G_i - G_j can hit, so H
+holds 0 + c at (i, j) and at (j, i), and the cached value is that same
+arithmetic.  A diagonal entry is written as the real number Re c[0] plus
+the kinetic value; the imaginary part of the Hermitian c[0] is
+0.5 * (y - y) = +0 for every finite coefficient.
 
 A (B, d) stack of k-points whose bases have one size M is assembled in one
 pass: one G-box and one sort for the B bases, one table lookup with a table
-copy per member for the B potential blocks, and one vectorized diagonal.
+copy per member for the B potential tables, and one vectorized diagonal.
 A single k is the B = 1 case of the same code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -73,11 +82,19 @@ def modified_scheme(blowup: BlowupFunction) -> Scheme:
 
 @dataclass(frozen=True)
 class FiberMatrix:
+    """The fiber matrix H at k, or at each k of a stack, kept as its real
+    diagonal and a row table of the potential's couplings; `entries` is the
+    dense matrix, built on first access."""
+
     k: np.ndarray
     Ec: float
-    coords: np.ndarray   # (M, d) int64 G-indices in deterministic order; (B, M, d) for a stack
-    entries: np.ndarray  # (M, M) complex Hermitian; (B, M, M) for a stack
+    coords: np.ndarray    # (M, d) int64 G-indices in deterministic order; (B, M, d) for a stack
     scheme: Scheme
+    diagonal: np.ndarray  # (M,) real diagonal of H, kinetic (or blown-up) plus Re c[0]; (B, M)
+    coeffs: np.ndarray    # (n,) Hermitian coefficient values c_n of the table's nonzero dG_n
+    # (n, B, M) rows: table[n, b, j] is the i with G_i = G_j + dG_n in member b,
+    # -1 where there is none; None once `entries` has been built from it
+    table: np.ndarray | None = field(repr=False)
 
     @property
     def basis(self) -> list:
@@ -93,6 +110,49 @@ class FiberMatrix:
 
     def __len__(self) -> int:
         return self.coords.shape[-2]
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """The dense (M, M) complex Hermitian matrix; (B, M, M) for a stack.
+
+        Built on first access by one scatter.  The table turns, in place,
+        into the flat positions of its hits and is dropped before the matrix
+        is allocated, so a fiber never holds both.
+        """
+        B, M = self.table.shape[1:]
+        rows = self.table
+        hit = rows >= 0
+        rows += M * np.arange(B)[:, None]
+        rows *= M
+        rows += np.arange(M)
+        where, values = rows[hit], np.broadcast_to(self.coeffs[:, None, None], rows.shape)[hit]
+        object.__setattr__(self, "table", None)
+        del rows, hit
+        # each (i, j) has one difference G_i - G_j; an entry no dG reaches
+        # keeps its 0, which is what 0.5 * (0 + conj(0)) gives
+        H = np.zeros((B, M, M), dtype=complex)
+        H.reshape(-1)[where] = values
+        H.reshape(B, M * M)[:, :: M + 1] = self.diagonal.reshape(B, M)
+        return H if self.coords.ndim == 3 else H[0]
+
+    def apply(self, X: np.ndarray, member: int = 0) -> np.ndarray:
+        """H @ X for one member of the fiber (0 for a single k), X of shape (M,) or (M, r).
+
+        From the table: (HX)[j] = diagonal[j] X[j] + sum_n conj(c_n) X[table[n, j]],
+        because H[j, i] = conj(H[i, j]) = conj(c_n) for i = table[n, j].
+        Work is O(n * M * r) and memory O(M * r).  Once `entries` exists,
+        its dense product.
+        """
+        if self.table is None:
+            return self.entries.reshape(-1, len(self), len(self))[member] @ X
+        X = np.asarray(X)
+        diag = self.diagonal.reshape(-1, len(self))[member]
+        out = np.asarray(diag.reshape(diag.shape + (1,) * (X.ndim - 1)) * X, dtype=complex)
+        # row -1 of the padded block is zero, for the -1 entries of the table
+        padded = np.concatenate([X, np.zeros((1,) + X.shape[1:], dtype=X.dtype)])
+        for rows, c in zip(self.table[:, member], self.coeffs.conj()):
+            out += c * padded[rows]
+        return out
 
 
 def _rows(basis: np.ndarray, points: np.ndarray, shifts: np.ndarray) -> np.ndarray:
@@ -119,32 +179,18 @@ def _rows(basis: np.ndarray, points: np.ndarray, shifts: np.ndarray) -> np.ndarr
 
 
 def assemble(lat: Lattice, V: FourierPotential, k, Ec: float, scheme: Scheme) -> FiberMatrix:
-    """Dense fiber matrix at k for the given scheme and cutoff.
+    """Fiber matrix at k for the given scheme and cutoff.
 
     k may also be a (B, d) stack of points whose bases all hold M plane
-    waves.  The result then has (B, M, d) coords and (B, M, M) entries, built
-    from one basis pass, one scatter and one diagonal pass; a single k is
-    the B = 1 case, and every member equals its own single-k matrix to the bit.
+    waves.  The result then has (B, M, d) coords, a (B, M) diagonal and
+    (B, M, M) entries, built from one basis pass, one table lookup and one
+    diagonal pass; a single k is the B = 1 case, and every member equals its
+    own single-k matrix to the bit.
     """
     k = np.zeros(lat.dim) if k is None else np.asarray(k, dtype=float)
     ks = k.reshape(-1, lat.dim)
     coords = _basis_coords(lat, k, Ec, scheme.basis_mode).reshape(len(ks), -1, lat.dim)
     B, M = coords.shape[:2]
-    H = np.zeros((B, M, M), dtype=complex)
-
-    # a dG longer than the basis box in some coordinate couples no pair
-    dG, c = V.hermitian_coeffs
-    near = np.all(np.abs(dG) <= coords.max(axis=(0, 1)) - coords.min(axis=(0, 1)), axis=1)
-    if near.any():
-        rows = _rows(coords, coords, dG[near])  # rows[n, b, j]: G_i = G_j + dG_n in member b
-        hit = rows >= 0
-        # flat position of entry (b, i, j) of H, computed in place on rows
-        rows += M * np.arange(B)[:, None]
-        rows *= M
-        rows += np.arange(M)
-        # each (i, j) has one difference G_i - G_j; an entry no dG reaches
-        # keeps its 0, which is what 0.5 * (0 + conj(0)) gives
-        H.reshape(-1)[rows[hit]] = np.broadcast_to(c[near][:, None, None], rows.shape)[hit]
 
     kin = kinetic_values(lat, ks[:, None, :], coords)  # (B, M)
     if scheme.tag == "modified":
@@ -155,10 +201,21 @@ def assemble(lat: Lattice, V: FourierPotential, k, Ec: float, scheme: Scheme) ->
             diag[steep] = Ec * scheme.blowup.eval(x[steep])
     else:
         diag = kin
-    H.reshape(B, M * M)[:, :: M + 1] += diag
+
+    dG, c = V.hermitian_coeffs
+    # a dG longer than the basis box in some coordinate couples no pair
+    near = np.all(np.abs(dG) <= coords.max(axis=(0, 1)) - coords.min(axis=(0, 1)), axis=1)
+    if len(dG) % 2:
+        # the sorted set is closed under negation, so an odd count puts dG = 0
+        # in the middle; c[0] couples each plane wave to itself
+        near[len(dG) // 2] = False
+        diag = c[len(dG) // 2].real + diag
+    table = (_rows(coords, coords, dG[near]) if near.any()
+             else np.empty((0, B, M), dtype=np.intp))
     if k.ndim < 2:
-        coords, H = coords[0], H[0]
-    return FiberMatrix(k=k, Ec=float(Ec), coords=coords, entries=H, scheme=scheme)
+        coords, diag = coords[0], diag[0]
+    return FiberMatrix(k=k, Ec=float(Ec), coords=coords, scheme=scheme, diagonal=diag,
+                       coeffs=c[near], table=table)
 
 
 _CHECK_BLOWUP = BlowupSpec(m=1, p=1.5, C=1.0)

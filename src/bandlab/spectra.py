@@ -16,21 +16,23 @@
 * dense   : otherwise, one LAPACK eigvalsh/eigh of the whole matrix.
 
 The block path stops when every requested pair has residual
-||Hx - theta x|| / (1 + |theta|) <= 1e-10, checked on an explicit H @ X,
-and returns that residual bound with or without vectors.  If it does not
-get there within _BLOCK_MAX_ITER iterations, the matrix goes through the
-graded/dense path instead.
+||Hx - theta x|| / (1 + |theta|) <= 1e-10, checked on an explicit H @ X
+from the same product, and returns that residual bound with or without
+vectors.  If it does not get there within _BLOCK_MAX_ITER iterations, the
+dense matrix is built and goes through the graded/dense path instead.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .fiber import Scheme, assemble
+from .fiber import FiberMatrix, Scheme, assemble
 from .lattice import KPointSet, Lattice, _basis_coords, _basis_sizes, digest_of
 from .potential import FourierPotential
 
@@ -87,8 +89,11 @@ def _rayleigh_ritz(S: np.ndarray, AS: np.ndarray, count: int):
     return theta[:count], C, S @ C, AS @ C
 
 
-def _eigh_block(H: np.ndarray, take: int):
+def _eigh_block(H, take: int, diag: np.ndarray | None = None):
     """Lowest `take` eigenpairs by LOBPCG, or None if not converged in time.
+
+    H is the (M, M) matrix, or, with its real diagonal `diag` given, a
+    function X -> H @ X such as a fiber member's table product.
 
     The block X holds take + _BLOCK_GUARD vectors and starts from unit
     vectors on the smallest diagonal entries plus a small random block.  Each
@@ -102,8 +107,9 @@ def _eigh_block(H: np.ndarray, take: int):
     step on an explicit H @ X confirms them.
     Returns (values, vectors, residual bound).
     """
-    n = H.shape[0]
-    d = np.real(H.diagonal())
+    if diag is None:
+        H, diag = H.__matmul__, np.real(H.diagonal())
+    n, d = diag.shape[0], diag
     nb = take + _BLOCK_GUARD
     # H and the preconditioner keep every invariant subspace, e.g. the cosets
     # of plane waves a potential on a sublattice does not couple, so each
@@ -112,7 +118,7 @@ def _eigh_block(H: np.ndarray, take: int):
     X = (0.1 / np.sqrt(n)) * np.random.default_rng(0).standard_normal((n, nb))
     X[np.argsort(d, kind="stable")[:nb], np.arange(nb)] += 1.0
     X = _cholesky_qr(X)
-    theta, _, X, AX = _rayleigh_ritz(X, H @ X, nb)
+    theta, _, X, AX = _rayleigh_ritz(X, H(X), nb)
     P = None
     explicit = True  # AX is H @ X up to one Rayleigh-Ritz rotation
     for _ in range(_BLOCK_MAX_ITER):
@@ -124,7 +130,7 @@ def _eigh_block(H: np.ndarray, take: int):
             if explicit:
                 return theta[:take], X[:, :take], float(np.max(res[:take]))
             X = _cholesky_qr(_cholesky_qr(X))
-            theta, _, X, AX = _rayleigh_ritz(X, H @ X, nb)
+            theta, _, X, AX = _rayleigh_ritz(X, H(X), nb)
             P = None
             explicit = True
             continue
@@ -139,7 +145,7 @@ def _eigh_block(H: np.ndarray, take: int):
                 continue
         if Q is None:
             return None
-        theta, C, X, AX = _rayleigh_ritz(np.hstack([X, Q]), np.hstack([AX, H @ Q]), nb)
+        theta, C, X, AX = _rayleigh_ritz(np.hstack([X, Q]), np.hstack([AX, H(Q)]), nb)
         P = Q @ C[nb:]
         explicit = False
     return None
@@ -218,17 +224,28 @@ def _eigh_graded(H: np.ndarray, steep: np.ndarray, take: int, want_vectors: bool
     return values, vectors
 
 
-def _eigh_one(H: np.ndarray, take: int, want_vectors: bool):
-    """The per-matrix policy on one (M, M) matrix: (values, vectors, residual bound)."""
-    n = H.shape[0]
+def _eigh_one(H, take: int, want_vectors: bool, member: int = 0):
+    """The per-matrix policy on one member of an (M, M) or (B, M, M) array or
+    of a FiberMatrix: (values, vectors, residual bound).
+
+    The block path applies a FiberMatrix from its table, and its dense
+    matrix is built only when the graded/dense path needs it.
+    """
+    fib = H if isinstance(H, FiberMatrix) else None
+    n = len(fib) if fib is not None else H.shape[-1]
     if n >= _BLOCK_MIN_ORDER and take + _BLOCK_GUARD <= n // _BLOCK_MIN_RATIO:
         try:
-            block = _eigh_block(H, take)
+            if fib is not None:
+                block = _eigh_block(partial(fib.apply, member=member), take,
+                                    fib.diagonal.reshape(-1, n)[member])
+            else:
+                block = _eigh_block(H.reshape(-1, n, n)[member], take)
         except np.linalg.LinAlgError:
             block = None
         if block is not None:
             vals, vecs, residual = block
             return vals, vecs if want_vectors else None, residual
+    H = np.asarray(getattr(H, "entries", H)).reshape(-1, n, n)[member]
     steep = _graded_split(H)
     try:
         if steep is not None and take <= n - steep.size:
@@ -249,16 +266,17 @@ def _eigh_one(H: np.ndarray, take: int, want_vectors: bool):
     return vals, vecs, residual
 
 
-def eigh(H: np.ndarray, n_lowest: int | None = None, want_vectors: bool = False) -> EigenSolution:
-    """Lowest eigenpairs of a dense Hermitian matrix, ascending.
+def eigh(H, n_lowest: int | None = None, want_vectors: bool = False) -> EigenSolution:
+    """Lowest eigenpairs of a Hermitian matrix, ascending.
 
     Accepts a FiberMatrix or a plain Hermitian array.  Large matrices with
-    few requested eigenpairs go through the block solver.  Otherwise, or if
-    that does not converge, ordinary matrices go through a dense full solve
-    and get truncated, and strongly graded matrices (blown-up kinetic
-    entries far above the rest) are reduced by an exact Schur complement
-    first, because the dense solve alone cannot deliver the residual
-    tolerance for the low bands there.
+    few requested eigenpairs go through the block solver, which applies a
+    FiberMatrix from its row table without building its dense `entries`.
+    Otherwise, or if that does not converge, ordinary matrices go through a
+    dense full solve and get truncated, and strongly graded matrices
+    (blown-up kinetic entries far above the rest) are reduced by an exact
+    Schur complement first, because the dense solve alone cannot deliver
+    the residual tolerance for the low bands there.
 
     A (B, M, M) stack (or a stacked FiberMatrix) gets the same policy member
     by member; the members that need a plain dense eigvalsh share one LAPACK
@@ -267,19 +285,22 @@ def eigh(H: np.ndarray, n_lowest: int | None = None, want_vectors: bool = False)
     bound, None unless every member has one.  A single matrix is the B = 1
     case.
     """
-    H = np.asarray(getattr(H, "entries", H))
-    stack = H.reshape(-1, *H.shape[-2:])
-    n = stack.shape[-1]
+    if isinstance(H, FiberMatrix):
+        dims = H.diagonal.shape  # (M,) or (B, M)
+    else:
+        H = np.asarray(H)
+        dims = H.shape[:-1]
+    B, n = math.prod(dims[:-1]), dims[-1]
     take = n if n_lowest is None else int(n_lowest)
     if not 1 <= take <= n:
         raise ValueError(f"n_lowest must be in [1, {n}], got {n_lowest}")
     # the members the per-matrix policy would pass to a plain eigvalsh: not
     # on the block path, finite, and not graded
     if want_vectors or (n >= _BLOCK_MIN_ORDER and take + _BLOCK_GUARD <= n // _BLOCK_MIN_RATIO):
-        plain = np.zeros(len(stack), dtype=bool)
+        plain = np.zeros(B, dtype=bool)
     else:
+        stack = np.asarray(getattr(H, "entries", H)).reshape(-1, n, n)
         plain = np.isfinite(stack.sum(axis=(1, 2))) & ~_graded_mask(stack).any(axis=1)
-    B = stack.shape[0]
     values, vectors, bounds = np.empty((B, take)), [None] * B, [None] * B
     if plain.any():
         try:
@@ -287,10 +308,10 @@ def eigh(H: np.ndarray, n_lowest: int | None = None, want_vectors: bool = False)
         except np.linalg.LinAlgError:
             plain[:] = False  # the per-matrix code names the failing member
     for b in np.flatnonzero(~plain):
-        values[b], vectors[b], bounds[b] = _eigh_one(stack[b], take, want_vectors)
+        values[b], vectors[b], bounds[b] = _eigh_one(H, take, want_vectors, b)
     vectors = np.stack(vectors) if want_vectors else None
     residual = None if None in bounds else max(bounds)
-    if H.ndim == 2:
+    if len(dims) == 1:
         return EigenSolution(values[0], None if vectors is None else vectors[0], residual)
     return EigenSolution(values, vectors, residual)
 
@@ -375,6 +396,8 @@ def compute_bands(lat: Lattice, V: FourierPotential, kset: KPointSet, Ec: float,
         "scheme": scheme.tag,
         "n_bands": int(n_bands),
     }
+    if scheme.blowup is not None:  # the resolved spec, with its tail constant C
+        meta["blowup"] = scheme.blowup.spec.to_dict()
     return BandStructure(lattice=lat, kset=kset, energies=energies, Ec=float(Ec),
                          scheme=scheme, metadata=meta)
 

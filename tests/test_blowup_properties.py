@@ -23,13 +23,20 @@ def specs(draw):
 def test_random_specs_build_valid_or_raise(spec):
     try:
         fn = build_blowup(spec)
-    except bl.DominationViolated:
+    except (bl.DominationViolated, bl.IllPosedSpec):
         return
     assert fn.validation["junction_mismatch"] <= 1e-10
     assert fn.validation["domination_margin"] >= -1e-12
+    assert fn.validation["weighted_tail_diverges"] is True
     xs = 1.0 - 2.0 ** -np.arange(5, 21)
     weighted = (1.0 - xs) ** spec.m * fn.eval(xs)
-    # each step multiplies the weighted tail by 2^(p - m), which rounds to 1
-    # when p is within a few ulps of m: only ties are allowed there
-    steps = np.diff(weighted)
-    assert np.all(steps > 0) if spec.p - spec.m > 1e-12 else np.all(steps >= 0)
+    # each step multiplies the weighted tail by 2^(p - m); a spec whose
+    # growth rounds away is refused as ill-posed, so every built one grows
+    assert np.all(np.diff(weighted) > 0)
+
+
+@pytest.mark.parametrize("m, p", [(0, 5e-324), (1, float(np.nextafter(1.0, 2.0)))])
+def test_p_within_rounding_of_m_is_ill_posed(m, p):
+    BlowupSpec(m=m, p=p).validate()  # p > m holds exactly
+    with pytest.raises(bl.IllPosedSpec, match="within rounding"):
+        build_blowup(BlowupSpec(m=m, p=p))

@@ -49,6 +49,24 @@ def test_bands_deterministic_and_config_roundtrip(tmp_path):
     assert first == (out3 / "bands.csv").read_bytes()
 
 
+def test_modified_runs_record_their_blowup_spec(tmp_path):
+    base = {
+        "lattice": LAT_1D, "potential": {"coeffs": COSINE["coeffs"]},
+        "scheme": "modified", "ec": 150.0, "nbands": 2, "grid": 6,
+    }
+    records = []
+    for name, blowup in (("a", {"m": 1, "p": 1.5, "c": 1.0}), ("b", {"m": 2, "p": 2.5, "c": 2.0})):
+        out = tmp_path / name
+        cfg = write_cfg(tmp_path, f"{name}.json", base | {"blowup": blowup, "out": str(out)})
+        for command in ("bands", "fermi"):
+            assert main([command, "--config", cfg]) == 0
+        records.append([json.loads((out / f).read_text()) for f in ("summary.json", "fermi.json")])
+        for record in records[-1]:
+            assert record["blowup"] == {"m": blowup["m"], "p": blowup["p"], "C": blowup["c"],
+                                        "a": 0.75, "msmooth": blowup["m"]}
+    assert records[0][0] != records[1][0] and records[0][1] != records[1][1]
+
+
 def test_flag_overrides_config(tmp_path):
     out = tmp_path / "run"
     cfg = write_cfg(tmp_path, "cfg.json", {
@@ -199,6 +217,12 @@ def test_blowup_check_ill_posed(capsys):
     assert main(["blowup", "check", "--m", "1", "--p", "0.5"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+
+
+def test_blowup_check_p_within_rounding_of_m(capsys):
+    assert main(["blowup", "check", "--m", "0", "--p", "5e-324"]) == 2
+    err = capsys.readouterr().err
+    assert "within rounding" in err and "Traceback" not in err
 
 
 def test_missing_field_is_config_error(tmp_path, capsys):

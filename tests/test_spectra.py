@@ -145,6 +145,17 @@ def test_band_metadata(lat1d, cosine):
                              bl.kdependent_scheme(), 2)
     assert bands.metadata["potential_digest"] == cosine.digest()
     assert bands.metadata["scheme"] == "kdependent"
+    assert "blowup" not in bands.metadata
+
+
+def test_band_metadata_holds_the_resolved_blowup_spec(lat1d, cosine):
+    fn = bl.build_blowup(bl.BlowupSpec(m=1, p=1.5))  # C chosen automatically
+    bands = bl.compute_bands(lat1d, cosine, bl.uniform_grid(lat1d, 4), 25.0,
+                             bl.modified_scheme(fn), 2)
+    assert bands.metadata["scheme"] == "modified"
+    assert bands.metadata["blowup"] == {"m": 1, "p": 1.5, "C": fn.spec.C, "a": 0.75,
+                                        "msmooth": 1}
+    assert bands.metadata["blowup"]["C"] is not None
 
 
 def test_galerkin_monotonicity_nested_cutoffs(lat1d, cosine):
