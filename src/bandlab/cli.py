@@ -1,8 +1,9 @@
 """bandlab command line driver.
 
 Every run takes a JSON config (--config) whose fields can be overridden by
-flags; the merged configuration is echoed to resolved_config.json next to
-the outputs, so a run can be reproduced from its artifacts alone.  Outputs
+flags; the merged configuration, with every default the run used and the
+blow-up spec's resolved C, is echoed to resolved_config.json next to the
+outputs, so a run can be reproduced from its artifacts alone.  Outputs
 are plain CSV (full double precision) plus a JSON summary and are
 byte-identical across repeat runs with the same config and seed.
 
@@ -91,10 +92,14 @@ def _as(value, kind, key: str):
 
 
 def _field(cfg: dict, key: str, kind, default=_REQUIRED):
-    """cfg[key] checked by _as, or the default when the key is absent."""
+    """cfg[key] checked by _as, or the default when the key is absent.  A
+    default other than None is written into cfg, so the config echoed next to
+    the outputs holds every value the run used."""
     if key not in cfg:
         if default is _REQUIRED:
             raise ValueError(f"config is missing the {key!r} field")
+        if default is not None:
+            cfg[key] = default
         return default
     return _as(cfg[key], kind, key)
 
@@ -153,7 +158,7 @@ def _config(args) -> dict:
         if path.get("samples") is not None:
             merged["samples"] = path["samples"]
         cfg["path"] = merged
-    blow = dict(_field(cfg, "blowup", dict, {}))
+    blow = dict(_field(cfg, "blowup", dict, None) or {})
     for key in ("m", "p", "c", "a"):
         value = getattr(args, f"blowup_{key}", None)
         if value is not None:
@@ -213,16 +218,28 @@ def _blowup_spec(blow: dict) -> BlowupSpec:
     )
 
 
-def _build_scheme(cfg: dict) -> Scheme:
-    name = _SCHEME_NAMES.get(_field(cfg, "scheme", str, "kdep"))
+def _build_blowup(blow: dict):
+    """The blow-up function of a config dict (see _blowup_spec), with its
+    resolved tail constant C and junction order msmooth written back."""
+    fn = build_blowup(_blowup_spec(blow))
+    resolved = fn.spec.to_dict()
+    blow.update(c=resolved["C"], msmooth=resolved["msmooth"])
+    return fn
+
+
+def _build_scheme(cfg: dict, scheme: str | None = None) -> Scheme:
+    """The named scheme, by default the config's "scheme" (kdep)."""
+    if scheme is None:
+        scheme = _field(cfg, "scheme", str, "kdep")
+    name = _SCHEME_NAMES.get(scheme)
     if name is None:
-        raise ValueError(f"unknown scheme {cfg.get('scheme')!r}")
+        raise ValueError(f"unknown scheme {scheme!r}")
     if name == "uniform":
         return uniform_scheme()
     if name == "kdependent":
         return kdependent_scheme()
-    blow = _field(cfg, "blowup", dict, {"m": 1, "p": 1.5, "c": 1.0})
-    return modified_scheme(build_blowup(_blowup_spec(blow)))
+    return modified_scheme(_build_blowup(_field(cfg, "blowup", dict,
+                                                {"m": 1, "p": 1.5, "c": 1.0})))
 
 
 def _build_kset(cfg: dict, lat: Lattice, require: str | None = None) -> KPointSet:
@@ -373,7 +390,7 @@ def cmd_converge(args) -> int:
 
 def cmd_regularity(args) -> int:
     cfg, lat, V = _run_context(args)
-    spec = _blowup_spec(_field(cfg, "blowup", dict, {}))
+    spec = _build_blowup(_field(cfg, "blowup", dict, {})).spec
     deltas = _floats(cfg, "deltas", [1e-2, 5e-3, 2.5e-3, 1.25e-3])
     probe = regularity_probe(
         lat, V, _field(cfg, "ec", float), spec,
@@ -395,7 +412,7 @@ def cmd_regularity(args) -> int:
 def cmd_periodicity(args) -> int:
     cfg, lat, V = _run_context(args)
     names = _field(cfg, "schemes", list, ["uniform", "kdep", "modified"])
-    schemes = [_build_scheme({**cfg, "scheme": name}) for name in names]
+    schemes = [_build_scheme(cfg, name) for name in names]
     rng = np.random.default_rng(_field(cfg, "seed", int, 0))
     count = _field(cfg, "k_samples", int, 50)
     fracs = rng.uniform(-0.5, 0.5, size=(count, lat.dim))
@@ -434,7 +451,7 @@ def cmd_cellscan(args) -> int:
             return _build_potential(cfg, lat)
 
     names = _field(cfg, "schemes", list, ["kdep", "modified"])
-    schemes = [_build_scheme({**cfg, "scheme": name}) for name in names]
+    schemes = [_build_scheme(cfg, name) for name in names]
     scan = energy_vs_cell_parameter(
         make_lattice, make_potential, _field(cfg, "ec", float), schemes, a_values,
         n_electrons=_field(cfg, "electrons", float, 1.0), grid_n=_field(cfg, "grid", int, 6),

@@ -12,14 +12,24 @@
             matrices too: a blown-up diagonal entry D enters the low bands
             only through |B|^2 / D.
 * graded  : otherwise, when a few diagonal entries sit 1e8 times above the
-            off-diagonal scale, an exact Schur-complement solve.
-* dense   : otherwise, one LAPACK eigvalsh/eigh of the whole matrix.
+            off-diagonal scale, a stacked Schur route: one eigvalsh of the
+            Schur complement S(0) for all bands of all such members of a
+            stack, each value with a checked Weyl bound; only the pairs
+            whose bound exceeds 1e-10 take fixed-point steps.
+* dense   : otherwise, one LAPACK eigvalsh/eigh of the whole matrix, shared
+            by the plain members of a stack.
+
+Every member gets an eigenvalue error bound (EigenSolution.bounds): the
+block path its residual bound, the graded route its Weyl or contraction
+bound plus eps * ||S||, and a plain dense solve eps * ||H|| (both norms by
+Gershgorin, nominal in LAPACK's constant).
 
 The block path stops when every requested pair has residual
 ||Hx - theta x|| / (1 + |theta|) <= 1e-10, checked on an explicit H @ X
 from the same product, and returns that residual bound with or without
 vectors.  If it does not get there within _BLOCK_MAX_ITER iterations, the
-dense matrix is built and goes through the graded/dense path instead.
+dense matrix is built and goes through the graded/dense route instead, as
+a stack of one.
 """
 
 from __future__ import annotations
@@ -51,6 +61,7 @@ class EigenSolution:
     vectors: np.ndarray | None    # orthonormal columns, matching order
     residual_bound: float | None  # max ||Hv - lv|| / (1 + |l|); None on the dense
                                   # and graded paths when no vectors are kept
+    bounds: np.ndarray            # (B,) eigenvalue error bound per member; 0-d for one
 
 
 _RESIDUAL_TOL = 1e-10
@@ -154,9 +165,11 @@ def _eigh_block(H, take: int, diag: np.ndarray | None = None):
 _GRADED_RATIO = 1e8  # diagonal entries this far above the rest are split off
 
 
-def _graded_mask(stack: np.ndarray) -> np.ndarray:
+def _graded_mask(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(B, M) mask of the hugely dominant diagonal entries of each member of a
-    (B, M, M) stack; all False for a well-scaled member.
+    (B, M, M) stack, all False for a well-scaled member; and the (B,) error
+    bound of a plain dense solve of each member: eps times max|d| + (M - 1)
+    * scale, the Gershgorin bound on its norm.
 
     A blown-up dispersion produces diagonal entries many orders of magnitude
     above everything else.  A dense solve then carries an absolute error of
@@ -176,60 +189,132 @@ def _graded_mask(stack: np.ndarray) -> np.ndarray:
     mild_top = np.where(steep, -np.inf, d).max(axis=1)
     steep_low = np.where(steep, d, np.inf).min(axis=1)
     split = (count > 0) & (count < M) & ~(mild_top > 1e-2 * steep_low)
-    return steep & split[:, None]
+    bound = np.finfo(float).eps * (np.abs(d).max(axis=1) + (M - 1) * scale)
+    return steep & split[:, None], bound
 
 
-def _graded_split(H: np.ndarray) -> np.ndarray | None:
-    """Indices of hugely dominant diagonal entries of one matrix, or None if
-    it is well scaled (see _graded_mask)."""
-    steep = np.flatnonzero(_graded_mask(H[None])[0])
-    return steep if steep.size else None
+def _eigh_schur(stack: np.ndarray, steep: np.ndarray, take: int, want_vectors: bool):
+    """Low eigenpairs of graded members, each with the same number of steep
+    diagonal entries (mask `steep`), through their Schur complements.
 
-
-def _eigh_graded(H: np.ndarray, steep: np.ndarray, take: int, want_vectors: bool):
-    """Exact Schur-complement solve for the low eigenpairs of a graded matrix.
-
-    With H = [[A, B], [B*, D]] and D holding the huge diagonal entries, the
-    low eigenvalues are the fixed points of lam -> eig_i(A - B (D-lam)^-1 B*).
-    All matrices involved are well scaled, so the dense solve on the reduced
-    block is accurate; the iteration contracts at rate ||B||^2 / D^2.
+    With H = [[A, B], [B*, D + E]], D the steep diagonal and E the couplings
+    among the steep entries, the low eigenvalues are, up to
+    ||B||^2 ||E|| / ((D_min - lam) (D_min - lam - ||E||)), the fixed points of
+    lam -> eig_i(S(lam)), S(lam) = A - B (D - lam)^-1 B*.  One stacked
+    eigvalsh of S(0) serves every band of every member: by Weyl, eig_i(S(0))
+    is within ||B||^2 |lam| / (D_min (D_min - lam)) of the fixed point,
+    ||B||_F bounding ||B||_2 and ||E||_F bounding ||E||_2.  Only the
+    (member, band) pairs whose bound exceeds the residual tolerance iterate,
+    stacked; the map contracts with L = ||B||^2 / (D_min - lam)^2, so
+    L / (1 - L) |step| bounds the error after a step.  Returns (values,
+    vectors or None, bound per member); the bound adds the E term and
+    eps * ||S(0)|| (Gershgorin) for the reduced solve.
     """
-    n = H.shape[0]
-    mild = np.setdiff1d(np.arange(n), steep)
-    A = H[np.ix_(mild, mild)]
-    B = H[np.ix_(mild, steep)]
-    D = np.real(np.diag(H))[steep]
+    G, n = stack.shape[:2]
+    order = np.argsort(steep, axis=1, kind="stable")  # mild, then steep, each ascending
+    m = n - np.count_nonzero(steep[0])
+    members = np.arange(G)[:, None, None]
+    mild, top = order[:, :m], order[:, m:]
+    A = stack[members, mild[:, :, None], mild[:, None, :]]
+    Bc = stack[members, mild[:, :, None], top[:, None, :]]
+    Bh = Bc.conj().transpose(0, 2, 1)
+    E = stack[members, top[:, :, None], top[:, None, :]]
+    D = np.real(np.diagonal(E, axis1=1, axis2=2))
+    d_min = D.min(axis=1)[:, None]
+    b2 = np.sum(Bc.real**2 + Bc.imag**2, axis=(1, 2))[:, None]  # ||B||_F^2 >= ||B||_2^2
+    off = np.abs(E)
+    off.reshape(G, -1)[:, :: n - m + 1] = 0.0
+    e = np.linalg.norm(off, axis=(1, 2))[:, None]  # ||E||_F of the steep couplings
 
-    def reduced(lam: float) -> np.ndarray:
-        return A - (B / (D - lam)) @ B.conj().T
+    def reduced(g, lam: np.ndarray) -> np.ndarray:
+        S = (Bc[g] / (D[g] - lam[:, None])[:, None, :]) @ Bh[g]
+        return np.subtract(A[g], S, out=S)
 
-    values = np.empty(take)
-    vectors = np.empty((n, take), dtype=H.dtype) if want_vectors else None
-    for i in range(take):
-        lam = 0.0
-        for _ in range(40):
-            new = np.linalg.eigvalsh(reduced(lam))[i]
-            if abs(new - lam) <= 1e-15 * (1.0 + abs(new)):
-                lam = new
-                break
-            lam = new
-        values[i] = lam
-        if want_vectors:
-            _, vecs = np.linalg.eigh(reduced(lam))
-            vm = vecs[:, i]
-            vs = -(B.conj().T @ vm) / (D - lam)
-            full = np.zeros(n, dtype=H.dtype)
-            full[mild], full[steep] = vm, vs
-            vectors[:, i] = full / np.linalg.norm(full)
-    return values, vectors
+    S = reduced(slice(None), np.zeros(G))
+    lam = np.linalg.eigvalsh(S)[:, :take]
+    gap = d_min - lam
+    bound = np.where(gap > 0, b2 * np.abs(lam) / (d_min * gap), np.inf)
+    for _ in range(40):
+        g, i = np.nonzero(~(bound <= _RESIDUAL_TOL))  # nan fails too
+        if not g.size:
+            break
+        new = np.linalg.eigvalsh(reduced(g, lam[g, i]))[np.arange(g.size), i]
+        L = b2[g, 0] / (d_min[g, 0] - new) ** 2
+        bound[g, i] = np.where((new < d_min[g, 0]) & (L < 1.0),
+                               L / (1.0 - L) * np.abs(new - lam[g, i]), np.inf)
+        lam[g, i] = new
+    else:
+        if np.any(~(bound <= _RESIDUAL_TOL)):
+            raise SolverFailure(f"Schur fixed point bound {np.nanmax(bound):.3e} exceeds "
+                                f"{_RESIDUAL_TOL:g} after 40 steps")
+    gap = d_min - lam
+    bound += np.where(gap > e, b2 * e / (gap * (gap - e)), np.inf)
+    bound = bound.max(axis=1) + np.finfo(float).eps * np.abs(S).sum(axis=2).max(axis=1)
+    if not want_vectors:
+        return lam, None, bound
+    # each pair's vector: the i-th eigenvector of S(lam_i) on the mild rows,
+    # back-substituted through the whole steep block on the others
+    g, i = np.divmod(np.arange(G * take), take)
+    vm = np.linalg.eigh(reduced(g, lam[g, i]))[1][np.arange(g.size), :, i]
+    shifted = E[g] - lam[g, i][:, None, None] * np.eye(n - m)
+    vs = np.linalg.solve(shifted, -(Bh[g] @ vm[:, :, None]))[:, :, 0]
+    full = np.concatenate([vm, vs], axis=1)
+    vectors = np.empty((G, n, take), dtype=stack.dtype)
+    vectors[g[:, None], order[g], i[:, None]] = full / np.linalg.norm(full, axis=1)[:, None]
+    return lam, vectors, bound
 
 
-def _eigh_one(H, take: int, want_vectors: bool, member: int = 0):
+def _eigh_dense(stack: np.ndarray, take: int, want_vectors: bool):
+    """The dense route on a (B, M, M) stack: (values, vectors or None,
+    residual bound per member or None, eigenvalue bound per member).
+
+    Graded members go to _eigh_schur, one call per steep count; the others
+    share one LAPACK call.  Every member gets what it gets alone, bit for
+    bit: a stacked LAPACK call or product computes each member as a single
+    one, and a failure in any member fails the stack, as it fails the member.
+    With vectors, the full residual ||Hv - lv|| / (1 + |l|) is checked.
+    """
+    B, n = stack.shape[:2]
+    steep, bounds = _graded_mask(stack)
+    count = np.count_nonzero(steep, axis=1)
+    graded = (count > 0) & (take <= n - count)
+    values = np.empty((B, take))
+    vectors = np.empty((B, n, take), dtype=stack.dtype) if want_vectors else None
+    plain = np.flatnonzero(~graded)
+    try:
+        if plain.size:
+            sub = stack if plain.size == B else stack[plain]
+            if want_vectors:
+                vals, vecs = np.linalg.eigh(sub)
+                vectors[plain] = vecs[:, :, :take]
+            else:
+                vals = np.linalg.eigvalsh(sub)
+            values[plain] = vals[:, :take]
+        for c in np.unique(count[graded]):
+            idx = np.flatnonzero(graded & (count == c))
+            values[idx], vecs, bounds[idx] = _eigh_schur(stack[idx], steep[idx], take,
+                                                         want_vectors)
+            if want_vectors:
+                vectors[idx] = vecs
+    except np.linalg.LinAlgError as exc:
+        raise SolverFailure(f"eigensolver failed: {exc}") from exc
+    if not want_vectors:
+        return values, None, None, bounds
+    res = np.linalg.norm(stack @ vectors - vectors * values[:, None, :], axis=1)
+    residuals = np.max(res / (1.0 + np.abs(values)), axis=1)
+    if np.any(residuals > _RESIDUAL_TOL):
+        raise SolverFailure(f"residual bound {np.nanmax(residuals):.3e} exceeds "
+                            f"{_RESIDUAL_TOL:g}")
+    return values, vectors, residuals, bounds
+
+
+def _eigh_member(H, take: int, want_vectors: bool, member: int):
     """The per-matrix policy on one member of an (M, M) or (B, M, M) array or
-    of a FiberMatrix: (values, vectors, residual bound).
+    of a FiberMatrix: (values, vectors, residual bound, eigenvalue bound).
 
-    The block path applies a FiberMatrix from its table, and its dense
-    matrix is built only when the graded/dense path needs it.
+    The block path applies a FiberMatrix from its table and reports its
+    residual bound for both.  Otherwise, or after its iteration cap, the
+    member's dense matrix goes through the dense route as a stack of one.
     """
     fib = H if isinstance(H, FiberMatrix) else None
     n = len(fib) if fib is not None else H.shape[-1]
@@ -244,26 +329,16 @@ def _eigh_one(H, take: int, want_vectors: bool, member: int = 0):
             block = None
         if block is not None:
             vals, vecs, residual = block
-            return vals, vecs if want_vectors else None, residual
+            return vals, vecs if want_vectors else None, residual, residual
     H = np.asarray(getattr(H, "entries", H)).reshape(-1, n, n)[member]
-    steep = _graded_split(H)
-    try:
-        if steep is not None and take <= n - steep.size:
-            vals, vecs = _eigh_graded(H, steep, take, want_vectors)
-        elif want_vectors:
-            vals, vecs = np.linalg.eigh(H)
-            vals, vecs = vals[:take], vecs[:, :take]
-        else:
-            vals, vecs = np.linalg.eigvalsh(H)[:take], None
-    except np.linalg.LinAlgError as exc:
-        raise SolverFailure(f"eigensolver failed: {exc}") from exc
-    residual = None
-    if vecs is not None:
-        res = np.linalg.norm(H @ vecs - vecs * vals, axis=0)
-        residual = float(np.max(res / (1.0 + np.abs(vals))))
-        if residual > _RESIDUAL_TOL:
-            raise SolverFailure(f"residual bound {residual:.3e} exceeds {_RESIDUAL_TOL:g}")
-    return vals, vecs, residual
+    vals, vecs, residuals, bounds = _eigh_dense(H[None], take, want_vectors)
+    return (vals[0], None if vecs is None else vecs[0],
+            None if residuals is None else float(residuals[0]), float(bounds[0]))
+
+
+def _eigh_one(H, take: int, want_vectors: bool, member: int = 0):
+    """The per-matrix policy on one member: (values, vectors, residual bound)."""
+    return _eigh_member(H, take, want_vectors, member)[:3]
 
 
 def eigh(H, n_lowest: int | None = None, want_vectors: bool = False) -> EigenSolution:
@@ -274,16 +349,16 @@ def eigh(H, n_lowest: int | None = None, want_vectors: bool = False) -> EigenSol
     FiberMatrix from its row table without building its dense `entries`.
     Otherwise, or if that does not converge, ordinary matrices go through a
     dense full solve and get truncated, and strongly graded matrices
-    (blown-up kinetic entries far above the rest) are reduced by an exact
-    Schur complement first, because the dense solve alone cannot deliver
+    (blown-up kinetic entries far above the rest) are reduced by their
+    Schur complements first, because the dense solve alone cannot deliver
     the residual tolerance for the low bands there.
 
     A (B, M, M) stack (or a stacked FiberMatrix) gets the same policy member
-    by member; the members that need a plain dense eigvalsh share one LAPACK
-    call, the others go through the per-matrix code.  The solution then
-    holds (B, n) values, (B, M, n) vectors, and the largest member residual
-    bound, None unless every member has one.  A single matrix is the B = 1
-    case.
+    by member: off the block path, the plain members share one LAPACK call
+    and the graded ones one Schur route per steep count.  The solution then
+    holds (B, n) values, (B, M, n) vectors, the (B,) eigenvalue bounds, and
+    the largest member residual bound, None unless every member has one.  A
+    single matrix is the B = 1 case, with 0-d bounds.
     """
     if isinstance(H, FiberMatrix):
         dims = H.diagonal.shape  # (M,) or (B, M)
@@ -294,26 +369,21 @@ def eigh(H, n_lowest: int | None = None, want_vectors: bool = False) -> EigenSol
     take = n if n_lowest is None else int(n_lowest)
     if not 1 <= take <= n:
         raise ValueError(f"n_lowest must be in [1, {n}], got {n_lowest}")
-    # the members the per-matrix policy would pass to a plain eigvalsh: not
-    # on the block path, finite, and not graded
-    if want_vectors or (n >= _BLOCK_MIN_ORDER and take + _BLOCK_GUARD <= n // _BLOCK_MIN_RATIO):
-        plain = np.zeros(B, dtype=bool)
+    if n >= _BLOCK_MIN_ORDER and take + _BLOCK_GUARD <= n // _BLOCK_MIN_RATIO:
+        values, vectors, residuals, bounds = zip(*(_eigh_member(H, take, want_vectors, b)
+                                                   for b in range(B)))
+        values, bounds = np.array(values), np.array(bounds)
+        vectors = np.stack(vectors) if want_vectors else None
+        residual = None if None in residuals else max(residuals)
     else:
         stack = np.asarray(getattr(H, "entries", H)).reshape(-1, n, n)
-        plain = np.isfinite(stack.sum(axis=(1, 2))) & ~_graded_mask(stack).any(axis=1)
-    values, vectors, bounds = np.empty((B, take)), [None] * B, [None] * B
-    if plain.any():
-        try:
-            values[plain] = np.linalg.eigvalsh(stack if plain.all() else stack[plain])[:, :take]
-        except np.linalg.LinAlgError:
-            plain[:] = False  # the per-matrix code names the failing member
-    for b in np.flatnonzero(~plain):
-        values[b], vectors[b], bounds[b] = _eigh_one(H, take, want_vectors, b)
-    vectors = np.stack(vectors) if want_vectors else None
-    residual = None if None in bounds else max(bounds)
+        values, vectors, residuals, bounds = _eigh_dense(stack, take, want_vectors)
+        residual = None if residuals is None else float(np.max(residuals))
+    bounds = bounds.reshape(dims[:-1])
     if len(dims) == 1:
-        return EigenSolution(values[0], None if vectors is None else vectors[0], residual)
-    return EigenSolution(values, vectors, residual)
+        return EigenSolution(values[0], None if vectors is None else vectors[0], residual,
+                             bounds)
+    return EigenSolution(values, vectors, residual, bounds)
 
 
 @dataclass(frozen=True)

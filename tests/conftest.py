@@ -3,6 +3,15 @@ import pytest
 
 import bandlab as bl
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves without hypothesis
+    pass
+else:
+    # CI runs with --hypothesis-profile=ci: the same examples on every run,
+    # and a failure prints the blob that reproduces it; local runs stay random
+    settings.register_profile("ci", derandomize=True, print_blob=True)
+
 
 @pytest.fixture(scope="session")
 def lat1d():

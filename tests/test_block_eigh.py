@@ -1,9 +1,12 @@
-"""The block eigensolver behind spectra.eigh for large fibers with few bands.
+"""The block eigensolver behind spectra.eigh for large fibers with few bands,
+and the stacked Schur route for graded matrices.
 
-It is checked against LAPACK on random Hermitian matrices (kinetic-like,
-graded and exactly degenerate) and on matrices that split into decoupled
-blocks, against the exact Schur-complement solve on graded fibers, through
-its dense fallback, and for thread independence.
+The block solver is checked against LAPACK on random Hermitian matrices
+(kinetic-like, graded and exactly degenerate) and on matrices that split
+into decoupled blocks, against the exact Schur-complement solve on graded
+fibers, through its dense fallback, and for thread independence.  The
+Schur route is checked against the per-band fixed-point loop it replaced,
+kept below as the oracle, on random graded stacks.
 """
 
 import os
@@ -146,13 +149,126 @@ def test_block_path_on_potential_on_a_sublattice(frac):
     assert np.max(np.abs(sol.values - np.linalg.eigvalsh(H)[:8])) <= 1e-10
 
 
+def fixed_point_reference(H, steep, take, want_vectors=False):
+    """The low eigenpairs of H by the per-band Schur fixed-point loop that
+    spectra.eigh used before its stacked route: with H = [[A, B], [B*, D]]
+    and D the diagonal entries `steep`, iterate lam -> eig_i(A - B (D-lam)^-1 B*)
+    from 0 until a step is below 1e-15 (1 + |lam|), for each band i alone."""
+    n = H.shape[0]
+    mild = np.setdiff1d(np.arange(n), steep)
+    A = H[np.ix_(mild, mild)]
+    B = H[np.ix_(mild, steep)]
+    D = np.real(np.diag(H))[steep]
+
+    def reduced(lam):
+        return A - (B / (D - lam)) @ B.conj().T
+
+    values = np.empty(take)
+    vectors = np.empty((n, take), dtype=H.dtype) if want_vectors else None
+    for i in range(take):
+        lam = 0.0
+        for _ in range(40):
+            new = np.linalg.eigvalsh(reduced(lam))[i]
+            if abs(new - lam) <= 1e-15 * (1.0 + abs(new)):
+                lam = new
+                break
+            lam = new
+        values[i] = lam
+        if want_vectors:
+            vm = np.linalg.eigh(reduced(lam))[1][:, i]
+            full = np.zeros(n, dtype=H.dtype)
+            full[mild], full[steep] = vm, -(B.conj().T @ vm) / (D - lam)
+            vectors[:, i] = full / np.linalg.norm(full)
+    return values, vectors
+
+
 def schur_reference(H, take):
-    """_eigh_graded with every entry 1e3 above the off-diagonal scale split off."""
+    """fixed_point_reference with every entry 1e3 above the off-diagonal scale split off."""
     d = np.real(H.diagonal())
     off = np.max(np.abs(H - np.diag(H.diagonal())))
     steep = np.nonzero(d > 1e3 * max(1.0, off))[0]
     assert steep.size and take <= len(d) - steep.size
-    return spectra._eigh_graded(H, steep, take, False)[0]
+    return fixed_point_reference(H, steep, take)[0]
+
+
+@st.composite
+def graded_stacks(draw):
+    """(stack, take): B members of order M, couplings of modulus 1/2 to 1, and
+    `count` diagonal entries 10^8.05 to 10^14 above them.  A deep case has
+    them below 10^9 and the mild diagonal shifted by -1e7 to -1e8, far
+    enough that the one-shot Weyl bound fails and the fixed-point steps run."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    B, M = draw(st.integers(1, 4)), draw(st.integers(3, 40))
+    count = draw(st.integers(1, M - 1))
+    deep = draw(st.booleans())
+    ratio = 10.0 ** draw(st.floats(8.05, 9.0 if deep else 14.0))
+    shift = -(10.0 ** draw(st.floats(7.0, 8.0))) if deep else 0.0
+    stack = np.empty((B, M, M), dtype=complex)
+    for b in range(B):
+        H = np.triu(rng.uniform(0.5, 1.0, (M, M)) * np.exp(2j * np.pi * rng.uniform(size=(M, M))))
+        H += H.conj().T
+        H[np.diag_indices(M)] = shift + np.linspace(0.0, 30.0, M)
+        steep = rng.permutation(M)[:count]
+        H[steep, steep] = ratio * rng.uniform(1.0, 3.0, count)
+        stack[b] = H
+    return stack, draw(st.integers(1, min(8, M - count)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(graded_stacks(), st.booleans())
+def test_schur_route_matches_fixed_point_oracle(case, want_vectors):
+    stack, take = case
+    mask = spectra._graded_mask(stack)[0]
+    assert mask.any(axis=1).all()  # every member takes the Schur route
+    sol = bl.eigh(stack, n_lowest=take, want_vectors=want_vectors)
+    assert sol.bounds.shape == (len(stack),)
+    for b, H in enumerate(stack):
+        values, vectors = fixed_point_reference(H, np.flatnonzero(mask[b]), take, want_vectors)
+        # LAPACK's backward error on the reduced block, for the route and for
+        # the oracle, is a small multiple of M eps ||S||, above the nominal
+        # eps ||S|| the bound carries
+        mild = np.flatnonzero(~mask[b])
+        rounding = 2 * len(H) * EPS * np.max(np.sum(np.abs(H[np.ix_(mild, mild)]), axis=1))
+        assert np.all(np.abs(sol.values[b] - values) <= sol.bounds[b] + rounding)
+        one = bl.eigh(H, n_lowest=take, want_vectors=want_vectors)
+        assert one.bounds.shape == ()
+        assert sol.values[b].tobytes() == one.values.tobytes()
+        assert sol.bounds[b].tobytes() == one.bounds.tobytes()
+        if want_vectors:
+            assert sol.vectors[b].tobytes() == one.vectors.tobytes()
+            overlap = np.abs(np.sum(vectors.conj() * one.vectors, axis=0))
+            gaps = np.diff(values)
+            lone = np.ones(take, dtype=bool)  # eigenvalues well apart from their neighbours
+            lone[:-1] &= gaps > 1e-6
+            lone[1:] &= gaps > 1e-6
+            assert np.all(np.abs(overlap[lone] - 1.0) <= 1e-8)
+    if want_vectors:
+        assert sol.residual_bound <= 1e-10
+
+
+def test_schur_route_iterates_where_one_evaluation_is_not_enough():
+    """80 steep entries just above the split, every entry coupled to every
+    other at the off-diagonal scale, and the low eigenvalues near -1e6: the
+    lowest eigenvector spreads evenly over the mild rows, so the fixed-point
+    steps move it by about 6e-7, well above the rounding of the reduced
+    solves, and the one-shot Weyl bound fails by far."""
+    rng = np.random.default_rng(11)
+    M, count, take = 160, 80, 4
+    H = -np.ones((M, M))
+    H[np.diag_indices(M)] = -1e6 + np.linspace(0.0, 30.0, M)
+    steep = np.sort(rng.permutation(M)[:count])
+    H[steep, steep] = 1.01e8 * rng.uniform(1.0, 1.1, count)
+    assert np.array_equal(np.flatnonzero(spectra._graded_mask(H[None])[0][0]), steep)
+    values = fixed_point_reference(H, steep, take)[0]
+    mild = np.setdiff1d(np.arange(M), steep)
+    B = H[np.ix_(mild, steep)]
+    D = np.real(H.diagonal())[steep]
+    one_shot = np.linalg.eigvalsh(H[np.ix_(mild, mild)] - (B / D) @ B.conj().T)[:take]
+    assert np.max(np.abs(one_shot - values)) > 1e-7  # one evaluation is not enough
+    sol = bl.eigh(H, n_lowest=take)
+    rounding = 2 * M * EPS * np.max(np.sum(np.abs(H[np.ix_(mild, mild)]), axis=1))
+    assert np.all(np.abs(sol.values - values) <= sol.bounds + rounding)
+    assert sol.bounds <= 1e-8
 
 
 def test_block_path_matches_schur_on_graded_fibers():
@@ -169,14 +285,14 @@ def test_block_path_matches_schur_on_graded_fibers():
 
 
 def test_block_solver_on_graded_matrix_below_the_split():
-    """A grid2d fiber whose diagonal reaches 2e8 but which _graded_split
+    """A grid2d fiber whose diagonal reaches 2e8 but which _graded_mask
     declines, so the dense path would solve it without a checked bound."""
     lat = bl.new_lattice(HEX)
     V = bl.synth_power_law(lat, t=2.1, gmax=6, seed=1)
     scheme = bl.modified_scheme(bl.build_blowup(bl.BlowupSpec(m=1, p=1.5)))
     k = bl.uniform_grid(lat, 12).points[131]
     H = bl.assemble(lat, V, k, 800.0, scheme).entries
-    assert spectra._graded_split(H) is None
+    assert not spectra._graded_mask(H[None])[0].any()
     ref = schur_reference(H, 4)
     values, _, residual = spectra._eigh_block(H, 4)
     assert residual <= 1e-10

@@ -286,6 +286,32 @@ def test_rerun_from_resolved_config_is_byte_identical(tmp_path, command):
     assert echoed[0] | {"out": None} == echoed[1] | {"out": None}
 
 
+@pytest.mark.parametrize("blowup", [None, {"m": 1, "p": 1.5}, {"m": 2, "p": 2.5, "c": None}])
+def test_resolved_config_holds_the_implicit_defaults(tmp_path, blowup):
+    """The echoed config holds what the run used but the user left out: the
+    implicit blow-up with its resolved C and msmooth, nbands 4 and the path's
+    100 samples.  Rerunning from it gives byte-identical artifacts."""
+    first, second = tmp_path / "first", tmp_path / "second"
+    cfg = {"lattice": LAT_1D, "potential": {"coeffs": COSINE["coeffs"]},
+           "scheme": "modified", "ec": 150.0,
+           "path": {"nodes": [["G", [0.0]], ["X", [0.5]]]}, "out": str(first)}
+    if blowup is not None:
+        cfg["blowup"] = blowup
+    assert main(["bands", "--config", write_cfg(tmp_path, "cfg.json", cfg)]) == 0
+    resolved = json.loads((first / "resolved_config.json").read_text())
+    spec = bl.build_blowup(bl.BlowupSpec(m=1, p=1.5, C=1.0) if blowup is None else
+                           bl.BlowupSpec(m=blowup["m"], p=blowup["p"])).spec
+    assert resolved["blowup"] == {"m": spec.m, "p": spec.p, "c": spec.C, "a": 0.75,
+                                  "msmooth": spec.m}
+    assert resolved["nbands"] == 4 and resolved["path"]["samples"] == 100
+    assert main(["bands", "--config", str(first / "resolved_config.json"),
+                 "--out", str(second)]) == 0
+    for name in ("bands.csv", "summary.json"):
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+    again = json.loads((second / "resolved_config.json").read_text())
+    assert again | {"out": None} == resolved | {"out": None}
+
+
 def test_regularity_needs_blowup(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "cfg.json", {
         "lattice": LAT_1D, "ec": 750.0, "out": str(tmp_path / "run"),

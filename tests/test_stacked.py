@@ -130,7 +130,7 @@ def test_single_k_is_the_one_member_stack(hex2d):
 
 def grid2d_k131():
     """The grid2d seed-1 fiber at k index 131 (M = 114, diagonal up to 2e8),
-    which _graded_split declines, and its grid neighbours of the same order."""
+    which _graded_mask declines, and its grid neighbours of the same order."""
     lat = bl.new_lattice(HEX)
     V = bl.synth_power_law(lat, t=2.1, gmax=6, seed=1)
     scheme = bl.modified_scheme(bl.build_blowup(bl.BlowupSpec(m=1, p=1.5)))
@@ -141,7 +141,7 @@ def grid2d_k131():
 
 
 def graded_member(M, rng):
-    """A matrix _graded_split accepts: two diagonal entries 1e12 above the rest."""
+    """A matrix _graded_mask accepts: two diagonal entries 1e12 above the rest."""
     G = rng.normal(size=(M, M)) + 1j * rng.normal(size=(M, M))
     H = (G + G.conj().T) / 4.0
     H[np.diag_indices(M)] = np.linspace(0.0, 30.0, M)
@@ -168,7 +168,7 @@ def assert_members_equal(stack, n_lowest, want_vectors=False):
 
 def test_stacked_eigh_on_grid2d_members():
     stack = grid2d_k131()
-    assert spectra._graded_split(stack[0]) is None
+    assert not spectra._graded_mask(stack[:1])[0].any()
     assert np.max(np.real(stack[0].diagonal())) > 1e8
     assert_members_equal(stack, 4)
 
@@ -177,7 +177,7 @@ def test_stacked_eigh_mixes_graded_and_plain_members():
     rng = np.random.default_rng(5)
     stack = grid2d_k131()
     stack[1] = graded_member(stack.shape[1], rng)
-    assert spectra._graded_split(stack[1]) is not None
+    assert spectra._graded_mask(stack[1:2])[0].any()
     for n_lowest in (1, 4, 40):
         assert_members_equal(stack, n_lowest)
 
@@ -186,7 +186,7 @@ def test_stacked_eigh_with_vectors():
     rng = np.random.default_rng(6)
     stack = np.stack([graded_member(30, rng) for _ in range(3)])
     stack[1][np.diag_indices(30)] = np.linspace(0.0, 30.0, 30)  # a plain member
-    assert spectra._graded_split(stack[1]) is None
+    assert not spectra._graded_mask(stack[1:2])[0].any()
     for n_lowest in (1, 5):
         sol = assert_members_equal(stack, n_lowest, want_vectors=True)
         assert sol.vectors.shape == (3, 30, n_lowest)
@@ -202,6 +202,26 @@ def test_stacked_eigh_on_block_path_members():
         stack[b][np.diag_indices(M)] = 40.0 * rng.uniform(0.0, 1.0, M) ** (2.0 / 3.0)
     sol = assert_members_equal(stack, 4)
     assert sol.residual_bound is not None and sol.residual_bound <= 1e-10
+
+
+def test_each_member_reports_its_bound():
+    """The grid2d k = 131 fiber, solved by a plain dense eigvalsh below the
+    split, cannot meet 1e-10; a split member can; a block member reports
+    its residual bound."""
+    rng = np.random.default_rng(5)
+    stack = grid2d_k131()
+    stack[1] = graded_member(stack.shape[1], rng)
+    sol = bl.eigh(stack, n_lowest=4)
+    assert sol.bounds.shape == (4,)
+    assert sol.bounds[0] > 1e-10 and sol.bounds[1] <= 1e-10
+    for b in (0, 1):
+        assert sol.bounds[b].tobytes() == bl.eigh(stack[b], n_lowest=4).bounds.tobytes()
+    M = spectra._BLOCK_MIN_ORDER + 40
+    G = rng.normal(size=(M, M)) + 1j * rng.normal(size=(M, M))
+    H = (G + G.conj().T) / (2.0 * np.sqrt(2.0 * M))
+    H[np.diag_indices(M)] = 40.0 * rng.uniform(0.0, 1.0, M) ** (2.0 / 3.0)
+    one = bl.eigh(H, n_lowest=4)
+    assert one.residual_bound is not None and one.bounds == one.residual_bound  # block path
 
 
 def outcome(fn):
