@@ -183,6 +183,8 @@ def regularity_probe(lat: Lattice, V: FourierPotential, Ec: float, blowup_spec: 
     deltas = np.asarray([float(d) for d in deltas])
     if deltas.size < 3:
         raise ValueError("need at least three mesh widths for a verdict")
+    if not np.all(deltas > 0.0):
+        raise ValueError(f"mesh widths 'deltas' must be > 0, got {deltas.tolist()}")
     if np.any(deltas[:-1] / deltas[1:] < 2.0 - 1e-12):
         raise ValueError("mesh widths must descend by factors >= 2")
     if order not in (1, 2):
@@ -279,8 +281,8 @@ def energy_vs_cell_parameter(make_lattice, make_potential, Ec: float, schemes,
     if a_values.size < 3:
         raise ValueError("need at least three cell parameters")
     da = np.diff(a_values)
-    if np.max(np.abs(da - da[0])) > 1e-9 * abs(da[0]):
-        raise ValueError("cell parameter ladder must be uniform")
+    if da[0] == 0.0 or np.max(np.abs(da - da[0])) > 1e-9 * abs(da[0]):
+        raise ValueError("cell parameter ladder must be uniform with a nonzero step")
     energies = {scheme.tag: np.empty(a_values.size) for scheme in schemes}
     for i, a in enumerate(a_values):
         lat = make_lattice(a)

@@ -75,18 +75,20 @@ _NESTED_KEYS = {
 }
 
 _REQUIRED = object()
-_KINDS = {int: "an integer", float: "a number", str: "a string", dict: "an object",
+_KINDS = {int: "an integer", float: "a finite number", str: "a string", dict: "an object",
           list: "a list"}
 
 
 def _as(value, kind, key: str):
     """value checked to have the JSON type of `kind`, a ValueError naming the
     field otherwise: an int field takes only an integer, a float field an
-    integer or a real number (as a float), and a bool is never a number."""
+    integer or a real number (as a float) within the float range, so no NaN
+    or Infinity literal, and a bool is never a number."""
     if not isinstance(value, bool):
         if kind is float and isinstance(value, (int, float)):
-            return float(value)
-        if isinstance(value, kind):
+            if abs(value) <= sys.float_info.max:  # False for NaN too
+                return float(value)
+        elif isinstance(value, kind):
             return value
     raise ValueError(f"config field {key!r} must be {_KINDS[kind]}, got {json.dumps(value)}")
 
@@ -289,7 +291,7 @@ def _output_dir(cfg: dict) -> Path:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _write_csv(path: Path, header: list, rows) -> None:
@@ -435,6 +437,9 @@ def cmd_cellscan(args) -> int:
     center = _field(ladder, "center", float, 1.0)
     span = _field(ladder, "span", float, 0.05)
     count = _field(ladder, "count", int, 50)
+    if center == 0.0 or span == 0.0:
+        raise ValueError(f"config field 'a_ladder' needs a nonzero center and span, "
+                         f"got {json.dumps(ladder)}")
     a_values = np.linspace(center * (1.0 - span), center * (1.0 + span), count)
     unit = base.primitive / center
 

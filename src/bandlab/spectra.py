@@ -28,8 +28,8 @@ The block path stops when every requested pair has residual
 ||Hx - theta x|| / (1 + |theta|) <= 1e-10, checked on an explicit H @ X
 from the same product, and returns that residual bound with or without
 vectors.  If it does not get there within _BLOCK_MAX_ITER iterations, the
-dense matrix is built and goes through the graded/dense route instead, as
-a stack of one.
+member goes through the graded/dense route instead, in one dense call with
+every other member of its stack the block path did not serve.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ def _rayleigh_ritz(S: np.ndarray, AS: np.ndarray, count: int):
 
 
 def _eigh_block(H, take: int, diag: np.ndarray | None = None):
-    """Lowest `take` eigenpairs by LOBPCG, or None if not converged in time.
+    """Lowest `take` eigenpairs by LOBPCG: (values, vectors, residual bound).
 
     H is the (M, M) matrix, or, with its real diagonal `diag` given, a
     function X -> H @ X such as a fiber member's table product.
@@ -116,7 +116,8 @@ def _eigh_block(H, take: int, diag: np.ndarray | None = None):
     follows through the Ritz rotations.  Once the requested residuals are
     below the tolerance, X is re-orthonormalized and one more Rayleigh-Ritz
     step on an explicit H @ X confirms them.
-    Returns (values, vectors, residual bound).
+    Returns None instead when that takes more than _BLOCK_MAX_ITER
+    iterations, when a residual is not finite, or on a LinAlgError.
     """
     if diag is None:
         H, diag = H.__matmul__, np.real(H.diagonal())
@@ -128,37 +129,32 @@ def _eigh_block(H, take: int, diag: np.ndarray | None = None):
     # of column norm about 0.1 (fixed seed, so results are reproducible)
     X = (0.1 / np.sqrt(n)) * np.random.default_rng(0).standard_normal((n, nb))
     X[np.argsort(d, kind="stable")[:nb], np.arange(nb)] += 1.0
-    X = _cholesky_qr(X)
-    theta, _, X, AX = _rayleigh_ritz(X, H(X), nb)
-    P = None
-    explicit = True  # AX is H @ X up to one Rayleigh-Ritz rotation
-    for _ in range(_BLOCK_MAX_ITER):
-        R = AX - X * theta
-        res = np.linalg.norm(R, axis=0) / (1.0 + np.abs(theta))
-        if not np.all(np.isfinite(res)):
-            return None
-        if np.max(res[:take]) <= _RESIDUAL_TOL:
-            if explicit:
-                return theta[:take], X[:, :take], float(np.max(res[:take]))
-            X = _cholesky_qr(_cholesky_qr(X))
-            theta, _, X, AX = _rayleigh_ritz(X, H(X), nb)
-            P = None
-            explicit = True
-            continue
-        active = res > _RESIDUAL_TOL
-        W = R[:, active] / (np.abs(d[:, None] - theta[active]) + 1.0)
-        Q = None
-        for V in [W] if P is None else [np.hstack([W, P[:, active]]), W]:
-            try:
-                Q = _orthonormal_complement(V, X)
-                break
-            except np.linalg.LinAlgError:  # nearly dependent: retry without P
+    try:
+        X = _cholesky_qr(X)
+        theta, _, X, AX = _rayleigh_ritz(X, H(X), nb)
+        P, explicit = None, True  # explicit: AX is H @ X up to one Rayleigh-Ritz rotation
+        for _ in range(_BLOCK_MAX_ITER):
+            R = AX - X * theta
+            res = np.linalg.norm(R, axis=0) / (1.0 + np.abs(theta))
+            if not np.all(np.isfinite(res)):
+                return None
+            if np.max(res[:take]) <= _RESIDUAL_TOL:
+                if explicit:
+                    return theta[:take], X[:, :take], float(np.max(res[:take]))
+                X = _cholesky_qr(_cholesky_qr(X))
+                theta, _, X, AX = _rayleigh_ritz(X, H(X), nb)
+                P, explicit = None, True
                 continue
-        if Q is None:
-            return None
-        theta, C, X, AX = _rayleigh_ritz(np.hstack([X, Q]), np.hstack([AX, H(Q)]), nb)
-        P = Q @ C[nb:]
-        explicit = False
+            active = res > _RESIDUAL_TOL
+            W = R[:, active] / (np.abs(d[:, None] - theta[active]) + 1.0)
+            try:
+                Q = _orthonormal_complement(W if P is None else np.hstack([W, P[:, active]]), X)
+            except np.linalg.LinAlgError:  # nearly dependent: retry without P
+                Q = _orthonormal_complement(W, X)
+            theta, C, X, AX = _rayleigh_ritz(np.hstack([X, Q]), np.hstack([AX, H(Q)]), nb)
+            P, explicit = Q @ C[nb:], False
+    except np.linalg.LinAlgError:
+        pass
     return None
 
 
@@ -308,39 +304,6 @@ def _eigh_dense(stack: np.ndarray, take: int, want_vectors: bool):
     return values, vectors, residuals, bounds
 
 
-def _eigh_member(H, take: int, want_vectors: bool, member: int):
-    """The per-matrix policy on one member of an (M, M) or (B, M, M) array or
-    of a FiberMatrix: (values, vectors, residual bound, eigenvalue bound).
-
-    The block path applies a FiberMatrix from its table and reports its
-    residual bound for both.  Otherwise, or after its iteration cap, the
-    member's dense matrix goes through the dense route as a stack of one.
-    """
-    fib = H if isinstance(H, FiberMatrix) else None
-    n = len(fib) if fib is not None else H.shape[-1]
-    if n >= _BLOCK_MIN_ORDER and take + _BLOCK_GUARD <= n // _BLOCK_MIN_RATIO:
-        try:
-            if fib is not None:
-                block = _eigh_block(partial(fib.apply, member=member), take,
-                                    fib.diagonal.reshape(-1, n)[member])
-            else:
-                block = _eigh_block(H.reshape(-1, n, n)[member], take)
-        except np.linalg.LinAlgError:
-            block = None
-        if block is not None:
-            vals, vecs, residual = block
-            return vals, vecs if want_vectors else None, residual, residual
-    H = np.asarray(getattr(H, "entries", H)).reshape(-1, n, n)[member]
-    vals, vecs, residuals, bounds = _eigh_dense(H[None], take, want_vectors)
-    return (vals[0], None if vecs is None else vecs[0],
-            None if residuals is None else float(residuals[0]), float(bounds[0]))
-
-
-def _eigh_one(H, take: int, want_vectors: bool, member: int = 0):
-    """The per-matrix policy on one member: (values, vectors, residual bound)."""
-    return _eigh_member(H, take, want_vectors, member)[:3]
-
-
 def eigh(H, n_lowest: int | None = None, want_vectors: bool = False) -> EigenSolution:
     """Lowest eigenpairs of a Hermitian matrix, ascending.
 
@@ -354,36 +317,48 @@ def eigh(H, n_lowest: int | None = None, want_vectors: bool = False) -> EigenSol
     the residual tolerance for the low bands there.
 
     A (B, M, M) stack (or a stacked FiberMatrix) gets the same policy member
-    by member: off the block path, the plain members share one LAPACK call
-    and the graded ones one Schur route per steep count.  The solution then
-    holds (B, n) values, (B, M, n) vectors, the (B,) eigenvalue bounds, and
-    the largest member residual bound, None unless every member has one.  A
-    single matrix is the B = 1 case, with 0-d bounds.
+    by member: the block solver tries each member, and the members it does
+    not serve go through one dense route together, where the plain members
+    share one LAPACK call and the graded ones one Schur route per steep
+    count.  The solution then holds (B, n) values, (B, M, n) vectors, the
+    (B,) eigenvalue bounds, and the largest member residual bound, None
+    unless every member has one.  A single matrix is the B = 1 case, with
+    0-d bounds.
     """
     if isinstance(H, FiberMatrix):
         dims = H.diagonal.shape  # (M,) or (B, M)
     else:
         H = np.asarray(H)
+        H = H.astype(np.result_type(H, float), copy=False)  # integers and float32 in double
         dims = H.shape[:-1]
     B, n = math.prod(dims[:-1]), dims[-1]
     take = n if n_lowest is None else int(n_lowest)
     if not 1 <= take <= n:
         raise ValueError(f"n_lowest must be in [1, {n}], got {n_lowest}")
+    values, bounds, residuals = np.empty((B, take)), np.empty(B), np.empty(B)
+    vectors = np.empty((B, n, take), dtype=getattr(H, "dtype", complex)) if want_vectors else None
+    served = np.zeros(B, dtype=bool)
     if n >= _BLOCK_MIN_ORDER and take + _BLOCK_GUARD <= n // _BLOCK_MIN_RATIO:
-        values, vectors, residuals, bounds = zip(*(_eigh_member(H, take, want_vectors, b)
-                                                   for b in range(B)))
-        values, bounds = np.array(values), np.array(bounds)
-        vectors = np.stack(vectors) if want_vectors else None
-        residual = None if None in residuals else max(residuals)
-    else:
-        stack = np.asarray(getattr(H, "entries", H)).reshape(-1, n, n)
-        values, vectors, residuals, bounds = _eigh_dense(stack, take, want_vectors)
-        residual = None if residuals is None else float(np.max(residuals))
-    bounds = bounds.reshape(dims[:-1])
+        for b in range(B):
+            block = (_eigh_block(partial(H.apply, member=b), take, H.diagonal.reshape(B, n)[b])
+                     if isinstance(H, FiberMatrix) else _eigh_block(H.reshape(B, n, n)[b], take))
+            if block is not None:
+                served[b] = True
+                values[b], vecs, residuals[b] = block
+                if want_vectors:
+                    vectors[b] = vecs
+    rest = np.flatnonzero(~served)
+    if rest.size:
+        stack = np.asarray(getattr(H, "entries", H)).reshape(B, n, n)
+        values[rest], vecs, res, bounds[rest] = _eigh_dense(
+            stack if rest.size == B else stack[rest], take, want_vectors)
+        if want_vectors:
+            vectors[rest], residuals[rest] = vecs, res
+    bounds[served] = residuals[served]
+    residual = float(residuals.max()) if want_vectors or not rest.size else None
     if len(dims) == 1:
-        return EigenSolution(values[0], None if vectors is None else vectors[0], residual,
-                             bounds)
-    return EigenSolution(values, vectors, residual, bounds)
+        values, vectors = values[0], None if vectors is None else vectors[0]
+    return EigenSolution(values, vectors, residual, bounds.reshape(dims[:-1]))
 
 
 @dataclass(frozen=True)
@@ -400,24 +375,17 @@ class BandStructure:
         return self.energies.shape[1]
 
 
-def _chunks(sizes: np.ndarray, n_coef: int) -> list[list[int]]:
-    """k indices grouped by basis size M, in k order within a size, and cut
-    into stacks of at most _STACK_BUDGET // (M * (M + n_coef)) members (one
-    at least).
-
-    The stacks come in the order of their first k and as plain lists: both
-    keep the heap of repeated runs as compact as the per-k loop left it.
-    Measured on cubic3d, whose stacks hold one k each: in size order the
-    peak RSS rose by 8 MiB, and with numpy index arrays by 6 MiB after 10
-    runs.
-    """
+def _chunks(sizes: np.ndarray, n_coef: int) -> list[np.ndarray]:
+    """k indices grouped by basis size M, in ascending M and in k order
+    within a size, and cut into stacks of at most
+    _STACK_BUDGET // (M * (M + n_coef)) members (one at least)."""
     order = np.argsort(sizes, kind="stable")
     chunks = []
     for run in np.split(order, np.flatnonzero(np.diff(sizes[order])) + 1):
         M = int(sizes[run[0]])
         cap = max(1, _STACK_BUDGET // (M * (M + n_coef)))
-        chunks += [run[i:i + cap].tolist() for i in range(0, run.size, cap)]
-    return sorted(chunks)
+        chunks += np.split(run, range(cap, run.size, cap))
+    return chunks
 
 
 def compute_bands(lat: Lattice, V: FourierPotential, kset: KPointSet, Ec: float,
@@ -428,11 +396,16 @@ def compute_bands(lat: Lattice, V: FourierPotential, kset: KPointSet, Ec: float,
     solved as stacks (see _chunks), each member bit-identical to its own
     single-k solve.  Raises BandCountExceedsBasis naming the first offending
     k, in k order, when the requested band count cannot be represented
-    there.  Rows are written by k index and the stacks do not depend on
-    `threads`, so threading never changes the result.
+    there, and ValueError for an empty k-set or threads < 1.  Rows are
+    written by k index and the stacks do not depend on `threads`, so
+    threading never changes the result.
     """
     if n_bands < 1:
         raise ValueError("n_bands must be >= 1")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    if not len(kset):
+        raise ValueError("the k-point set is empty")
     points = kset.points
     energies = np.empty((len(kset), n_bands))
     # the uniform basis is the k-dependent one at k = 0, for every k
@@ -448,7 +421,7 @@ def compute_bands(lat: Lattice, V: FourierPotential, kset: KPointSet, Ec: float,
             f"at k={k} (Ec={Ec:g})"
         )
 
-    def solve(idx: list[int]) -> None:
+    def solve(idx: np.ndarray) -> None:
         energies[idx] = eigh(assemble(lat, V, points[idx], Ec, scheme), n_lowest=n_bands).values
 
     chunks = _chunks(sizes, V.hermitian_coeffs[0].shape[0])

@@ -122,6 +122,9 @@ def test_regularity_probe_validation(lat1d, rough):
     with pytest.raises(ValueError):
         bl.regularity_probe(lat1d, rough, 750.0, spec, 1, 3,
                             [1e-2, 5e-3, 2.5e-3])
+    for deltas in ([1e-2, 5e-3, 0.0], [-1e-2, -5e-3, -2.5e-3]):
+        with pytest.raises(ValueError, match="'deltas' must be > 0"):
+            bl.regularity_probe(lat1d, rough, 750.0, spec, 1, 1, deltas)
 
 
 def test_regularity_probe_needs_rank_flip(lat1d, rough):
@@ -171,4 +174,14 @@ def test_cell_scan_needs_uniform_ladder(lat1d, blowup_std):
             lambda a: bl.new_lattice([[a]]),
             lambda lat: bl.potential_from_coeffs(lat, []),
             50.0, [bl.kdependent_scheme()], [0.9, 1.0, 1.3],
+            n_electrons=1.0, grid_n=4, n_bands=2)
+
+
+def test_cell_scan_needs_a_nonzero_step(lat1d):
+    """A ladder of equal cells would divide the second differences by 0."""
+    with pytest.raises(ValueError, match="nonzero step"):
+        bl.energy_vs_cell_parameter(
+            lambda a: bl.new_lattice([[a]]),
+            lambda lat: bl.potential_from_coeffs(lat, []),
+            50.0, [bl.kdependent_scheme()], [1.0, 1.0, 1.0],
             n_electrons=1.0, grid_n=4, n_bands=2)

@@ -27,10 +27,53 @@ def assert_config_error(code, err, field):
 @pytest.mark.parametrize("field, value", [
     ("nbands", 2.7), ("nbands", 2.0), ("nbands", True), ("nbands", "2"),
     ("ec", "25"), ("ec", True), ("threads", False), ("threads", 1.5),
+    ("ec", float("inf")), ("ec", float("nan")),
 ])
 def test_values_are_not_converted(tmp_path, capsys, field, value):
     code, err = run(tmp_path, "bands", BANDS | {field: value}, capsys)
     assert_config_error(code, err, field)
+
+
+@pytest.mark.parametrize("flags, field", [
+    (["--ec", "nan"], "ec"), (["--ec=-inf"], "ec"), (["--blowup-p", "inf"], "p"),
+])
+def test_non_finite_flags_are_config_errors(tmp_path, capsys, flags, field):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(BANDS | {"scheme": "modified", "blowup": {"m": 1, "p": 1.5},
+                                        "out": str(tmp_path / "run")}))
+    assert_config_error(main(["bands", "--config", str(path)] + flags),
+                        capsys.readouterr().err, field)
+
+
+def test_integer_beyond_the_float_range_is_config_error(tmp_path, capsys):
+    code, err = run(tmp_path, "bands", BANDS | {"ec": 10**400}, capsys)
+    assert_config_error(code, err, "ec")
+
+
+@pytest.mark.parametrize("command, extra, flags, word", [
+    ("bands", {"threads": 0}, [], "threads"), ("bands", {"threads": -5}, [], "threads"),
+    ("bands", {}, ["--threads", "0"], "threads"), ("periodicity", {"k_samples": 0}, [], "empty"),
+])
+def test_bad_threads_and_empty_kset_are_config_errors(tmp_path, capsys, command, extra, flags,
+                                                      word):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(BANDS | extra | {"out": str(tmp_path / "run")}))
+    code, err = main([command, "--config", str(path)] + flags), capsys.readouterr().err
+    assert code == 2 and err.startswith("error:") and err.count("\n") == 1 and word in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command, extra, field", [
+    ("regularity", {"blowup": {"m": 1, "p": 1.5}, "deltas": [0.01, 0.005, 0.0]}, "deltas"),
+    ("regularity", {"blowup": {"m": 1, "p": 1.5}, "deltas": [-0.01, -0.005, -0.0025]},
+     "deltas"),
+    ("cellscan", {"a_ladder": {"span": 0}}, "a_ladder"),
+    ("cellscan", {"a_ladder": {"center": 0.0}}, "a_ladder"),
+])
+def test_degenerate_ladder_is_config_error(tmp_path, capsys, command, extra, field):
+    code, err = run(tmp_path, command, BANDS | extra, capsys)
+    assert_config_error(code, err, field)
+    assert "Traceback" not in err and not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("grid", ["4", 4.0, True])

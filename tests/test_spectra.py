@@ -55,6 +55,15 @@ def test_eigh_truncation_consistent(lat1d, cosine):
     assert np.array_equal(two, full[:2])
 
 
+def test_eigh_integer_matrix_with_vectors():
+    """An integer matrix is solved in double precision: its eigenvectors are
+    not truncated to integers."""
+    sol = bl.eigh(np.array([[2, 1], [1, 2]]), want_vectors=True)
+    assert sol.vectors.dtype == np.float64
+    assert np.allclose(sol.values, [1.0, 3.0], rtol=0, atol=1e-15)
+    assert np.allclose(np.abs(sol.vectors), np.sqrt(0.5), rtol=0, atol=1e-15)
+
+
 def test_eigh_bad_count():
     with pytest.raises(ValueError):
         bl.eigh(np.eye(3), n_lowest=4)
@@ -134,6 +143,17 @@ def test_band_count_exceeds_basis(lat1d, cosine):
     with pytest.raises(bl.BandCountExceedsBasis, match="k="):
         bl.compute_bands(lat1d, cosine, bl.uniform_grid(lat1d, 8), 25.0,
                          bl.kdependent_scheme(), 10)
+
+
+def test_compute_bands_rejects_bad_threads_and_empty_kset(lat1d, cosine):
+    path = bl.kpath(lat1d, [("A", [0.0]), ("B", [1.0])], 4)
+    for threads in (0, -5):
+        with pytest.raises(ValueError, match="threads"):
+            bl.compute_bands(lat1d, cosine, path, 25.0, bl.kdependent_scheme(), 1,
+                             threads=threads)
+    empty = bl.KPointSet(points=np.empty((0, 1)), kind="path")
+    with pytest.raises(ValueError, match="empty"):
+        bl.compute_bands(lat1d, cosine, empty, 25.0, bl.kdependent_scheme(), 1)
 
 
 def test_threading_schedule_independent(lat1d, cosine):

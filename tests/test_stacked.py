@@ -149,18 +149,29 @@ def graded_member(M, rng):
     return H
 
 
+def block_member(rng, M, spread, dtype):
+    """A matrix of order M on the block path: a random Hermitian part of norm
+    about 1 on a diagonal spread over [0, spread].  The narrower the spread,
+    the closer the low bands and the more block iterations they take."""
+    G = rng.normal(size=(M, M)) + (1j * rng.normal(size=(M, M)) if dtype == complex else 0.0)
+    H = (G + G.conj().T) / (2.0 * np.sqrt(2.0 * M))
+    H[np.diag_indices(M)] = spread * rng.uniform(0.0, 1.0, M) ** (2.0 / 3.0)
+    return H
+
+
 def assert_members_equal(stack, n_lowest, want_vectors=False):
-    """eigh on the stack against eigh on each member and against the
-    per-matrix policy code itself, which a stack must not bypass."""
+    """eigh on the stack against eigh on each member: values, bounds and
+    vectors to the bit, and the largest member residual bound."""
     sol = bl.eigh(stack, n_lowest=n_lowest, want_vectors=want_vectors)
     singles = [bl.eigh(H, n_lowest=n_lowest, want_vectors=want_vectors) for H in stack]
     assert sol.values.shape == (len(stack), n_lowest)
+    assert sol.bounds.shape == (len(stack),)
     for b, one in enumerate(singles):
-        vals, vecs, bound = spectra._eigh_one(stack[b], n_lowest, want_vectors)
-        assert sol.values[b].tobytes() == one.values.tobytes() == vals.tobytes()
-        assert one.residual_bound == bound
+        assert sol.values[b].tobytes() == one.values.tobytes()
+        assert sol.bounds[b].tobytes() == one.bounds.tobytes()
         if want_vectors:
-            assert sol.vectors[b].tobytes() == one.vectors.tobytes() == vecs.tobytes()
+            assert sol.vectors.dtype == one.vectors.dtype == stack.dtype
+            assert sol.vectors[b].tobytes() == one.vectors.tobytes()
     bounds = [one.residual_bound for one in singles]
     assert sol.residual_bound == (None if None in bounds else max(bounds))
     return sol
@@ -195,12 +206,26 @@ def test_stacked_eigh_with_vectors():
 def test_stacked_eigh_on_block_path_members():
     rng = np.random.default_rng(7)
     M = spectra._BLOCK_MIN_ORDER + 40
-    stack = np.empty((3, M, M), dtype=complex)
-    for b in range(3):
-        G = rng.normal(size=(M, M)) + 1j * rng.normal(size=(M, M))
-        stack[b] = (G + G.conj().T) / (2.0 * np.sqrt(2.0 * M))
-        stack[b][np.diag_indices(M)] = 40.0 * rng.uniform(0.0, 1.0, M) ** (2.0 / 3.0)
+    stack = np.stack([block_member(rng, M, 40.0, complex) for _ in range(3)])
     sol = assert_members_equal(stack, 4)
+    assert sol.residual_bound is not None and sol.residual_bound <= 1e-10
+
+
+@pytest.mark.parametrize("dtype", [complex, float])
+def test_stacked_eigh_mixes_block_and_fallback_members(monkeypatch, dtype):
+    """A stack on the block path whose middle member falls back to the dense
+    route: every member still gets its own single-matrix result.  The outer
+    members converge in 11-12 block iterations, the middle one needs 26-33,
+    so a cap of 18 sends only the middle one to the dense route."""
+    rng = np.random.default_rng(8)
+    M = spectra._BLOCK_MIN_ORDER + 40
+    stack = np.stack([block_member(rng, M, spread, dtype) for spread in (40.0, 4.0, 40.0)])
+    monkeypatch.setattr(spectra, "_BLOCK_MAX_ITER", 18)
+    assert [spectra._eigh_block(H, 4) is None for H in stack] == [False, True, False]
+    sol = assert_members_equal(stack, 4)
+    assert sol.residual_bound is None  # the fallback member has no residual without vectors
+    assert sol.bounds[0] <= 1e-10 and sol.bounds[2] <= 1e-10  # block residual bounds
+    sol = assert_members_equal(stack, 4, want_vectors=True)
     assert sol.residual_bound is not None and sol.residual_bound <= 1e-10
 
 
@@ -216,11 +241,7 @@ def test_each_member_reports_its_bound():
     assert sol.bounds[0] > 1e-10 and sol.bounds[1] <= 1e-10
     for b in (0, 1):
         assert sol.bounds[b].tobytes() == bl.eigh(stack[b], n_lowest=4).bounds.tobytes()
-    M = spectra._BLOCK_MIN_ORDER + 40
-    G = rng.normal(size=(M, M)) + 1j * rng.normal(size=(M, M))
-    H = (G + G.conj().T) / (2.0 * np.sqrt(2.0 * M))
-    H[np.diag_indices(M)] = 40.0 * rng.uniform(0.0, 1.0, M) ** (2.0 / 3.0)
-    one = bl.eigh(H, n_lowest=4)
+    one = bl.eigh(block_member(rng, spectra._BLOCK_MIN_ORDER + 40, 40.0, complex), n_lowest=4)
     assert one.residual_bound is not None and one.bounds == one.residual_bound  # block path
 
 
