@@ -106,6 +106,13 @@ def _field(cfg: dict, key: str, kind, default=_REQUIRED):
     return _as(cfg[key], kind, key)
 
 
+def _at_least(value: int, low: int, key: str) -> int:
+    """value, or a ValueError naming the config field when it is below `low`."""
+    if value < low:
+        raise ValueError(f"config field {key!r} must be >= {low}, got {value}")
+    return value
+
+
 def _floats(cfg: dict, key: str, default=_REQUIRED) -> list:
     """cfg[key] as a list of floats, or the default when the key is absent."""
     return [_as(v, float, key) for v in _field(cfg, key, list, default)]
@@ -255,7 +262,8 @@ def _build_kset(cfg: dict, lat: Lattice, require: str | None = None) -> KPointSe
             label, frac = _as(node, list, "nodes")
             frac = [_as(v, float, "nodes") for v in _as(frac, list, "nodes")]
             nodes.append((str(label), lat.reciprocal @ np.array(frac)))
-        return kpath(lat, nodes, _field(path, "samples", int, 100))
+        samples = _at_least(_field(path, "samples", int, 100), 1, "path.samples")
+        return kpath(lat, nodes, samples)
     raise ValueError("exactly one of 'path' and 'grid' must be configured")
 
 
@@ -417,6 +425,9 @@ def cmd_periodicity(args) -> int:
     schemes = [_build_scheme(cfg, name) for name in names]
     rng = np.random.default_rng(_field(cfg, "seed", int, 0))
     count = _field(cfg, "k_samples", int, 50)
+    if count < 1:
+        raise ValueError(f"config field 'k_samples' must be >= 1, got {count}: "
+                         f"the k-point set would be empty")
     fracs = rng.uniform(-0.5, 0.5, size=(count, lat.dim))
     samples = fracs @ lat.reciprocal.T
     shifts = [tuple(_as(v, int, "shifts") for v in _as(s, list, "shifts"))
@@ -436,7 +447,7 @@ def cmd_cellscan(args) -> int:
     ladder = _field(cfg, "a_ladder", dict, {})
     center = _field(ladder, "center", float, 1.0)
     span = _field(ladder, "span", float, 0.05)
-    count = _field(ladder, "count", int, 50)
+    count = _at_least(_field(ladder, "count", int, 50), 3, "a_ladder.count")
     if center == 0.0 or span == 0.0:
         raise ValueError(f"config field 'a_ladder' needs a nonzero center and span, "
                          f"got {json.dumps(ladder)}")

@@ -19,17 +19,23 @@
 * dense   : otherwise, one LAPACK eigvalsh/eigh of the whole matrix, shared
             by the plain members of a stack.
 
-Every member gets an eigenvalue error bound (EigenSolution.bounds): the
-block path its residual bound, the graded route its Weyl or contraction
-bound plus eps * ||S||, and a plain dense solve eps * ||H|| (both norms by
-Gershgorin, nominal in LAPACK's constant).
+Every member gets an absolute eigenvalue error bound (EigenSolution.bounds):
+the block path min(||R||_F^2 / eta, max ||r_i||) (see _ritz_bound) and the
+graded route its Weyl or contraction bound, each plus 16 eps times a norm
+of the matrix its LAPACK eigensolve works on (_LAPACK_ROUNDING), and a
+plain dense solve that rounding term alone.  EigenSolution.residual_bound, the largest
+||Hv - lv|| / (1 + |l|), exists only with vectors: it is None whenever no
+vectors are kept, on every path.
 
-The block path stops when every requested pair has residual
-||Hx - theta x|| / (1 + |theta|) <= 1e-10, checked on an explicit H @ X
-from the same product, and returns that residual bound with or without
-vectors.  If it does not get there within _BLOCK_MAX_ITER iterations, the
-member goes through the graded/dense route instead, in one dense call with
-every other member of its stack the block path did not serve.
+The block path stops when every requested pair has relative residual
+||Hx - theta x|| / (1 + |theta|) <= 1e-10, or, without vectors, as soon as
+the quadratic eigenvalue bound ||R||_F^2 / eta, with the gap eta read from
+the first guard column, is <= 1e-10 (an eigenvalue error is quadratic in the
+residual, a vector's is not).  Either stop is confirmed on an explicit
+H @ X from the same product.  If it does not get there within
+_BLOCK_MAX_ITER iterations, the member goes through the graded/dense route
+instead, in one dense call with every other member of its stack the block
+path did not serve.
 """
 
 from __future__ import annotations
@@ -59,12 +65,19 @@ class BandCountExceedsBasis(ValueError):
 class EigenSolution:
     values: np.ndarray            # ascending, multiplicities counted
     vectors: np.ndarray | None    # orthonormal columns, matching order
-    residual_bound: float | None  # max ||Hv - lv|| / (1 + |l|); None on the dense
-                                  # and graded paths when no vectors are kept
+    residual_bound: float | None  # max ||Hv - lv|| / (1 + |l|); None when no
+                                  # vectors are kept
     bounds: np.ndarray            # (B,) eigenvalue error bound per member; 0-d for one
 
 
 _RESIDUAL_TOL = 1e-10
+_EPS = np.finfo(float).eps
+# LAPACK's eigenvalue error in units of eps ||A|| (Gershgorin), measured
+# against 40-digit references: up to 5.6 on dense matrices of order 2-8 and
+# 6.7 on Schur complements of order 2-6; the order-114 grid2d fiber below the
+# graded split is 3 off the Schur reference.  It does not grow with the
+# order, so every LAPACK eigensolve's bound carries this fixed multiple.
+_LAPACK_ROUNDING = 16
 _BLOCK_MIN_ORDER = 200  # block solver from this order on (measured crossover)
 _BLOCK_MIN_RATIO = 16   # ... while its block holds at most M // 16 vectors (measured tie)
 _BLOCK_GUARD = 4        # extra vectors, so clusters at the band edge converge
@@ -100,8 +113,29 @@ def _rayleigh_ritz(S: np.ndarray, AS: np.ndarray, count: int):
     return theta[:count], C, S @ C, AS @ C
 
 
-def _eigh_block(H, take: int, diag: np.ndarray | None = None):
-    """Lowest `take` eigenpairs by LOBPCG: (values, vectors, residual bound).
+def _ritz_bound(theta: np.ndarray, norms: np.ndarray, take: int) -> float:
+    """Error bound of the lowest `take` Ritz values theta (ascending, from an
+    orthonormal block with residual norms `norms`, one guard column at least):
+    min(beta, max ||r_i||) + rounding over the `take` pairs.
+
+    beta = ||R_take||_F^2 / eta is the quadratic residual bound (Kato,
+    J. Phys. Soc. Japan 4, 334, 1949; Mathias, SIAM J. Matrix Anal. Appl. 19,
+    1998), with the gap eta = theta_{take+1} - ||r_{take+1}|| - theta_take
+    read from the first guard column; beta is +inf when eta <= 0, e.g. when
+    `take` cuts a degenerate multiplet.  Both terms assume that no eigenvalue
+    was missed: none lies below theta_{take+1} - ||r_{take+1}|| beyond the
+    `take` found.  rounding = _LAPACK_ROUNDING eps max|theta| covers the
+    Rayleigh-Ritz eigh.
+    """
+    rounding = _LAPACK_ROUNDING * _EPS * np.max(np.abs(theta))
+    eta = theta[take] - norms[take] - theta[take - 1]
+    beta = np.sum(norms[:take] ** 2) / eta if eta > 0 else np.inf
+    return float(min(beta, np.max(norms[:take]))) + rounding
+
+
+def _eigh_block(H, take: int, diag: np.ndarray | None = None, want_vectors: bool = True):
+    """Lowest `take` eigenpairs by LOBPCG: (values, vectors or None, residual
+    bound, eigenvalue bound).
 
     H is the (M, M) matrix, or, with its real diagonal `diag` given, a
     function X -> H @ X such as a fiber member's table product.
@@ -113,9 +147,17 @@ def _eigh_block(H, take: int, diag: np.ndarray | None = None):
     previous search directions P against X (Cholesky-QR), and takes the
     lowest Ritz pairs of H on X and those directions.  H multiplies the
     orthonormalized directions, never a tiny vector scaled up, and H @ X
-    follows through the Ritz rotations.  Once the requested residuals are
-    below the tolerance, X is re-orthonormalized and one more Rayleigh-Ritz
-    step on an explicit H @ X confirms them.
+    follows through the Ritz rotations.
+
+    It stops once every requested pair has relative residual
+    ||r_i|| / (1 + |theta_i|) <= 1e-10, or, without vectors, once the
+    eigenvalue bound of _ritz_bound is <= 1e-10: an eigenvalue error is
+    quadratic in the residual once a gap is known, a vector's error is not.
+    Both rules assume that the block has missed no eigenvalue; the random
+    start block guards that.  Either way X is then re-orthonormalized and
+    one more Rayleigh-Ritz step on an explicit H @ X confirms the stop.  It
+    returns that eigenvalue bound and the residual bound
+    max ||r_i|| / (1 + |theta_i|), both over the `take` pairs.
     Returns None instead when that takes more than _BLOCK_MAX_ITER
     iterations, when a residual is not finite, or on a LinAlgError.
     """
@@ -135,12 +177,16 @@ def _eigh_block(H, take: int, diag: np.ndarray | None = None):
         P, explicit = None, True  # explicit: AX is H @ X up to one Rayleigh-Ritz rotation
         for _ in range(_BLOCK_MAX_ITER):
             R = AX - X * theta
-            res = np.linalg.norm(R, axis=0) / (1.0 + np.abs(theta))
+            norms = np.linalg.norm(R, axis=0)
+            res = norms / (1.0 + np.abs(theta))
             if not np.all(np.isfinite(res)):
                 return None
-            if np.max(res[:take]) <= _RESIDUAL_TOL:
+            bound = _ritz_bound(theta, norms, take)
+            if np.max(res[:take]) <= _RESIDUAL_TOL or (not want_vectors
+                                                       and bound <= _RESIDUAL_TOL):
                 if explicit:
-                    return theta[:take], X[:, :take], float(np.max(res[:take]))
+                    return (theta[:take], X[:, :take] if want_vectors else None,
+                            float(np.max(res[:take])), bound)
                 X = _cholesky_qr(_cholesky_qr(X))
                 theta, _, X, AX = _rayleigh_ritz(X, H(X), nb)
                 P, explicit = None, True
@@ -164,8 +210,9 @@ _GRADED_RATIO = 1e8  # diagonal entries this far above the rest are split off
 def _graded_mask(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(B, M) mask of the hugely dominant diagonal entries of each member of a
     (B, M, M) stack, all False for a well-scaled member; and the (B,) error
-    bound of a plain dense solve of each member: eps times max|d| + (M - 1)
-    * scale, the Gershgorin bound on its norm.
+    bound of a plain dense solve of each member: _LAPACK_ROUNDING eps times
+    max|d| + (M - 1) * scale, the Gershgorin bound on its norm, which is not
+    finite exactly when the member has a non-finite entry.
 
     A blown-up dispersion produces diagonal entries many orders of magnitude
     above everything else.  A dense solve then carries an absolute error of
@@ -175,17 +222,20 @@ def _graded_mask(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     B, M = stack.shape[:2]
     d = np.real(np.diagonal(stack, axis1=1, axis2=2))
     # |H - diag(H)| in one real temporary; the diagonal keeps |h - h|, which
-    # is nan for a non-finite h, and fmax, like max(1.0, nan), skips a nan
+    # is nan for a non-finite h, so top is not finite exactly when an entry
+    # is not; fmax, like max(1.0, nan), skips a nan
     off = np.abs(stack)
     off.reshape(B, M * M)[:, :: M + 1] = np.abs(d - d)
-    scale = np.fmax(1.0, off.max(axis=(1, 2)))
+    top = off.max(axis=(1, 2))
+    scale = np.fmax(1.0, top)
     steep = d > _GRADED_RATIO * scale[:, None]
     count = np.count_nonzero(steep, axis=1)
     # the mild block must also stay well below the steep entries
     mild_top = np.where(steep, -np.inf, d).max(axis=1)
     steep_low = np.where(steep, d, np.inf).min(axis=1)
     split = (count > 0) & (count < M) & ~(mild_top > 1e-2 * steep_low)
-    bound = np.finfo(float).eps * (np.abs(d).max(axis=1) + (M - 1) * scale)
+    # np.maximum keeps a nan, so the bound is not finite where top is not
+    bound = _LAPACK_ROUNDING * _EPS * (np.abs(d).max(axis=1) + (M - 1) * np.maximum(1.0, top))
     return steep & split[:, None], bound
 
 
@@ -204,7 +254,7 @@ def _eigh_schur(stack: np.ndarray, steep: np.ndarray, take: int, want_vectors: b
     stacked; the map contracts with L = ||B||^2 / (D_min - lam)^2, so
     L / (1 - L) |step| bounds the error after a step.  Returns (values,
     vectors or None, bound per member); the bound adds the E term and
-    eps * ||S(0)|| (Gershgorin) for the reduced solve.
+    _LAPACK_ROUNDING eps ||S(0)|| (Gershgorin) for the reduced solves.
     """
     G, n = stack.shape[:2]
     order = np.argsort(steep, axis=1, kind="stable")  # mild, then steep, each ascending
@@ -245,7 +295,7 @@ def _eigh_schur(stack: np.ndarray, steep: np.ndarray, take: int, want_vectors: b
                                 f"{_RESIDUAL_TOL:g} after 40 steps")
     gap = d_min - lam
     bound += np.where(gap > e, b2 * e / (gap * (gap - e)), np.inf)
-    bound = bound.max(axis=1) + np.finfo(float).eps * np.abs(S).sum(axis=2).max(axis=1)
+    bound = bound.max(axis=1) + _LAPACK_ROUNDING * _EPS * np.abs(S).sum(axis=2).max(axis=1)
     if not want_vectors:
         return lam, None, bound
     # each pair's vector: the i-th eigenvector of S(lam_i) on the mild rows,
@@ -268,10 +318,13 @@ def _eigh_dense(stack: np.ndarray, take: int, want_vectors: bool):
     share one LAPACK call.  Every member gets what it gets alone, bit for
     bit: a stacked LAPACK call or product computes each member as a single
     one, and a failure in any member fails the stack, as it fails the member.
-    With vectors, the full residual ||Hv - lv|| / (1 + |l|) is checked.
+    A member with a non-finite entry fails; with vectors, the full residual
+    ||Hv - lv|| / (1 + |l|) is checked.
     """
     B, n = stack.shape[:2]
     steep, bounds = _graded_mask(stack)
+    if np.any(~(bounds < np.inf)):
+        raise SolverFailure("matrix norm bound is not finite (a nan or inf entry)")
     count = np.count_nonzero(steep, axis=1)
     graded = (count > 0) & (take <= n - count)
     values = np.empty((B, take))
@@ -298,7 +351,7 @@ def _eigh_dense(stack: np.ndarray, take: int, want_vectors: bool):
         return values, None, None, bounds
     res = np.linalg.norm(stack @ vectors - vectors * values[:, None, :], axis=1)
     residuals = np.max(res / (1.0 + np.abs(values)), axis=1)
-    if np.any(residuals > _RESIDUAL_TOL):
+    if np.any(~(residuals <= _RESIDUAL_TOL)):  # nan fails too
         raise SolverFailure(f"residual bound {np.nanmax(residuals):.3e} exceeds "
                             f"{_RESIDUAL_TOL:g}")
     return values, vectors, residuals, bounds
@@ -321,8 +374,8 @@ def eigh(H, n_lowest: int | None = None, want_vectors: bool = False) -> EigenSol
     not serve go through one dense route together, where the plain members
     share one LAPACK call and the graded ones one Schur route per steep
     count.  The solution then holds (B, n) values, (B, M, n) vectors, the
-    (B,) eigenvalue bounds, and the largest member residual bound, None
-    unless every member has one.  A single matrix is the B = 1 case, with
+    (B,) eigenvalue bounds, and, with vectors, the largest member residual
+    bound (None without vectors).  A single matrix is the B = 1 case, with
     0-d bounds.
     """
     if isinstance(H, FiberMatrix):
@@ -340,11 +393,12 @@ def eigh(H, n_lowest: int | None = None, want_vectors: bool = False) -> EigenSol
     served = np.zeros(B, dtype=bool)
     if n >= _BLOCK_MIN_ORDER and take + _BLOCK_GUARD <= n // _BLOCK_MIN_RATIO:
         for b in range(B):
-            block = (_eigh_block(partial(H.apply, member=b), take, H.diagonal.reshape(B, n)[b])
-                     if isinstance(H, FiberMatrix) else _eigh_block(H.reshape(B, n, n)[b], take))
+            block = (_eigh_block(partial(H.apply, member=b), take, H.diagonal.reshape(B, n)[b],
+                                 want_vectors) if isinstance(H, FiberMatrix)
+                     else _eigh_block(H.reshape(B, n, n)[b], take, None, want_vectors))
             if block is not None:
                 served[b] = True
-                values[b], vecs, residuals[b] = block
+                values[b], vecs, residuals[b], bounds[b] = block
                 if want_vectors:
                     vectors[b] = vecs
     rest = np.flatnonzero(~served)
@@ -354,8 +408,7 @@ def eigh(H, n_lowest: int | None = None, want_vectors: bool = False) -> EigenSol
             stack if rest.size == B else stack[rest], take, want_vectors)
         if want_vectors:
             vectors[rest], residuals[rest] = vecs, res
-    bounds[served] = residuals[served]
-    residual = float(residuals.max()) if want_vectors or not rest.size else None
+    residual = float(residuals.max()) if want_vectors else None
     if len(dims) == 1:
         values, vectors = values[0], None if vectors is None else vectors[0]
     return EigenSolution(values, vectors, residual, bounds.reshape(dims[:-1]))

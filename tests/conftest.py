@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import bandlab as bl
+from bandlab import spectra
 
 try:
     from hypothesis import settings
@@ -38,3 +39,19 @@ def blowup_std():
 @pytest.fixture(scope="session")
 def hex2d():
     return bl.new_lattice(np.array([[1.0, -0.5], [0.0, np.sqrt(3.0) / 2.0]]))
+
+
+@pytest.fixture
+def block_calls(monkeypatch):
+    """The outcome of every block-solver attempt, in call order: True when
+    the block path served the member, False when it went to the dense route."""
+    calls = []
+    solve = spectra._eigh_block
+
+    def recorded(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        calls.append(result is not None)
+        return result
+
+    monkeypatch.setattr(spectra, "_eigh_block", recorded)
+    return calls

@@ -71,7 +71,7 @@ def test_block_path_matches_lapack(case):
     assert take + spectra._BLOCK_GUARD <= n // spectra._BLOCK_MIN_RATIO
     block = spectra._eigh_block(H, take)
     assert block is not None, "block solver hit its iteration cap"
-    values, vectors, residual = block
+    values, vectors, residual, bound = block
     dense = np.linalg.eigvalsh(H)[:take]
     # LAPACK itself is only accurate to a few eps * ||H||
     tol = 1e-9 * (1.0 + np.abs(dense)) + 64 * EPS * np.max(np.abs(H))
@@ -80,9 +80,30 @@ def test_block_path_matches_lapack(case):
     res = np.linalg.norm(H @ vectors - vectors * values, axis=0) / (1.0 + np.abs(values))
     assert np.max(res) <= 1e-10
     assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(take))) <= 1e-12
+    sol = bl.eigh(H, n_lowest=take, want_vectors=True)   # eigh takes the block path here
+    assert np.array_equal(sol.values, values) and np.array_equal(sol.vectors, vectors)
+    assert sol.residual_bound == residual and sol.bounds == bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_matrices())
+def test_values_only_block_solve_is_within_its_bound(case):
+    """Without vectors the block path may stop on the quadratic bound
+    ||R||_F^2 / eta; the bound it reports must hold against LAPACK."""
+    H, take = case
+    block = spectra._eigh_block(H, take, want_vectors=False)
+    assert block is not None, "block solver hit its iteration cap"
+    values, vectors, _, bound = block
+    assert vectors is None
+    # either stop rule, plus the Rayleigh-Ritz rounding term (below 1e-12 here)
+    assert bound <= 1e-10 * (1.0 + np.max(np.abs(values))) + 1e-12
     sol = bl.eigh(H, n_lowest=take)   # eigh takes the block path here
-    assert np.array_equal(sol.values, values) and sol.residual_bound == residual
-    assert sol.vectors is None
+    assert sol.values.tobytes() == values.tobytes() and sol.bounds == bound
+    assert sol.residual_bound is None and sol.vectors is None
+    spectrum = np.linalg.eigvalsh(H)
+    # LAPACK itself is only accurate to a few eps * ||H||
+    lapack = 64 * EPS * np.max(np.abs(spectrum))
+    assert np.all(np.abs(values - spectrum[:take]) <= bound + lapack)
 
 
 def cubic_potential(lat):
@@ -102,7 +123,7 @@ def cubic_potential(lat):
 
 @pytest.mark.parametrize("frac", [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.5, 0.5, 0.0],
                                   [0.5, 0.5, 0.5]])
-def test_block_path_on_degenerate_clusters(frac):
+def test_block_path_on_degenerate_clusters(frac, block_calls):
     lat = bl.new_lattice(np.eye(3))
     H = bl.assemble(lat, cubic_potential(lat), lat.reciprocal @ np.array(frac), 400.0,
                     bl.kdependent_scheme()).entries
@@ -110,11 +131,49 @@ def test_block_path_on_degenerate_clusters(frac):
     assert np.min(np.diff(dense[:8])) <= 1e-9  # a degenerate level among the lowest 8
     for take in range(1, 8):
         sol = bl.eigh(H, n_lowest=take)
-        assert sol.residual_bound is not None, f"n_lowest={take} left the block path"
+        assert block_calls[-1], f"n_lowest={take} left the block path"
         assert np.max(np.abs(sol.values - dense[:take])) <= 1e-10
 
 
-def test_block_path_finds_a_block_with_higher_diagonal():
+def test_ritz_bound_reads_the_gap_from_the_guard_column():
+    theta = np.array([0.0, 1.0, 1.5, 4.0])
+    rounding = spectra._LAPACK_ROUNDING * EPS * 4.0
+    # a clear gap: eta = 1.5 - 0.1 - 1.0, and beta is below the residuals
+    norms = np.array([1e-4, 2e-4, 0.1, 0.3])
+    assert spectra._ritz_bound(theta, norms, 2) == pytest.approx(5e-8 / 0.4 + rounding,
+                                                                 rel=1e-12)
+    # the guard residual closes the gap: no quadratic bound, only the residual
+    norms[2] = 0.6
+    assert spectra._ritz_bound(theta, norms, 2) == 2e-4 + rounding
+    # n_lowest inside a degenerate multiplet
+    theta[2] = 1.0
+    norms[2] = 1e-12
+    assert spectra._ritz_bound(theta, norms, 2) == 2e-4 + rounding
+
+
+def test_values_only_stop_needs_a_gap(block_calls):
+    """At the zone center the cubic potential has 2-, 3- and 6-fold levels.
+    With n_lowest inside a multiplet, the first guard column belongs to the
+    multiplet too, so the gap estimate eta is not positive and the quadratic
+    bound is infinite: the values-only solve must stop on the residual rule,
+    at the same iteration and with the same values as a solve with vectors."""
+    lat = bl.new_lattice(np.eye(3))
+    H = bl.assemble(lat, cubic_potential(lat), np.zeros(3), 400.0,
+                    bl.kdependent_scheme()).entries
+    dense = np.linalg.eigvalsh(H)
+    inside = [take for take in range(1, 8) if dense[take] - dense[take - 1] <= 1e-9]
+    assert inside  # n_lowest cuts a multiplet
+    for take in inside:
+        values, _, _, bound = spectra._eigh_block(H, take, want_vectors=False)
+        with_vectors = spectra._eigh_block(H, take)
+        assert values.tobytes() == with_vectors[0].tobytes() and bound == with_vectors[3]
+        assert np.max(np.abs(values - dense[:take])) <= 1e-10
+        assert bound <= 1e-10 * (1.0 + np.max(np.abs(values))) + 1e-12
+        sol = bl.eigh(H, n_lowest=take)
+        assert block_calls[-1] and sol.values.tobytes() == values.tobytes()
+
+
+def test_block_path_finds_a_block_with_higher_diagonal(block_calls):
     """H = A (+) B, interleaved: the diagonal of B lies above the smallest
     entries of A, but B's coupling puts its lowest eigenvalues below A's.
     H keeps both blocks invariant, so a start inside A alone never finds them."""
@@ -131,12 +190,12 @@ def test_block_path_finds_a_block_with_higher_diagonal():
     perm = rng.permutation(240)
     H = H[np.ix_(perm, perm)]
     sol = bl.eigh(H, n_lowest=take)
-    assert sol.residual_bound is not None and sol.residual_bound <= 1e-10  # block path
+    assert block_calls == [True] and sol.bounds <= 1e-10
     assert np.max(np.abs(sol.values - np.linalg.eigvalsh(H)[:take])) <= 1e-10
 
 
 @pytest.mark.parametrize("frac", [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
-def test_block_path_on_potential_on_a_sublattice(frac):
+def test_block_path_on_potential_on_a_sublattice(frac, block_calls):
     """V on 2Z^3 couples G only to G + 2Z^3: H splits into 8 decoupled cosets,
     and the lowest bands come from several of them."""
     lat = bl.new_lattice(np.eye(3))
@@ -145,7 +204,7 @@ def test_block_path_on_potential_on_a_sublattice(frac):
     H = bl.assemble(lat, V, lat.reciprocal @ np.array(frac), 400.0,
                     bl.kdependent_scheme()).entries
     sol = bl.eigh(H, n_lowest=8)
-    assert sol.residual_bound is not None and sol.residual_bound <= 1e-10  # block path
+    assert block_calls == [True] and sol.bounds <= 1e-10
     assert np.max(np.abs(sol.values - np.linalg.eigvalsh(H)[:8])) <= 1e-10
 
 
@@ -224,12 +283,7 @@ def test_schur_route_matches_fixed_point_oracle(case, want_vectors):
     assert sol.bounds.shape == (len(stack),)
     for b, H in enumerate(stack):
         values, vectors = fixed_point_reference(H, np.flatnonzero(mask[b]), take, want_vectors)
-        # LAPACK's backward error on the reduced block, for the route and for
-        # the oracle, is a small multiple of M eps ||S||, above the nominal
-        # eps ||S|| the bound carries
-        mild = np.flatnonzero(~mask[b])
-        rounding = 2 * len(H) * EPS * np.max(np.sum(np.abs(H[np.ix_(mild, mild)]), axis=1))
-        assert np.all(np.abs(sol.values[b] - values) <= sol.bounds[b] + rounding)
+        assert np.all(np.abs(sol.values[b] - values) <= sol.bounds[b])
         one = bl.eigh(H, n_lowest=take, want_vectors=want_vectors)
         assert one.bounds.shape == ()
         assert sol.values[b].tobytes() == one.values.tobytes()
@@ -244,6 +298,27 @@ def test_schur_route_matches_fixed_point_oracle(case, want_vectors):
             assert np.all(np.abs(overlap[lone] - 1.0) <= 1e-8)
     if want_vectors:
         assert sol.residual_bound <= 1e-10
+
+
+def test_schur_bound_covers_rounding_on_small_deep_members():
+    """Orders 3-8 with the mild diagonal near -1e7 to -1e8: the reduced
+    solves then err by several eps ||S|| (up to 5.4 here), which the bound's
+    rounding term must cover."""
+    for seed in range(120):
+        rng = np.random.default_rng(seed)
+        M = 3 + seed % 6
+        count = 1 + (seed // 6) % (M - 1)
+        H = np.triu(rng.uniform(0.5, 1.0, (M, M)) * np.exp(2j * np.pi * rng.uniform(size=(M, M))))
+        H += H.conj().T
+        H[np.diag_indices(M)] = -(10.0 ** (7.0 + rng.uniform())) + np.linspace(0.0, 30.0, M)
+        steep = rng.permutation(M)[:count]
+        H[steep, steep] = 10.0 ** (8.05 + 0.9 * rng.uniform()) * rng.uniform(1.0, 3.0, count)
+        mask = spectra._graded_mask(H[None])[0][0]
+        assert np.count_nonzero(mask) == count  # the Schur route
+        take = min(2, M - count)
+        sol = bl.eigh(H, n_lowest=take)
+        values = fixed_point_reference(H, np.flatnonzero(mask), take)[0]
+        assert np.all(np.abs(sol.values - values) <= sol.bounds), f"seed {seed}"
 
 
 def test_schur_route_iterates_where_one_evaluation_is_not_enough():
@@ -266,12 +341,11 @@ def test_schur_route_iterates_where_one_evaluation_is_not_enough():
     one_shot = np.linalg.eigvalsh(H[np.ix_(mild, mild)] - (B / D) @ B.conj().T)[:take]
     assert np.max(np.abs(one_shot - values)) > 1e-7  # one evaluation is not enough
     sol = bl.eigh(H, n_lowest=take)
-    rounding = 2 * M * EPS * np.max(np.sum(np.abs(H[np.ix_(mild, mild)]), axis=1))
-    assert np.all(np.abs(sol.values - values) <= sol.bounds + rounding)
+    assert np.all(np.abs(sol.values - values) <= sol.bounds)
     assert sol.bounds <= 1e-8
 
 
-def test_block_path_matches_schur_on_graded_fibers():
+def test_block_path_matches_schur_on_graded_fibers(block_calls):
     lat = bl.new_lattice(np.eye(3))
     V = bl.synth_power_law(lat, t=2.1, gmax=1, seed=1, amplitude=5.0)
     scheme = bl.modified_scheme(bl.build_blowup(bl.BlowupSpec(m=1, p=1.5)))
@@ -280,7 +354,7 @@ def test_block_path_matches_schur_on_graded_fibers():
         assert len(H) >= spectra._BLOCK_MIN_ORDER
         assert np.max(np.real(H.diagonal())) > 1e5
         sol = bl.eigh(H, n_lowest=4)
-        assert sol.residual_bound is not None and sol.residual_bound <= 1e-10  # block path
+        assert block_calls[-1] and sol.bounds <= 1e-10
         assert np.max(np.abs(sol.values - schur_reference(H, 4))) <= 1e-10
 
 
@@ -294,9 +368,25 @@ def test_block_solver_on_graded_matrix_below_the_split():
     H = bl.assemble(lat, V, k, 800.0, scheme).entries
     assert not spectra._graded_mask(H[None])[0].any()
     ref = schur_reference(H, 4)
-    values, _, residual = spectra._eigh_block(H, 4)
+    values, _, residual, _ = spectra._eigh_block(H, 4)
     assert residual <= 1e-10
     assert np.max(np.abs(values - ref)) <= 1e-10
+
+
+def test_dense_bound_covers_the_error_below_the_split():
+    """The grid2d seed-1 fiber at k index 131 goes to a plain dense eigvalsh
+    below the split: its reported bound must cover the 1.5e-7 by which that
+    solve misses the Schur reference."""
+    lat = bl.new_lattice(HEX)
+    V = bl.synth_power_law(lat, t=2.1, gmax=6, seed=1)
+    scheme = bl.modified_scheme(bl.build_blowup(bl.BlowupSpec(m=1, p=1.5)))
+    k = bl.uniform_grid(lat, 12).points[131]
+    H = bl.assemble(lat, V, k, 800.0, scheme).entries
+    assert len(H) < spectra._BLOCK_MIN_ORDER and not spectra._graded_mask(H[None])[0].any()
+    sol = bl.eigh(H, n_lowest=4)
+    err = np.abs(sol.values - schur_reference(H, 4))
+    assert np.max(err) > 1e-8  # the dense solve is far off
+    assert np.all(err <= sol.bounds)
 
 
 def test_orthonormal_complement_drops_zero_columns():
@@ -312,16 +402,17 @@ def test_orthonormal_complement_drops_zero_columns():
     assert np.max(np.abs(X.T @ Q)) <= 1e-12
 
 
-def test_iteration_cap_falls_back_to_dense(monkeypatch):
+def test_iteration_cap_falls_back_to_dense(monkeypatch, block_calls):
     lat = bl.new_lattice(np.eye(3))
     V = bl.synth_power_law(lat, t=2.1, gmax=1, seed=2, amplitude=5.0)
     H = bl.assemble(lat, V, lat.reciprocal @ np.array([0.1, 0.2, 0.3]), 300.0,
                     bl.kdependent_scheme()).entries
-    assert bl.eigh(H, n_lowest=4).residual_bound is not None  # block path by default
+    bl.eigh(H, n_lowest=4)
+    assert block_calls == [True]  # block path by default
     monkeypatch.setattr(spectra, "_BLOCK_MAX_ITER", 1)
     assert spectra._eigh_block(H, 4) is None
     capped = bl.eigh(H, n_lowest=4)
-    assert capped.residual_bound is None
+    assert block_calls[-1] is False
     assert np.array_equal(capped.values, np.linalg.eigvalsh(H)[:4])
 
 
@@ -336,6 +427,28 @@ def test_threads_bit_identical_on_block_path():
     serial = bl.compute_bands(lat, V, grid, 300.0, scheme, 4, threads=1)
     threaded = bl.compute_bands(lat, V, grid, 300.0, scheme, 4, threads=2)
     assert np.array_equal(serial.energies, threaded.energies)
+
+
+def test_values_only_solves_take_few_products(monkeypatch, block_calls):
+    """The cubic3d benchmark inputs (27 k, M 687-739, 4 bands): stopping on
+    the quadratic eigenvalue bound takes at most 7 table products H @ X per k
+    on average (8.5 with the residual stop alone)."""
+    lat = bl.new_lattice(np.eye(3))
+    V = bl.synth_power_law(lat, t=2.1, gmax=1, seed=1, amplitude=5.0)
+    scheme = bl.modified_scheme(bl.build_blowup(bl.BlowupSpec(m=1, p=1.5)))
+    grid = bl.uniform_grid(lat, 3)
+    products = []
+    apply = bl.FiberMatrix.apply
+
+    def counted(self, *args, **kwargs):
+        products.append(1)
+        return apply(self, *args, **kwargs)
+
+    monkeypatch.setattr(bl.FiberMatrix, "apply", counted)
+    bands = bl.compute_bands(lat, V, grid, 600.0, scheme, 4)
+    assert block_calls == [True] * len(grid)
+    assert len(products) / len(grid) <= 7.0
+    assert np.all(np.isfinite(bands.energies))
 
 
 def test_import_pulls_in_no_scipy():

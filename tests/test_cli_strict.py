@@ -76,6 +76,17 @@ def test_degenerate_ladder_is_config_error(tmp_path, capsys, command, extra, fie
     assert "Traceback" not in err and not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command, extra, field", [
+    ("cellscan", {"a_ladder": {"count": 2}}, "a_ladder.count"),
+    ("periodicity", {"k_samples": -1}, "k_samples"),
+    ("bands", {"path": {"nodes": BANDS["path"]["nodes"], "samples": 0}}, "path.samples"),
+])
+def test_out_of_range_count_names_its_field(tmp_path, capsys, command, extra, field):
+    code, err = run(tmp_path, command, BANDS | extra, capsys)
+    assert_config_error(code, err, field)
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("grid", ["4", 4.0, True])
 def test_grid_takes_only_an_integer(tmp_path, capsys, grid):
     cfg = {k: v for k, v in BANDS.items() if k != "path"} | {"grid": grid}

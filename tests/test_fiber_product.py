@@ -105,13 +105,13 @@ def cubic_fiber(k_fracs, Ec=400.0):
 
 
 @pytest.mark.parametrize("k_fracs", [[0.1, 0.2, 0.3], [[0.1, 0.2, 0.3], [1.1, 0.2, -0.7]]])
-def test_block_path_solves_a_fiber_without_its_dense_matrix(k_fracs):
+def test_block_path_solves_a_fiber_without_its_dense_matrix(k_fracs, block_calls):
     make = cubic_fiber(k_fracs)
     fib = make()
     n = len(fib)
     assert n >= max(spectra._BLOCK_MIN_ORDER, spectra._BLOCK_MIN_RATIO * (4 + spectra._BLOCK_GUARD))
     sol = bl.eigh(fib, n_lowest=4)
-    assert sol.residual_bound is not None and sol.residual_bound <= 1e-10  # block path
+    assert all(block_calls) and np.all(sol.bounds <= 1e-10)  # block path
     assert "entries" not in vars(fib) and fib.table is not None
     H = make().entries
     for got, member in zip(np.atleast_2d(sol.values), H.reshape(-1, n, n)):
@@ -120,11 +120,11 @@ def test_block_path_solves_a_fiber_without_its_dense_matrix(k_fracs):
         assert np.all(np.abs(got - np.linalg.eigvalsh(member)[:4]) <= 1e-10 * (1.0 + np.abs(got)))
 
 
-def test_iteration_cap_on_a_fiber_falls_back_to_its_dense_matrix(monkeypatch):
+def test_iteration_cap_on_a_fiber_falls_back_to_its_dense_matrix(monkeypatch, block_calls):
     make = cubic_fiber([0.1, 0.2, 0.3])
     monkeypatch.setattr(spectra, "_BLOCK_MAX_ITER", 1)
     fib = make()
     capped = bl.eigh(fib, n_lowest=4)
-    assert capped.residual_bound is None  # dense path
+    assert block_calls == [False]  # dense path
     assert "entries" in vars(fib) and fib.table is None
     assert np.array_equal(capped.values, np.linalg.eigvalsh(make().entries)[:4])

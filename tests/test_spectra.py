@@ -207,3 +207,23 @@ def test_bands_csv_roundtrip(tmp_path, lat1d, cosine):
     parsed = np.array([[float(v) for v in row] for row in rows[1:]])
     # 17 significant digits round-trip doubles exactly
     assert np.array_equal(parsed[:, 1:], bands.energies)
+
+
+def nan_coupled(M):
+    """diag(1, ..., M) with a nan coupling between the first two plane waves."""
+    H = np.diag(np.arange(1.0, M + 1.0))
+    H[0, 1] = H[1, 0] = np.nan
+    return H
+
+
+@pytest.mark.parametrize("want_vectors", [False, True])
+@pytest.mark.parametrize("M, n_lowest", [(3, None), (240, 4)])  # dense path; block path
+def test_non_finite_member_fails(M, n_lowest, want_vectors):
+    """A nan entry fails the solve, alone or in a stack, with or without
+    vectors: no nan values, and no finite bound next to them."""
+    H = nan_coupled(M)
+    with pytest.raises(bl.SolverFailure):
+        bl.eigh(H, n_lowest=n_lowest, want_vectors=want_vectors)
+    with pytest.raises(bl.SolverFailure):
+        bl.eigh(np.stack([np.diag(np.arange(1.0, M + 1.0)), H]), n_lowest=n_lowest,
+                want_vectors=want_vectors)

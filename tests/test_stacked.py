@@ -203,36 +203,39 @@ def test_stacked_eigh_with_vectors():
         assert sol.vectors.shape == (3, 30, n_lowest)
 
 
-def test_stacked_eigh_on_block_path_members():
+def test_stacked_eigh_on_block_path_members(block_calls):
     rng = np.random.default_rng(7)
     M = spectra._BLOCK_MIN_ORDER + 40
     stack = np.stack([block_member(rng, M, 40.0, complex) for _ in range(3)])
     sol = assert_members_equal(stack, 4)
-    assert sol.residual_bound is not None and sol.residual_bound <= 1e-10
+    assert block_calls == [True] * 6 and np.all(sol.bounds <= 1e-10)  # stack, then singles
 
 
 @pytest.mark.parametrize("dtype", [complex, float])
-def test_stacked_eigh_mixes_block_and_fallback_members(monkeypatch, dtype):
+def test_stacked_eigh_mixes_block_and_fallback_members(monkeypatch, block_calls, dtype):
     """A stack on the block path whose middle member falls back to the dense
-    route: every member still gets its own single-matrix result.  The outer
-    members converge in 11-12 block iterations, the middle one needs 26-33,
-    so a cap of 18 sends only the middle one to the dense route."""
+    route: every member still gets its own single-matrix result.  With
+    vectors the outer members converge in 11-12 block iterations and the
+    middle one needs 26-33; without, 7-8 and 16-20.  So a cap of 14 sends
+    only the middle one to the dense route, with or without vectors."""
     rng = np.random.default_rng(8)
     M = spectra._BLOCK_MIN_ORDER + 40
     stack = np.stack([block_member(rng, M, spread, dtype) for spread in (40.0, 4.0, 40.0)])
-    monkeypatch.setattr(spectra, "_BLOCK_MAX_ITER", 18)
-    assert [spectra._eigh_block(H, 4) is None for H in stack] == [False, True, False]
+    monkeypatch.setattr(spectra, "_BLOCK_MAX_ITER", 14)
+    for want_vectors in (True, False):
+        assert [spectra._eigh_block(H, 4, None, want_vectors) is None
+                for H in stack] == [False, True, False]
+    block_calls.clear()
     sol = assert_members_equal(stack, 4)
-    assert sol.residual_bound is None  # the fallback member has no residual without vectors
-    assert sol.bounds[0] <= 1e-10 and sol.bounds[2] <= 1e-10  # block residual bounds
+    assert block_calls == [True, False, True] * 2  # stack, then singles
+    assert sol.bounds[0] <= 1e-10 and sol.bounds[2] <= 1e-10  # block eigenvalue bounds
     sol = assert_members_equal(stack, 4, want_vectors=True)
-    assert sol.residual_bound is not None and sol.residual_bound <= 1e-10
+    assert sol.residual_bound <= 1e-10
 
 
-def test_each_member_reports_its_bound():
+def test_each_member_reports_its_bound(block_calls):
     """The grid2d k = 131 fiber, solved by a plain dense eigvalsh below the
-    split, cannot meet 1e-10; a split member can; a block member reports
-    its residual bound."""
+    split, cannot meet 1e-10; a split member can; so can a block member."""
     rng = np.random.default_rng(5)
     stack = grid2d_k131()
     stack[1] = graded_member(stack.shape[1], rng)
@@ -242,7 +245,7 @@ def test_each_member_reports_its_bound():
     for b in (0, 1):
         assert sol.bounds[b].tobytes() == bl.eigh(stack[b], n_lowest=4).bounds.tobytes()
     one = bl.eigh(block_member(rng, spectra._BLOCK_MIN_ORDER + 40, 40.0, complex), n_lowest=4)
-    assert one.residual_bound is not None and one.bounds == one.residual_bound  # block path
+    assert block_calls == [True] and one.bounds <= 1e-10  # block path
 
 
 def outcome(fn):
