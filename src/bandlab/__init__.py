@@ -50,7 +50,6 @@ from .lattice import (
 from .observables import (
     FermiLevel,
     GapInfo,
-    OccupationQuery,
     TruncationWarning,
     UnreachableFilling,
     fermi_level,
@@ -60,12 +59,9 @@ from .observables import (
 from .potential import (
     BrokenHermitianSymmetry,
     FourierPotential,
-    SobolevReport,
-    evaluate_real,
     load_potential,
     potential_from_coeffs,
     save_potential,
-    sobolev_norm,
     synth_power_law,
 )
 from .spectra import (

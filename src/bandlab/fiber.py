@@ -14,35 +14,42 @@ cutoff, and whenever x <= 1/2 the diagonal is written as the plain kinetic
 value itself: there Ec * G(x) = 0.5*|k+G|^2 exactly, and reusing the same
 float makes the restriction identity below hold to the bit.
 
-The potential block is kept as a row table on integer arrays.  The basis
-is an (M, d) int array of G-indices and the potential supplies, cached,
-the (n, d) index array and values of its Hermitian part 0.5 * (c[dG] +
-conj(c[-dG])).  A dense position table over the integer box holding every
-G_j + dG maps a coordinate to its basis index (-1 outside the basis); one
-lookup gives the (n, M) table of rows i with G_i = G_j + dG for the
-nonzero dG, and the mean value c[0] joins the kinetic diagonal.  Work and
-memory are O(n * M), never O(M^2 * d).
+A fiber keeps its basis, an (M, d) int array of G-indices, its real
+diagonal and the potential's couplings: the (n, d) nonzero differences dG
+that fit in the basis box, with the values 0.5 * (c[dG] + conj(c[-dG])) of
+the potential's cached Hermitian part.  The mean value c[0] joins the
+kinetic diagonal.  The two forms a solver uses are built from these on
+first access, each only on the route that needs it:
 
-From the table the fiber applies H to a block of vectors without forming
-it (FiberMatrix.apply), which is all the block eigensolver needs.  The
-dense matrix `entries` is built on first access, by one scatter that writes
-every hit of the table to entry (i, j), and the table is dropped then.  The
-result is bit-identical to summing the coefficients entry by entry and then
-forming 0.5 * (H + H^H): for fixed (i, j) only dG = G_i - G_j can hit, so H
-holds 0 + c at (i, j) and at (j, i), and the cached value is that same
-arithmetic.  A diagonal entry is written as the real number Re c[0] plus
-the kinetic value; the imaginary part of the Hermitian c[0] is
-0.5 * (y - y) = +0 for every finite coefficient.
+* `entries`, the dense matrix of the graded/dense route: one gather from a
+  dense box of the coefficients over every difference of two basis
+  G-indices.  The row-major linear index is linear, so entry (i, j) reads
+  the box at lin(G_i) - lin(G_j) plus the box center.  The result is
+  bit-identical to summing the coefficients entry by entry and then forming
+  0.5 * (H + H^H): for fixed (i, j) only dG = G_i - G_j can hit, so H holds
+  0 + c at (i, j) and at (j, i), and the cached value is that same
+  arithmetic.  A diagonal entry is written as the real number Re c[0] plus
+  the kinetic value; the imaginary part of the Hermitian c[0] is
+  0.5 * (y - y) = +0 for every finite coefficient.
+* `table`, the (n, M) rows i with G_i = G_j + dG_n (-1 outside the basis),
+  from one lookup in a dense position table over the integer box.  From it
+  FiberMatrix.apply computes H @ X without forming H, which is all the block
+  eigensolver needs.  Work and memory are O(n * M), never O(M^2).
+
+So the dense route never builds the table and the block path never builds
+the dense matrix.  When the block path gives up on a member, building
+`entries` drops the table, so a fiber never keeps both.
 
 A (B, d) stack of k-points whose bases have one size M is assembled in one
-pass: one G-box and one sort for the B bases, one table lookup with a table
-copy per member for the B potential tables, and one vectorized diagonal.
-A single k is the B = 1 case of the same code.
+pass: one basis enumeration for the B bases (compute_bands passes the
+bases it sliced from its one pass over the k-set instead) and one
+vectorized diagonal; each lazy form is then built for the B members at
+once.  A single k is the B = 1 case of the same code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -83,18 +90,16 @@ def modified_scheme(blowup: BlowupFunction) -> Scheme:
 @dataclass(frozen=True)
 class FiberMatrix:
     """The fiber matrix H at k, or at each k of a stack, kept as its real
-    diagonal and a row table of the potential's couplings; `entries` is the
-    dense matrix, built on first access."""
+    diagonal and the potential's couplings (dG, coeffs); the dense `entries`
+    and the row `table` are built on first access."""
 
     k: np.ndarray
     Ec: float
     coords: np.ndarray    # (M, d) int64 G-indices in deterministic order; (B, M, d) for a stack
     scheme: Scheme
     diagonal: np.ndarray  # (M,) real diagonal of H, kinetic (or blown-up) plus Re c[0]; (B, M)
-    coeffs: np.ndarray    # (n,) Hermitian coefficient values c_n of the table's nonzero dG_n
-    # (n, B, M) rows: table[n, b, j] is the i with G_i = G_j + dG_n in member b,
-    # -1 where there is none; None once `entries` has been built from it
-    table: np.ndarray | None = field(repr=False)
+    dG: np.ndarray        # (n, d) nonzero differences G_i - G_j that fit in the basis box
+    coeffs: np.ndarray    # (n,) Hermitian coefficient values c_n of the dG_n
 
     @property
     def basis(self) -> list:
@@ -111,29 +116,45 @@ class FiberMatrix:
     def __len__(self) -> int:
         return self.coords.shape[-2]
 
+    def _stack(self) -> np.ndarray:
+        return self.coords.reshape(-1, len(self), self.coords.shape[-1])
+
     @cached_property
     def entries(self) -> np.ndarray:
         """The dense (M, M) complex Hermitian matrix; (B, M, M) for a stack.
 
-        Built on first access by one scatter.  The table turns, in place,
-        into the flat positions of its hits and is dropped before the matrix
-        is allocated, so a fiber never holds both.
+        Built on first access by one gather from a dense box of coefficients
+        over every difference of two G-indices of the basis: the row-major
+        linear index is linear, so entry (i, j) reads the box at
+        lin(G_i) - lin(G_j) + lin(center).  A `table` built before is
+        dropped, so a fiber does not keep both.
         """
-        B, M = self.table.shape[1:]
-        rows = self.table
-        hit = rows >= 0
-        rows += M * np.arange(B)[:, None]
-        rows *= M
-        rows += np.arange(M)
-        where, values = rows[hit], np.broadcast_to(self.coeffs[:, None, None], rows.shape)[hit]
-        object.__setattr__(self, "table", None)
-        del rows, hit
-        # each (i, j) has one difference G_i - G_j; an entry no dG reaches
-        # keeps its 0, which is what 0.5 * (0 + conj(0)) gives
-        H = np.zeros((B, M, M), dtype=complex)
-        H.reshape(-1)[where] = values
+        coords = self._stack()
+        B, M = coords.shape[:2]
+        span = coords.max(axis=(0, 1)) - coords.min(axis=(0, 1))
+        strides = np.cumprod(np.r_[1, 2 * span[:0:-1] + 1])[::-1]  # row-major
+        center = span @ strides
+        # each (i, j) has one difference G_i - G_j; one no dG reaches keeps
+        # its 0, which is what 0.5 * (0 + conj(0)) gives
+        box = np.zeros(int(np.prod(2 * span + 1)), dtype=complex)
+        box[self.dG @ strides + center] = self.coeffs
+        lin = coords @ strides
+        index = lin[:, :, None] - lin[:, None, :]
+        index += center
+        H = box[index]
         H.reshape(B, M * M)[:, :: M + 1] = self.diagonal.reshape(B, M)
+        vars(self).pop("table", None)
         return H if self.coords.ndim == 3 else H[0]
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """(n, B, M) rows: table[n, b, j] is the i with G_i = G_j + dG_n in
+        member b, -1 where there is none.  Built on first access, which is
+        the first `apply`."""
+        coords = self._stack()
+        if not len(self.dG):
+            return np.empty((0,) + coords.shape[:2], dtype=np.intp)
+        return _rows(coords, coords, self.dG)
 
     def apply(self, X: np.ndarray, member: int = 0) -> np.ndarray:
         """H @ X for one member of the fiber (0 for a single k), X of shape (M,) or (M, r).
@@ -143,7 +164,7 @@ class FiberMatrix:
         Work is O(n * M * r) and memory O(M * r).  Once `entries` exists,
         its dense product.
         """
-        if self.table is None:
+        if "entries" in vars(self):
             return self.entries.reshape(-1, len(self), len(self))[member] @ X
         X = np.asarray(X)
         diag = self.diagonal.reshape(-1, len(self))[member]
@@ -178,19 +199,22 @@ def _rows(basis: np.ndarray, points: np.ndarray, shifts: np.ndarray) -> np.ndarr
     return table[((points - lo) @ strides + offset)[None] + (shifts @ strides)[:, None, None]]
 
 
-def assemble(lat: Lattice, V: FourierPotential, k, Ec: float, scheme: Scheme) -> FiberMatrix:
+def assemble(lat: Lattice, V: FourierPotential, k, Ec: float, scheme: Scheme, *,
+             _basis: np.ndarray | None = None) -> FiberMatrix:
     """Fiber matrix at k for the given scheme and cutoff.
 
     k may also be a (B, d) stack of points whose bases all hold M plane
     waves.  The result then has (B, M, d) coords, a (B, M) diagonal and
-    (B, M, M) entries, built from one basis pass, one table lookup and one
-    diagonal pass; a single k is the B = 1 case, and every member equals its
-    own single-k matrix to the bit.
+    (B, M, M) entries, built from one basis pass and one diagonal pass; a
+    single k is the B = 1 case, and every member equals its own single-k
+    matrix to the bit.  `_basis`, the (B, M, d) bases of the points when
+    the caller has enumerated them already (compute_bands), skips that pass.
     """
     k = np.zeros(lat.dim) if k is None else np.asarray(k, dtype=float)
     ks = k.reshape(-1, lat.dim)
-    coords = _basis_coords(lat, k, Ec, scheme.basis_mode).reshape(len(ks), -1, lat.dim)
-    B, M = coords.shape[:2]
+    if _basis is None:
+        _basis = _basis_coords(lat, k, Ec, scheme.basis_mode)
+    coords = _basis.reshape(len(ks), -1, lat.dim)
 
     kin = kinetic_values(lat, ks[:, None, :], coords)  # (B, M)
     if scheme.tag == "modified":
@@ -210,12 +234,10 @@ def assemble(lat: Lattice, V: FourierPotential, k, Ec: float, scheme: Scheme) ->
         # in the middle; c[0] couples each plane wave to itself
         near[len(dG) // 2] = False
         diag = c[len(dG) // 2].real + diag
-    table = (_rows(coords, coords, dG[near]) if near.any()
-             else np.empty((0, B, M), dtype=np.intp))
     if k.ndim < 2:
         coords, diag = coords[0], diag[0]
     return FiberMatrix(k=k, Ec=float(Ec), coords=coords, scheme=scheme, diagonal=diag,
-                       coeffs=c[near], table=table)
+                       dG=dG[near], coeffs=c[near])
 
 
 _CHECK_BLOWUP = BlowupSpec(m=1, p=1.5, C=1.0)

@@ -115,34 +115,66 @@ def _gbox(lat: Lattice, Ec: float, kmax: float) -> tuple[np.ndarray, np.ndarray]
     return coords, coords @ lat.reciprocal.T
 
 
+def _kinetic_chunks(gvecs: np.ndarray, points: np.ndarray):
+    """0.5*|k+G|^2 for every k of the (P, d) points and every G of the (N, d)
+    Cartesian box vectors, yielded as (lo, kinetic), kinetic the (step, N)
+    values of points[lo:lo + step].
+
+    Each value is the same elementwise arithmetic on the box's G vector,
+    whatever the chunk, so a basis does not depend on the points beside it.
+    """
+    step = max(1, 2**14 // gvecs.shape[0])  # bounds the (step, N, d) temporary
+    for lo in range(0, points.shape[0], step):
+        shifted = gvecs + points[lo:lo + step, None, :]
+        shifted **= 2
+        yield lo, 0.5 * np.sum(shifted, axis=2)
+
+
+def _bases(lat: Lattice, Ec: float, points: np.ndarray):
+    """The k-dependent basis of each of the (P, d) points, from one G-box and
+    one sort: (box, rows, sizes).
+
+    box holds the (N, d) int64 G-indices of the box and sizes the (P,) basis
+    sizes, 0 for an empty basis.  rows holds the int32 box rows of every
+    basis, point after point, each basis in enumerate_basis order: by kinetic
+    value, then by G-index, which is the order of the box rows.
+    """
+    if Ec <= 0:
+        raise EmptyBasis(f"cutoff Ec={Ec:g} selects no plane wave")
+    # the box has at least 3^d rows, so for d > 1 its G vectors always come
+    # from BLAS's matrix-matrix product, never the matrix-vector one that
+    # rounds differently, and a G gets the same vector in every box
+    box, gvecs = _gbox(lat, Ec, np.linalg.norm(points, axis=1).max())
+    member, where, kin = [], [], []
+    for lo, kinetic in _kinetic_chunks(gvecs, points):
+        m, n = np.nonzero(kinetic < Ec)
+        member.append(m + lo)
+        where.append(n)
+        kin.append(kinetic[m, n])
+    member, where, kin = (np.concatenate(a) for a in (member, where, kin))
+    # nonzero lists each point's rows in box order, which the stable sort
+    # keeps among equal kinetic values
+    rows = where[np.lexsort((kin, member))].astype(np.int32)
+    return box, rows, np.bincount(member, minlength=points.shape[0])
+
+
 def _basis_coords(lat: Lattice, k, Ec: float, mode: str = "kdependent") -> np.ndarray:
     """The basis of enumerate_basis as an (M, d) int64 array, in the same order.
 
     k may also be a (B, d) stack of points whose bases all hold M plane waves;
-    the result is then (B, M, d), from one G-box and one sort with the member
-    index as the primary key, each member equal to its single-k basis.
+    the result is then (B, M, d), each member equal to its single-k basis.
     """
     if mode not in ("uniform", "kdependent"):
         raise ValueError(f"unknown basis mode {mode!r}")
-    if Ec <= 0:
-        raise EmptyBasis(f"cutoff Ec={Ec:g} selects no plane wave")
     k = np.zeros(lat.dim) if k is None else np.asarray(k, dtype=float)
     ks = k.reshape(-1, lat.dim)
-    coords, gvecs = _gbox(lat, Ec, np.linalg.norm(ks, axis=1).max())
-    shift = ks if mode == "kdependent" else np.zeros_like(ks)
-    kinetic = 0.5 * np.sum((gvecs + shift[:, None, :]) ** 2, axis=2)  # (B, box)
-    keep = kinetic < Ec
-    counts = np.count_nonzero(keep, axis=1)
+    box, rows, counts = _bases(lat, Ec, ks if mode == "kdependent" else np.zeros_like(ks))
     if not counts.all():
         empty = k if k.ndim < 2 else k[np.argmin(counts)]
         raise EmptyBasis(f"no plane wave below Ec={Ec:g} at k={empty}")
     if np.any(counts != counts[0]):
         raise ValueError(f"the bases of a k stack differ in size: {sorted(set(counts.tolist()))}")
-    member, box = np.nonzero(keep)
-    coords, kinetic = coords[box], kinetic[member, box]
-    # primary key the member, then kinetic, then the integer coordinates left to right
-    keys = tuple(coords[:, i] for i in reversed(range(lat.dim))) + (kinetic, member)
-    coords = coords[np.lexsort(keys)]
+    coords = box[rows]
     return coords if k.ndim < 2 else coords.reshape(ks.shape[0], counts[0], lat.dim)
 
 
@@ -167,18 +199,14 @@ def kinetic_values(lat: Lattice, k, basis) -> np.ndarray:
 
 def _basis_sizes(lat: Lattice, Ec: float, points) -> np.ndarray:
     """k-dependent basis size at each of the (P, d) points, 0 for an empty
-    basis: the row counts of _basis_coords, from one G-box for all points."""
+    basis: the sizes of _bases, counted without the sort."""
     points = np.asarray(points, dtype=float).reshape(-1, lat.dim)
     counts = np.zeros(points.shape[0], dtype=np.int64)
     if Ec <= 0 or points.shape[0] == 0:
         return counts
     _, gvecs = _gbox(lat, Ec, np.linalg.norm(points, axis=1).max())
-    step = max(1, 2**14 // gvecs.shape[0])  # bounds the (step, N, d) temporary
-    for lo in range(0, points.shape[0], step):
-        shifted = gvecs + points[lo:lo + step, None, :]
-        shifted **= 2
-        kinetic = 0.5 * np.sum(shifted, axis=2)
-        counts[lo:lo + step] = np.count_nonzero(kinetic < Ec, axis=1)
+    for lo, kinetic in _kinetic_chunks(gvecs, points):
+        counts[lo:lo + kinetic.shape[0]] = np.count_nonzero(kinetic < Ec, axis=1)
     return counts
 
 

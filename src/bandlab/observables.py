@@ -24,18 +24,6 @@ class UnreachableFilling(ValueError):
 
 
 @dataclass(frozen=True)
-class OccupationQuery:
-    """A chemical potential paired with the electron count it should carry."""
-
-    mu: float
-    n_electrons: float
-
-    def __post_init__(self):
-        if self.n_electrons <= 0:
-            raise ValueError("n_electrons must be positive")
-
-
-@dataclass(frozen=True)
 class GapInfo:
     lower: float
     upper: float

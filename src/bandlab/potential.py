@@ -4,11 +4,10 @@ A potential is stored as a sparse map from integer G-indices to complex
 coefficients; `coeff_indices` and `coeff_values` give the same map as an
 (n_coef, d) int64 array and an (n_coef,) complex array, built once per
 potential and shared by every k of a run; `hermitian_coeffs` gives the
-Hermitian part that the fiber assembly scatters.  The stored numbers are the
+Hermitian part that the fiber assembly reads.  The stored numbers are the
 matrix-element coefficients of the multiplication operator between
 normalized plane waves: the fiber assembly reads entry (G', G) directly as
-coeffs[G' - G], with no extra volume factor.
-The real-space diagnostic evaluation uses the matching expansion
+coeffs[G' - G], with no extra volume factor.  In real space they expand
 V(x) = sum_G coeffs[G] * e_G(x) with e_G(x) = |cell|^(-1/2) exp(i G.x).
 """
 
@@ -141,44 +140,6 @@ def synth_power_law(lat: Lattice, t: float, gmax: int, seed: int,
         entries.append((n, c))
         entries.append((tuple(-v for v in n), np.conj(c)))
     return potential_from_coeffs(lat, entries, real_valued=True)
-
-
-def evaluate_real(V: FourierPotential, x):
-    """Real-space value(s) sum_G coeffs[G] e_G(x), e_G = |cell|^(-1/2) e^(iG.x).
-
-    Accepts a single point (scalar in 1D, length-d vector otherwise) or an
-    (n, d) batch.  Real-valued potentials give the real part (exact up to
-    rounding); others keep the complex value.
-    """
-    d = V.lattice.dim
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 0 or (x.ndim == 1 and d > 1)
-    pts = x.reshape(-1, d)
-    gs = V.coeff_indices @ V.lattice.reciprocal.T
-    phases = np.exp(1j * pts @ gs.T)
-    vals = (phases @ V.coeff_values) / np.sqrt(V.lattice.cell_volume)
-    if V.real_valued:
-        vals = vals.real
-        return float(vals[0]) if single else vals
-    return complex(vals[0]) if single else vals
-
-
-@dataclass(frozen=True)
-class SobolevReport:
-    s: float
-    norm: float
-
-
-def sobolev_norm(V: FourierPotential, s: float) -> SobolevReport:
-    """Discrete H^s norm sqrt(sum (1+|G|^2)^s |coeff|^2) over stored modes.
-
-    |G| is the physical reciprocal-space norm, so the report depends on the
-    lattice geometry, not just the integer indices.
-    """
-    gs = V.coeff_indices @ V.lattice.reciprocal.T
-    cs = np.abs(V.coeff_values)
-    weights = (1.0 + np.sum(gs**2, axis=1)) ** s
-    return SobolevReport(s=float(s), norm=float(np.sqrt(np.sum(weights * cs**2))))
 
 
 def potential_from_dict(payload: dict) -> FourierPotential:

@@ -49,7 +49,7 @@ from pathlib import Path
 import numpy as np
 
 from .fiber import FiberMatrix, Scheme, assemble
-from .lattice import KPointSet, Lattice, _basis_coords, _basis_sizes, digest_of
+from .lattice import KPointSet, Lattice, _basis_coords, _bases, digest_of
 from .potential import FourierPotential
 
 
@@ -225,7 +225,8 @@ def _graded_mask(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # is nan for a non-finite h, so top is not finite exactly when an entry
     # is not; fmax, like max(1.0, nan), skips a nan
     off = np.abs(stack)
-    off.reshape(B, M * M)[:, :: M + 1] = np.abs(d - d)
+    with np.errstate(invalid="ignore"):  # inf - inf is the intended nan
+        off.reshape(B, M * M)[:, :: M + 1] = np.abs(d - d)
     top = off.max(axis=(1, 2))
     scale = np.fmax(1.0, top)
     steep = d > _GRADED_RATIO * scale[:, None]
@@ -461,9 +462,10 @@ def compute_bands(lat: Lattice, V: FourierPotential, kset: KPointSet, Ec: float,
         raise ValueError("the k-point set is empty")
     points = kset.points
     energies = np.empty((len(kset), n_bands))
-    # the uniform basis is the k-dependent one at k = 0, for every k
-    sizes = _basis_sizes(lat, Ec, points if scheme.basis_mode == "kdependent"
-                         else np.zeros_like(points))
+    # every basis from one pass; the uniform basis is the k-dependent one at
+    # k = 0, for every k
+    box, rows, sizes = _bases(lat, Ec, points if scheme.basis_mode == "kdependent"
+                              else np.zeros_like(points))
     short = np.flatnonzero(sizes < n_bands)
     if short.size:
         k = points[short[0]]
@@ -473,9 +475,12 @@ def compute_bands(lat: Lattice, V: FourierPotential, kset: KPointSet, Ec: float,
             f"{n_bands} bands requested but only {sizes[short[0]]} plane waves "
             f"at k={k} (Ec={Ec:g})"
         )
+    starts = np.cumsum(sizes) - sizes
 
     def solve(idx: np.ndarray) -> None:
-        energies[idx] = eigh(assemble(lat, V, points[idx], Ec, scheme), n_lowest=n_bands).values
+        basis = box[rows[starts[idx, None] + np.arange(sizes[idx[0]])]]
+        fib = assemble(lat, V, points[idx], Ec, scheme, _basis=basis)
+        energies[idx] = eigh(fib, n_lowest=n_bands).values
 
     chunks = _chunks(sizes, V.hermitian_coeffs[0].shape[0])
     if threads > 1:

@@ -1,9 +1,9 @@
-"""Property tests: the array scatter of fiber.assemble against the entry-by-entry sum.
+"""Property tests: the dense matrix of fiber.assemble against the entry-by-entry sum.
 
 The oracle below is the dictionary double loop the library used before the
-potential block became one integer-array scatter.  Both must give the same
-basis and the same matrix, bit for bit, on random lattices, potentials,
-k-points, cutoffs and schemes.
+potential block became integer-array code.  Both must give the same basis
+and the same matrix, bit for bit, on random lattices, potentials, k-points,
+cutoffs and schemes, for a single k and for each member of a (B, d) stack.
 """
 
 import numpy as np
@@ -116,6 +116,37 @@ def test_scatter_matches_entrywise_sum(case):
     assert all(type(c) is int for g in fib.basis for c in g)
     assert np.array_equal(fib.entries, H)
     assert fib.entries.tobytes() == H.tobytes()
+
+
+@st.composite
+def stacked_cases(draw):
+    """cases() with a (B, d) stack of k: the drawn k, copies shifted by
+    reciprocal vectors (equal basis size) and other random points."""
+    lat, V, k, Ec, scheme = draw(cases())
+    d = lat.dim
+    shifts = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=1, max_size=3))
+    fracs = draw(st.lists(st.floats(-1.0, 1.0), min_size=0, max_size=3 * d))
+    others = np.array(fracs[: len(fracs) // d * d]).reshape(-1, d) @ lat.reciprocal.T
+    points = np.vstack([k, k + np.array(shifts) @ lat.reciprocal.T, others])
+    return lat, V, points, Ec, scheme
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacked_cases())
+def test_stacked_gather_matches_entrywise_sum(case):
+    lat, V, points, Ec, scheme = case
+    sizes = bl.lattice._basis_sizes(lat, Ec, np.zeros_like(points) if scheme.tag == "uniform"
+                                    else points)
+    members = np.flatnonzero(sizes == sizes[0])
+    if sizes[0] == 0:
+        with pytest.raises(bl.EmptyBasis):
+            bl.assemble(lat, V, points[members], Ec, scheme)
+        return
+    fib = bl.assemble(lat, V, points[members], Ec, scheme)
+    for b, i in enumerate(members):
+        basis, H = oracle(lat, V, points[i], Ec, scheme)
+        assert list(map(tuple, fib.coords[b].tolist())) == basis
+        assert fib.entries[b].tobytes() == H.tobytes()  # signed zeros too
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,8 +1,12 @@
-"""Property tests: lattice._basis_sizes against one _basis_coords call per k.
+"""Property tests: the basis sizes and the one basis pass of compute_bands
+against one enumeration per k.
 
-The oracle is the per-point loop that the rank-flip scans, the regularity
-probe and basis_cardinality_bounds used before the vectorized counter; an
-empty basis counts 0.  Cutoffs are drawn at random and also exactly at a
+The oracle of lattice._basis_sizes is the per-point loop that the rank-flip
+scans, the regularity probe and basis_cardinality_bounds used before the
+vectorized counter; an empty basis counts 0.  The bases that compute_bands
+slices from its one pass over the k-set must equal enumerate_basis at each
+k, element for element, although that pass reads every k from one G-box
+sized for the whole set.  Cutoffs are drawn at random and also exactly at a
 kinetic value 0.5*|k+G|^2, where the strict cutoff inequality decides.
 """
 
@@ -10,6 +14,7 @@ import numpy as np
 import pytest
 
 import bandlab as bl
+from bandlab import spectra
 from bandlab.lattice import _basis_coords, _basis_sizes
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -73,3 +78,48 @@ def test_basis_sizes_nonpositive_cutoff(lat1d):
     points = np.array([[0.0], [1.0]])
     assert np.array_equal(_basis_sizes(lat1d, 0.0, points), [0, 0])
     assert np.array_equal(_basis_sizes(lat1d, -3.0, points), [0, 0])
+
+
+@st.composite
+def ksets(draw):
+    """cases() with both basis modes and, at times, copies of a point
+    shifted by reciprocal vectors, some far out (a larger G-box)."""
+    lat, Ec, points = draw(cases())
+    d = lat.dim
+    shifts = draw(st.lists(st.tuples(*[st.integers(-6, 6)] * d), max_size=3))
+    if shifts:
+        points = np.vstack([points, points[0] + np.array(shifts) @ lat.reciprocal.T])
+    return lat, Ec, points, draw(st.sampled_from(["uniform", "kdependent"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ksets())
+def test_one_pass_bases_match_enumerate_basis(case):
+    lat, Ec, points, mode = case
+    want = []
+    for k in points:
+        try:
+            want.append(bl.enumerate_basis(lat, k, Ec, mode))
+        except bl.EmptyBasis:
+            want.append(None)
+    got = {}
+    assemble = spectra.assemble
+
+    def recorded(lat, V, k, Ec, scheme, *, _basis):
+        for kb, basis in zip(k, _basis):
+            got.setdefault(kb.tobytes(), []).append(list(map(tuple, basis.tolist())))
+        return assemble(lat, V, k, Ec, scheme, _basis=_basis)
+
+    scheme = bl.kdependent_scheme() if mode == "kdependent" else bl.uniform_scheme()
+    V = bl.potential_from_coeffs(lat, [])
+    kset = bl.KPointSet(points=points, kind="path")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectra, "assemble", recorded)
+        if any(basis is None for basis in want):
+            with pytest.raises(bl.EmptyBasis):
+                bl.compute_bands(lat, V, kset, Ec, scheme, 1)
+            return
+        bl.compute_bands(lat, V, kset, Ec, scheme, 1)
+    for k, basis in zip(points, want):
+        assert got[k.tobytes()][0] == basis
+    assert sum(map(len, got.values())) == len(points)

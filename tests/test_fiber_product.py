@@ -1,10 +1,11 @@
 """FiberMatrix.apply, the table product behind the block eigensolver, and the
-dense `entries` built on demand.
+lazy forms of a fiber: the row table and the dense `entries`.
 
 The product is checked against the dense matrix on random lattices,
-potentials, schemes and stacks; the block path is checked to solve a
-FiberMatrix without building its dense matrix, and to build it for the
-dense fallback.
+potentials, schemes and stacks.  Each route builds only the form it needs:
+the dense route never builds the table, the block path never builds the
+dense matrix, and the dense fallback after the block path keeps only the
+dense matrix.
 """
 
 import numpy as np
@@ -87,11 +88,15 @@ def test_zero_potential_product_is_the_diagonal(lat1d, zero):
 
 
 def test_entries_built_once_and_then_used_by_the_product(lat1d, cosine):
+    """The dense route builds `entries` once and never the row table."""
     fib = bl.assemble(lat1d, cosine, [0.3], 200.0, bl.kdependent_scheme())
-    X = np.random.default_rng(1).normal(size=(len(fib), 3))
+    sol = bl.eigh(fib, n_lowest=3)
+    assert "entries" in vars(fib) and "table" not in vars(fib)
     H = fib.entries
-    assert fib.table is None and fib.entries is H  # the table is not kept beside H
-    assert np.array_equal(fib.apply(X), H @ X)
+    assert fib.entries is H and np.array_equal(sol.values, np.linalg.eigvalsh(H)[:3])
+    X = np.random.default_rng(1).normal(size=(len(fib), 3))
+    assert np.array_equal(fib.apply(X), H @ X)  # the dense product, with no table built
+    assert "table" not in vars(fib)
 
 
 def cubic_fiber(k_fracs, Ec=400.0):
@@ -112,7 +117,7 @@ def test_block_path_solves_a_fiber_without_its_dense_matrix(k_fracs, block_calls
     assert n >= max(spectra._BLOCK_MIN_ORDER, spectra._BLOCK_MIN_RATIO * (4 + spectra._BLOCK_GUARD))
     sol = bl.eigh(fib, n_lowest=4)
     assert all(block_calls) and np.all(sol.bounds <= 1e-10)  # block path
-    assert "entries" not in vars(fib) and fib.table is not None
+    assert "entries" not in vars(fib) and "table" in vars(fib)
     H = make().entries
     for got, member in zip(np.atleast_2d(sol.values), H.reshape(-1, n, n)):
         want = bl.eigh(member, n_lowest=4).values
@@ -126,5 +131,5 @@ def test_iteration_cap_on_a_fiber_falls_back_to_its_dense_matrix(monkeypatch, bl
     fib = make()
     capped = bl.eigh(fib, n_lowest=4)
     assert block_calls == [False]  # dense path
-    assert "entries" in vars(fib) and fib.table is None
+    assert "entries" in vars(fib) and "table" not in vars(fib)  # built for the block, then dropped
     assert np.array_equal(capped.values, np.linalg.eigvalsh(make().entries)[:4])

@@ -129,13 +129,6 @@ def test_fermi_level_positive_count(cosine_bands):
         bl.fermi_level(cosine_bands, 0.0)
 
 
-def test_occupation_query_validation():
-    q = bl.OccupationQuery(mu=1.0, n_electrons=2.0)
-    assert q.mu == 1.0
-    with pytest.raises(ValueError):
-        bl.OccupationQuery(mu=1.0, n_electrons=0.0)
-
-
 def test_fermi_level_converges_with_cutoff(lat1d, cosine, blowup_std):
     """Both discrete Fermi levels approach the reference level as the
     cutoff grows."""

@@ -6,14 +6,6 @@ import bandlab as bl
 
 def test_zero_potential(lat1d, zero):
     assert zero.coeffs == {}
-    assert bl.evaluate_real(zero, 0.37) == 0.0
-
-
-def test_cosine_value_and_periodicity(lat1d, cosine):
-    assert bl.evaluate_real(cosine, 0.0) == pytest.approx(2.0, abs=1e-14)
-    for x in (0.37, -1.21, 0.5):
-        assert bl.evaluate_real(cosine, x) == pytest.approx(
-            bl.evaluate_real(cosine, x + 1.0), abs=1e-12)
 
 
 def test_broken_hermitian_symmetry(lat1d):
@@ -24,23 +16,6 @@ def test_broken_hermitian_symmetry(lat1d):
 def test_duplicate_entries_summed(lat1d, cosine):
     V = bl.potential_from_coeffs(lat1d, [((1,), 0.5), ((1,), 0.5), ((-1,), 1.0)])
     assert V.coeffs == cosine.coeffs
-
-
-def test_complex_potential_returns_complex(lat1d):
-    V = bl.potential_from_coeffs(lat1d, [((1,), 1.0)], real_valued=False)
-    val = bl.evaluate_real(V, 0.25)
-    assert isinstance(val, complex)
-    assert val == pytest.approx(1j, abs=1e-14)
-
-
-def test_real_valuedness_on_grid(lat1d):
-    # Hermitian data carried through the complex path: imag stays at rounding
-    entries = [((1,), 0.3 + 0.4j), ((-1,), 0.3 - 0.4j), ((2,), -0.1), ((-2,), -0.1)]
-    V = bl.potential_from_coeffs(lat1d, entries, real_valued=False)
-    xs = np.linspace(0.0, 1.0, 101)[:, None]
-    vals = bl.evaluate_real(V, xs)
-    bound = 1e-12 * sum(abs(c) for c in V.coeffs.values())
-    assert np.max(np.abs(vals.imag)) <= bound
 
 
 def test_synth_deterministic(lat1d):
@@ -67,42 +42,6 @@ def test_synth_empty_box(lat1d):
 def test_synth_needs_summable_tail(lat1d):
     with pytest.raises(ValueError):
         bl.synth_power_law(lat1d, t=0.5, gmax=3, seed=1)
-
-
-def test_sobolev_zero(zero):
-    assert bl.sobolev_norm(zero, 1.3).norm == 0.0
-
-
-def test_sobolev_single_coefficient(lat1d):
-    V = bl.potential_from_coeffs(lat1d, [((2,), 3j)], real_valued=False)
-    g = 2 * 2 * np.pi
-    assert bl.sobolev_norm(V, 0.7).norm == pytest.approx(
-        3.0 * (1.0 + g**2) ** 0.35, rel=1e-14)
-
-
-def test_sobolev_parseval(lat1d):
-    V = bl.synth_power_law(lat1d, t=2.0, gmax=4, seed=3)
-    l2 = np.sqrt(sum(abs(c) ** 2 for c in V.coeffs.values()))
-    assert bl.sobolev_norm(V, 0.0).norm == pytest.approx(l2, rel=1e-14)
-
-
-def test_sobolev_monotone_in_s(lat1d):
-    V = bl.synth_power_law(lat1d, t=2.0, gmax=6, seed=3)
-    assert bl.sobolev_norm(V, 1.0).norm < bl.sobolev_norm(V, 1.4).norm
-
-
-def test_sobolev_growth_separates_orders(lat1d):
-    """t=1.6 coefficients lie in H^s exactly for s < 1.1: the partial sums
-    at s=1.0 flatten out while the s=1.2 sums keep accelerating."""
-    gmaxes = [2**j for j in range(4, 11)]
-    norms = {s: [bl.sobolev_norm(bl.synth_power_law(lat1d, t=1.6, gmax=g, seed=1), s).norm
-                 for g in gmaxes] for s in (1.0, 1.2)}
-    inc_10 = np.diff(norms[1.0])
-    inc_12 = np.diff(norms[1.2])
-    assert np.all(np.diff(inc_10) < 0)        # convergent: shrinking increments
-    assert np.all(np.diff(inc_12) > 0)        # divergent: growing increments
-    assert norms[1.0][-1] / norms[1.0][3] < 1.1
-    assert norms[1.2][-1] / norms[1.2][3] > 1.3
 
 
 def test_save_load_roundtrip(tmp_path, lat1d):

@@ -9,6 +9,10 @@
 * The k-dependent bases are nested in the cutoff, so the fiber matrix at
   Ec1 is a principal submatrix of the one at Ec2 > Ec1, and by Cauchy
   interlacing E_n(k; Ec2) <= E_n(k; Ec1).
+* Restriction identity: every plane wave with 0.5*|k+G|^2 < Ec has blow-up
+  argument below 1/2 at cutoff 4 Ec, where the modified dispersion is the
+  plain kinetic value, so the 4 Ec modified matrix restricted to the Ec
+  basis is the k-dependent matrix at Ec, bit for bit.
 
 Each comparison allows the eigenvalue bounds the two solves report.
 """
@@ -140,3 +144,45 @@ def test_kdependent_bands_decrease_with_the_cutoff(case):
     n = min(n_bands, len(small))
     coarse, fine = bl.eigh(small, n_lowest=n), bl.eigh(large, n_lowest=n)
     assert np.all(fine.values <= coarse.values + tolerance(len(large), coarse, fine))
+
+
+@st.composite
+def restriction_cases(draw):
+    """A random 1-3D lattice, a complex potential with coefficients some of
+    which reach beyond either basis box, a random k and cutoff, and a
+    blow-up spec (not every one builds)."""
+    d = draw(st.integers(1, 3))
+    prim = np.eye(d) * draw(st.floats(0.8, 1.3))
+    for i in range(d):
+        for j in range(d):
+            if i != j:
+                prim[i, j] = draw(st.floats(-0.3, 0.3))
+    lat = bl.new_lattice(prim)
+    finite = st.floats(-5.0, 5.0, allow_nan=False)
+    gidx = st.tuples(*[st.integers(-12, 12)] * d)
+    raw = draw(st.dictionaries(gidx, st.builds(complex, finite, finite), max_size=12))
+    V = bl.potential_from_coeffs(lat, list(raw.items()), real_valued=False)
+    k = lat.reciprocal @ np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)))
+    Ec = draw(st.floats(0.5, {1: 100.0, 2: 40.0, 3: 15.0}[d]))
+    m = draw(st.integers(0, 3))
+    spec = bl.BlowupSpec(m=m, p=draw(st.floats(m, m + 3.0, exclude_min=True)),
+                         C=draw(st.sampled_from([None, 1.0, 4.0])), a=draw(st.floats(0.55, 0.95)))
+    return lat, V, k, Ec, spec
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(restriction_cases())
+def test_modified_matrix_restricts_to_the_kdependent_one(case):
+    lat, V, k, Ec, spec = case
+    try:
+        fn = bl.build_blowup(spec)
+    except (bl.DominationViolated, bl.IllPosedSpec):
+        hypothesis.assume(False)
+    try:
+        inner = bl.assemble(lat, V, k, Ec, bl.kdependent_scheme())
+    except bl.EmptyBasis:
+        hypothesis.assume(False)
+    big = bl.assemble(lat, V, k, 4.0 * Ec, bl.modified_scheme(fn))
+    rows = {g: i for i, g in enumerate(big.basis)}
+    idx = [rows[g] for g in inner.basis]  # the inner basis lies in the outer one
+    assert big.entries[np.ix_(idx, idx)].tobytes() == inner.entries.tobytes()
