@@ -5,12 +5,13 @@
 * block   : order M >= _BLOCK_MIN_ORDER (measured crossover, 200) and few
             bands, i.e. n_lowest + _BLOCK_GUARD <= M // _BLOCK_MIN_RATIO (at
             M = 377, 701 and 1085 block and dense take the same time when
-            the block holds about M / 16 vectors).  A numpy LOBPCG (Knyazev,
-            SIAM J. Sci. Comput. 23, 2001) with the diagonal preconditioner
-            1 / (|diag(H) - theta| + 1).  It only multiplies H by thin
-            blocks, so H is never copied, and it is accurate on graded
-            matrices too: a blown-up diagonal entry D enters the low bands
-            only through |B|^2 / D.
+            the block holds about M / 16 vectors); _tries_block is that
+            test, for eigh and for the stacks of compute_bands alike.  A
+            numpy LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) with the
+            diagonal preconditioner 1 / (|diag(H) - theta| + 1).  It only
+            multiplies H by thin blocks, so H is never copied, and it is
+            accurate on graded matrices too: a blown-up diagonal entry D
+            enters the low bands only through |B|^2 / D.
 * graded  : otherwise, when a few diagonal entries sit 1e8 times above the
             off-diagonal scale, a stacked Schur route: one eigvalsh of the
             Schur complement S(0) for all bands of all such members of a
@@ -36,6 +37,19 @@ H @ X from the same product.  If it does not get there within
 _BLOCK_MAX_ITER iterations, the member goes through the graded/dense route
 instead, in one dense call with every other member of its stack the block
 path did not serve.
+
+Time reversal: H(-k) = conj(P H(k) P^T), with P mapping G to -G, in all
+three schemes (the fiber uses the Hermitian part of the potential, and its
+diagonal depends on |k + G| alone).  So the final Ritz block X of k, mapped
+by G -> -G and conjugated, spans the lowest invariant subspace at -k.  In a
+stacked fiber, member b starts from conj(X_{b-1}[rows]) instead of the cold
+start when k_b = -k_{b-1} within _PAIR_TOL and every -G of member b is a row
+of member b - 1; every other member starts cold.  The warm start is only a
+start: the member is solved and checked like any other, with its own
+Rayleigh-Ritz values and its own bound, and a poor start just costs
+iterations.  compute_bands puts each k of a block-path size next to its
+partner -k in a 2-member stack, so the partner usually takes one table
+product: the first Rayleigh-Ritz step already meets the stop rule.
 """
 
 from __future__ import annotations
@@ -48,7 +62,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fiber import FiberMatrix, Scheme, assemble
+from .fiber import FiberMatrix, Scheme, _rows, assemble
 from .lattice import KPointSet, Lattice, _basis_coords, _bases, digest_of
 from .potential import FourierPotential
 
@@ -82,6 +96,7 @@ _BLOCK_MIN_ORDER = 200  # block solver from this order on (measured crossover)
 _BLOCK_MIN_RATIO = 16   # ... while its block holds at most M // 16 vectors (measured tie)
 _BLOCK_GUARD = 4        # extra vectors, so clusters at the band edge converge
 _BLOCK_MAX_ITER = 50    # beyond this the matrix goes through the dense path
+_PAIR_TOL = 1e-9        # k and k' are partners when k + k' is 0 within this
 _STACK_BUDGET = 2**15   # index entries B * M * (M + n_coef) of one stacked solve (measured)
 
 
@@ -133,15 +148,24 @@ def _ritz_bound(theta: np.ndarray, norms: np.ndarray, take: int) -> float:
     return float(min(beta, np.max(norms[:take]))) + rounding
 
 
-def _eigh_block(H, take: int, diag: np.ndarray | None = None, want_vectors: bool = True):
+def _tries_block(n: int, take: int) -> bool:
+    """Whether eigh tries the block solver for the lowest `take` pairs of a
+    matrix of order n."""
+    return n >= _BLOCK_MIN_ORDER and take + _BLOCK_GUARD <= n // _BLOCK_MIN_RATIO
+
+
+def _eigh_block(H, take: int, diag: np.ndarray | None = None, want_vectors: bool = True,
+                start: np.ndarray | None = None):
     """Lowest `take` eigenpairs by LOBPCG: (values, vectors or None, residual
-    bound, eigenvalue bound).
+    bound, eigenvalue bound, final Ritz block).
 
     H is the (M, M) matrix, or, with its real diagonal `diag` given, a
     function X -> H @ X such as a fiber member's table product.
 
-    The block X holds take + _BLOCK_GUARD vectors and starts from unit
-    vectors on the smallest diagonal entries plus a small random block.  Each
+    The block X holds take + _BLOCK_GUARD vectors.  It starts from `start`
+    when given (eigh passes a time-reversed partner's final block), and
+    otherwise from unit vectors on the smallest diagonal entries plus a
+    small random block.  Each
     iteration preconditions the residuals of the unconverged columns with
     1 / (|diag(H) - theta| + 1), orthonormalizes them together with the
     previous search directions P against X (Cholesky-QR), and takes the
@@ -155,9 +179,11 @@ def _eigh_block(H, take: int, diag: np.ndarray | None = None, want_vectors: bool
     quadratic in the residual once a gap is known, a vector's error is not.
     Both rules assume that the block has missed no eigenvalue; the random
     start block guards that.  Either way X is then re-orthonormalized and
-    one more Rayleigh-Ritz step on an explicit H @ X confirms the stop.  It
-    returns that eigenvalue bound and the residual bound
-    max ||r_i|| / (1 + |theta_i|), both over the `take` pairs.
+    one more Rayleigh-Ritz step on an explicit H @ X confirms the stop; the
+    first step is explicit, so a start that is already converged stops after
+    one product.  It returns that eigenvalue bound and the residual bound
+    max ||r_i|| / (1 + |theta_i|), both over the `take` pairs, and the whole
+    final block of take + _BLOCK_GUARD Ritz vectors.
     Returns None instead when that takes more than _BLOCK_MAX_ITER
     iterations, when a residual is not finite, or on a LinAlgError.
     """
@@ -165,12 +191,16 @@ def _eigh_block(H, take: int, diag: np.ndarray | None = None, want_vectors: bool
         H, diag = H.__matmul__, np.real(H.diagonal())
     n, d = diag.shape[0], diag
     nb = take + _BLOCK_GUARD
-    # H and the preconditioner keep every invariant subspace, e.g. the cosets
-    # of plane waves a potential on a sublattice does not couple, so each
-    # start column gets a component in every plane wave: a fixed random block
-    # of column norm about 0.1 (fixed seed, so results are reproducible)
-    X = (0.1 / np.sqrt(n)) * np.random.default_rng(0).standard_normal((n, nb))
-    X[np.argsort(d, kind="stable")[:nb], np.arange(nb)] += 1.0
+    if start is None:
+        # H and the preconditioner keep every invariant subspace, e.g. the
+        # cosets of plane waves a potential on a sublattice does not couple,
+        # so each start column gets a component in every plane wave: a fixed
+        # random block of column norm about 0.1 (fixed seed, so results are
+        # reproducible)
+        X = (0.1 / np.sqrt(n)) * np.random.default_rng(0).standard_normal((n, nb))
+        X[np.argsort(d, kind="stable")[:nb], np.arange(nb)] += 1.0
+    else:
+        X = start
     try:
         X = _cholesky_qr(X)
         theta, _, X, AX = _rayleigh_ritz(X, H(X), nb)
@@ -186,7 +216,7 @@ def _eigh_block(H, take: int, diag: np.ndarray | None = None, want_vectors: bool
                                                        and bound <= _RESIDUAL_TOL):
                 if explicit:
                     return (theta[:take], X[:, :take] if want_vectors else None,
-                            float(np.max(res[:take])), bound)
+                            float(np.max(res[:take])), bound, X)
                 X = _cholesky_qr(_cholesky_qr(X))
                 theta, _, X, AX = _rayleigh_ritz(X, H(X), nb)
                 P, explicit = None, True
@@ -358,6 +388,20 @@ def _eigh_dense(stack: np.ndarray, take: int, want_vectors: bool):
     return values, vectors, residuals, bounds
 
 
+def _time_reversed(fib: FiberMatrix, b: int, X: np.ndarray) -> np.ndarray | None:
+    """The start block of member b of a stacked fiber, conj(X[rows]) with X
+    the final Ritz block of member b - 1 and rows[j] the row of -G_j there;
+    None unless |k_b + k_{b-1}| <= _PAIR_TOL max(1, |k_{b-1}|) in every
+    coordinate and every -G_j is a row of member b - 1."""
+    k_prev, k = fib.k[b - 1], fib.k[b]
+    if np.max(np.abs(k + k_prev)) > _PAIR_TOL * max(1.0, np.max(np.abs(k_prev))):
+        return None
+    coords = fib._stack()
+    rows = _rows(coords[b - 1][None], -coords[b][None],
+                 np.zeros((1, coords.shape[-1]), dtype=coords.dtype))[0, 0]
+    return None if np.any(rows < 0) else X[rows].conj()
+
+
 def eigh(H, n_lowest: int | None = None, want_vectors: bool = False) -> EigenSolution:
     """Lowest eigenpairs of a Hermitian matrix, ascending.
 
@@ -374,10 +418,13 @@ def eigh(H, n_lowest: int | None = None, want_vectors: bool = False) -> EigenSol
     by member: the block solver tries each member, and the members it does
     not serve go through one dense route together, where the plain members
     share one LAPACK call and the graded ones one Schur route per steep
-    count.  The solution then holds (B, n) values, (B, M, n) vectors, the
-    (B,) eigenvalue bounds, and, with vectors, the largest member residual
-    bound (None without vectors).  A single matrix is the B = 1 case, with
-    0-d bounds.
+    count.  In a stacked FiberMatrix, a block member whose k is the negative
+    of the member before starts from that member's time-reversed final block
+    (see _time_reversed) when the block path served it; every other member
+    gets what it gets alone, bit for bit.  The solution then holds (B, n)
+    values, (B, M, n) vectors, the (B,) eigenvalue bounds, and, with
+    vectors, the largest member residual bound (None without vectors).  A
+    single matrix is the B = 1 case, with 0-d bounds.
     """
     if isinstance(H, FiberMatrix):
         dims = H.diagonal.shape  # (M,) or (B, M)
@@ -392,14 +439,19 @@ def eigh(H, n_lowest: int | None = None, want_vectors: bool = False) -> EigenSol
     values, bounds, residuals = np.empty((B, take)), np.empty(B), np.empty(B)
     vectors = np.empty((B, n, take), dtype=getattr(H, "dtype", complex)) if want_vectors else None
     served = np.zeros(B, dtype=bool)
-    if n >= _BLOCK_MIN_ORDER and take + _BLOCK_GUARD <= n // _BLOCK_MIN_RATIO:
+    if _tries_block(n, take):
+        last = None  # final Ritz block of member b - 1, when the block path served it
         for b in range(B):
-            block = (_eigh_block(partial(H.apply, member=b), take, H.diagonal.reshape(B, n)[b],
-                                 want_vectors) if isinstance(H, FiberMatrix)
-                     else _eigh_block(H.reshape(B, n, n)[b], take, None, want_vectors))
+            if isinstance(H, FiberMatrix):
+                start = None if last is None else _time_reversed(H, b, last)
+                block = _eigh_block(partial(H.apply, member=b), take,
+                                    H.diagonal.reshape(B, n)[b], want_vectors, start)
+            else:
+                block = _eigh_block(H.reshape(B, n, n)[b], take, None, want_vectors)
+            last = None
             if block is not None:
                 served[b] = True
-                values[b], vecs, residuals[b], bounds[b] = block
+                values[b], vecs, residuals[b], bounds[b], last = block
                 if want_vectors:
                     vectors[b] = vecs
     rest = np.flatnonzero(~served)
@@ -429,16 +481,31 @@ class BandStructure:
         return self.energies.shape[1]
 
 
-def _chunks(sizes: np.ndarray, n_coef: int) -> list[np.ndarray]:
+def _chunks(sizes: np.ndarray, n_coef: int, take: int, frac: np.ndarray) -> list[np.ndarray]:
     """k indices grouped by basis size M, in ascending M and in k order
-    within a size, and cut into stacks of at most
-    _STACK_BUDGET // (M * (M + n_coef)) members (one at least)."""
+    within a size.  Where eigh tries the block path for `take` bands
+    (_tries_block), each k forms a 2-member stack with its partner: the first
+    later k of the same size whose fractional coordinates `frac` sum with its
+    own to 0 within _PAIR_TOL.  A k without one, such as Gamma or a point
+    whose partner lies only across a reciprocal vector, is alone.  Elsewhere
+    a size is cut into stacks of at most _STACK_BUDGET // (M * (M + n_coef))
+    members (one at least)."""
     order = np.argsort(sizes, kind="stable")
     chunks = []
     for run in np.split(order, np.flatnonzero(np.diff(sizes[order])) + 1):
         M = int(sizes[run[0]])
-        cap = max(1, _STACK_BUDGET // (M * (M + n_coef)))
-        chunks += np.split(run, range(cap, run.size, cap))
+        if _tries_block(M, take):
+            f, free = frac[run], np.ones(run.size, dtype=bool)
+            for i in range(run.size):
+                if free[i]:
+                    free[i] = False
+                    partner = np.flatnonzero(free & (np.max(np.abs(f + f[i]), axis=1)
+                                                     <= _PAIR_TOL))[:1]
+                    free[partner] = False
+                    chunks.append(run[np.r_[i, partner]])
+        else:
+            cap = max(1, _STACK_BUDGET // (M * (M + n_coef)))
+            chunks += np.split(run, range(cap, run.size, cap))
     return chunks
 
 
@@ -447,10 +514,14 @@ def compute_bands(lat: Lattice, V: FourierPotential, kset: KPointSet, Ec: float,
     """Solve the fiber problem at every k of the set.
 
     The k-points are grouped by basis size and each group is assembled and
-    solved as stacks (see _chunks), each member bit-identical to its own
-    single-k solve.  Raises BandCountExceedsBasis naming the first offending
-    k, in k order, when the requested band count cannot be represented
-    there, and ValueError for an empty k-set or threads < 1.  Rows are
+    solved as stacks (see _chunks).  Every member is bit-identical to its
+    own single-k solve, except the -k partner in a block-path pair: eigh
+    warm-starts it from the first member's time-reversed block, and its
+    values lie within its reported bound.  If a pair's block solve hits the
+    iteration cap, the dense fallback builds `entries` for both members
+    (2 x 16 M^2 bytes).  Raises BandCountExceedsBasis naming the first
+    offending k, in k order, when the requested band count cannot be
+    represented there, and ValueError for an empty k-set or threads < 1.  Rows are
     written by k index and the stacks do not depend on `threads`, so
     threading never changes the result.
     """
@@ -482,7 +553,7 @@ def compute_bands(lat: Lattice, V: FourierPotential, kset: KPointSet, Ec: float,
         fib = assemble(lat, V, points[idx], Ec, scheme, _basis=basis)
         energies[idx] = eigh(fib, n_lowest=n_bands).values
 
-    chunks = _chunks(sizes, V.hermitian_coeffs[0].shape[0])
+    chunks = _chunks(sizes, V.hermitian_coeffs[0].shape[0], n_bands, lat.fractional(points.T).T)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(solve, chunks))

@@ -4,7 +4,9 @@ and the stacked Schur route for graded matrices.
 The block solver is checked against LAPACK on random Hermitian matrices
 (kinetic-like, graded and exactly degenerate) and on matrices that split
 into decoupled blocks, against the exact Schur-complement solve on graded
-fibers, through its dense fallback, and for thread independence.  The
+fibers, through its dense fallback, and for thread independence; its
+time-reversal warm start on +-k pairs is checked for its product count,
+its bounds and the bit-identity of every member it does not touch.  The
 Schur route is checked against the per-band fixed-point loop it replaced,
 kept below as the oracle, on random graded stacks.
 """
@@ -71,7 +73,7 @@ def test_block_path_matches_lapack(case):
     assert take + spectra._BLOCK_GUARD <= n // spectra._BLOCK_MIN_RATIO
     block = spectra._eigh_block(H, take)
     assert block is not None, "block solver hit its iteration cap"
-    values, vectors, residual, bound = block
+    values, vectors, residual, bound, _ = block
     dense = np.linalg.eigvalsh(H)[:take]
     # LAPACK itself is only accurate to a few eps * ||H||
     tol = 1e-9 * (1.0 + np.abs(dense)) + 64 * EPS * np.max(np.abs(H))
@@ -93,7 +95,7 @@ def test_values_only_block_solve_is_within_its_bound(case):
     H, take = case
     block = spectra._eigh_block(H, take, want_vectors=False)
     assert block is not None, "block solver hit its iteration cap"
-    values, vectors, _, bound = block
+    values, vectors, _, bound, _ = block
     assert vectors is None
     # either stop rule, plus the Rayleigh-Ritz rounding term (below 1e-12 here)
     assert bound <= 1e-10 * (1.0 + np.max(np.abs(values))) + 1e-12
@@ -164,7 +166,7 @@ def test_values_only_stop_needs_a_gap(block_calls):
     inside = [take for take in range(1, 8) if dense[take] - dense[take - 1] <= 1e-9]
     assert inside  # n_lowest cuts a multiplet
     for take in inside:
-        values, _, _, bound = spectra._eigh_block(H, take, want_vectors=False)
+        values, _, _, bound, _ = spectra._eigh_block(H, take, want_vectors=False)
         with_vectors = spectra._eigh_block(H, take)
         assert values.tobytes() == with_vectors[0].tobytes() and bound == with_vectors[3]
         assert np.max(np.abs(values - dense[:take])) <= 1e-10
@@ -194,18 +196,40 @@ def test_block_path_finds_a_block_with_higher_diagonal(block_calls):
     assert np.max(np.abs(sol.values - np.linalg.eigvalsh(H)[:take])) <= 1e-10
 
 
+def count_products(monkeypatch):
+    """Every table product, as (fiber, member), in call order."""
+    calls = []
+    apply = bl.FiberMatrix.apply
+
+    def counted(self, X, member=0):
+        calls.append((self, member))
+        return apply(self, X, member)
+
+    monkeypatch.setattr(bl.FiberMatrix, "apply", counted)
+    return calls
+
+
 @pytest.mark.parametrize("frac", [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
-def test_block_path_on_potential_on_a_sublattice(frac, block_calls):
+def test_block_path_on_potential_on_a_sublattice(frac, monkeypatch, block_calls):
     """V on 2Z^3 couples G only to G + 2Z^3: H splits into 8 decoupled cosets,
-    and the lowest bands come from several of them."""
+    and the lowest bands come from several of them.  On the +-k pair the
+    time-reversed start of -k must keep every coset too."""
     lat = bl.new_lattice(np.eye(3))
     V = bl.potential_from_coeffs(lat, [(tuple(2 * s * np.eye(3, dtype=int)[i]), -40.0)
                                        for i in range(3) for s in (1, -1)])
-    H = bl.assemble(lat, V, lat.reciprocal @ np.array(frac), 400.0,
-                    bl.kdependent_scheme()).entries
+    k = lat.reciprocal @ np.array(frac)
+    H = bl.assemble(lat, V, k, 400.0, bl.kdependent_scheme()).entries
     sol = bl.eigh(H, n_lowest=8)
     assert block_calls == [True] and sol.bounds <= 1e-10
     assert np.max(np.abs(sol.values - np.linalg.eigvalsh(H)[:8])) <= 1e-10
+    products = count_products(monkeypatch)
+    pair = bl.eigh(bl.assemble(lat, V, np.stack([k, -k]), 400.0, bl.kdependent_scheme()),
+                   n_lowest=8)
+    assert block_calls == [True] * 3 and np.all(pair.bounds <= 1e-10)
+    assert [member for _, member in products].count(1) <= 2  # warm-started
+    for b, kb in enumerate((k, -k)):
+        H = bl.assemble(lat, V, kb, 400.0, bl.kdependent_scheme()).entries
+        assert np.max(np.abs(pair.values[b] - np.linalg.eigvalsh(H)[:8])) <= 1e-10
 
 
 def fixed_point_reference(H, steep, take, want_vectors=False):
@@ -368,7 +392,7 @@ def test_block_solver_on_graded_matrix_below_the_split():
     H = bl.assemble(lat, V, k, 800.0, scheme).entries
     assert not spectra._graded_mask(H[None])[0].any()
     ref = schur_reference(H, 4)
-    values, _, residual, _ = spectra._eigh_block(H, 4)
+    values, _, residual, _, _ = spectra._eigh_block(H, 4)
     assert residual <= 1e-10
     assert np.max(np.abs(values - ref)) <= 1e-10
 
@@ -429,26 +453,102 @@ def test_threads_bit_identical_on_block_path():
     assert np.array_equal(serial.energies, threaded.energies)
 
 
-def test_values_only_solves_take_few_products(monkeypatch, block_calls):
-    """The cubic3d benchmark inputs (27 k, M 687-739, 4 bands): stopping on
-    the quadratic eigenvalue bound takes at most 7 table products H @ X per k
-    on average (8.5 with the residual stop alone)."""
+@pytest.fixture(scope="module")
+def cubic3d():
+    """The cubic3d benchmark inputs of seed 1: 27 k, M 687-739, 4 bands."""
     lat = bl.new_lattice(np.eye(3))
     V = bl.synth_power_law(lat, t=2.1, gmax=1, seed=1, amplitude=5.0)
     scheme = bl.modified_scheme(bl.build_blowup(bl.BlowupSpec(m=1, p=1.5)))
-    grid = bl.uniform_grid(lat, 3)
-    products = []
-    apply = bl.FiberMatrix.apply
+    return lat, V, scheme, bl.uniform_grid(lat, 3), 600.0
 
-    def counted(self, *args, **kwargs):
-        products.append(1)
-        return apply(self, *args, **kwargs)
 
-    monkeypatch.setattr(bl.FiberMatrix, "apply", counted)
-    bands = bl.compute_bands(lat, V, grid, 600.0, scheme, 4)
+def partners(lat, points):
+    """(i, j) with i < j and the fractional coordinates of k_i and k_j
+    summing to 0, and the k that are their own partner."""
+    frac = lat.fractional(points.T).T
+    close = np.max(np.abs(frac[:, None] + frac[None]), axis=2) <= 1e-9
+    i, j = np.nonzero(np.triu(close, 1))
+    return list(zip(i, j)), np.flatnonzero(np.diag(close))
+
+
+def test_values_only_solves_take_few_products(monkeypatch, block_calls, cubic3d):
+    """Stopping on the quadratic eigenvalue bound, and solving each -k from
+    the time-reversed block of its +k partner, takes at most 4.5 table
+    products H @ X per k on the cubic3d inputs (3.85 measured; 6.4 without
+    the warm start, 8.5 with the residual stop alone)."""
+    lat, V, scheme, grid, Ec = cubic3d
+    products = count_products(monkeypatch)
+    bands = bl.compute_bands(lat, V, grid, Ec, scheme, 4)
     assert block_calls == [True] * len(grid)
-    assert len(products) / len(grid) <= 7.0
+    assert len(products) / len(grid) <= 4.5
     assert np.all(np.isfinite(bands.energies))
+
+
+def test_each_minus_k_partner_takes_at_most_two_products(monkeypatch, cubic3d):
+    """compute_bands stacks each k with its partner -k on the block path, and
+    the partner starts from the time-reversed final block of the first
+    member, which the first explicit Rayleigh-Ritz step already accepts."""
+    lat, V, scheme, grid, Ec = cubic3d
+    pairs, alone = partners(lat, grid.points)
+    assert len(pairs) == 13 and len(alone) == 1  # Gamma is its own partner
+    products = count_products(monkeypatch)
+    bl.compute_bands(lat, V, grid, Ec, scheme, 4)
+    stacks = {id(fib): fib for fib, _ in products if fib.k.ndim == 2 and len(fib.k) == 2}
+    assert len(stacks) == len(pairs)
+    for key, fib in stacks.items():
+        rows = [np.flatnonzero(np.all(grid.points == kb, axis=1))[0] for kb in fib.k]
+        assert tuple(rows) in pairs
+        count = sum(id(f) == key and member == 1 for f, member in products)
+        assert count <= 2, f"the -k member at k index {rows[1]} took {count} products"
+
+
+def test_warm_started_partner_lies_within_its_bound(cubic3d):
+    """The first member of each pair and Gamma are bit-identical to their
+    single-k solves; the warm-started -k member lies within its own bound
+    plus the cold solve's bound of its single-k solve."""
+    lat, V, scheme, grid, Ec = cubic3d
+    pairs, alone = partners(lat, grid.points)
+    bands = bl.compute_bands(lat, V, grid, Ec, scheme, 4)
+
+    def single(i):
+        return bl.eigh(bl.assemble(lat, V, grid.points[i], Ec, scheme), n_lowest=4)
+
+    for i in alone:
+        assert bands.energies[i].tobytes() == single(i).values.tobytes()
+    for i, j in pairs:
+        sol = bl.eigh(bl.assemble(lat, V, grid.points[[i, j]], Ec, scheme), n_lowest=4)
+        assert bands.energies[[i, j]].tobytes() == sol.values.tobytes()
+        first, cold = single(i), single(j)
+        assert sol.values[0].tobytes() == first.values.tobytes()
+        assert sol.bounds[0] == first.bounds
+        assert np.all(np.abs(sol.values[1] - cold.values) <= sol.bounds[1] + cold.bounds)
+        assert sol.bounds[1] <= 1e-10
+
+
+def test_threads_bit_identical_on_block_path_pairs(cubic3d):
+    """The cubic3d grid holds 13 exact +-k pairs, each one stack and one task."""
+    lat, V, scheme, grid, Ec = cubic3d
+    serial = bl.compute_bands(lat, V, grid, Ec, scheme, 4, threads=1)
+    threaded = bl.compute_bands(lat, V, grid, Ec, scheme, 4, threads=2)
+    assert serial.energies.tobytes() == threaded.energies.tobytes()
+
+
+def test_only_a_partner_is_warm_started(monkeypatch, block_calls):
+    """Uniform-scheme bases are one symmetric set at every k, so every -G is
+    a row of every member: only the k check keeps a member whose predecessor
+    is not its partner on its cold start, bit-identical to its own solve."""
+    lat = bl.new_lattice(np.eye(3))
+    V = bl.synth_power_law(lat, t=2.1, gmax=1, seed=2, amplitude=5.0)
+    ks = lat.reciprocal @ np.array([[0.1, 0.2, 0.3], [0.3, -0.2, 0.1], [-0.3, 0.2, -0.1]])
+    fib = bl.assemble(lat, V, ks, 400.0, bl.uniform_scheme())
+    assert len(fib) >= spectra._BLOCK_MIN_ORDER
+    products = count_products(monkeypatch)
+    sol = bl.eigh(fib, n_lowest=4)
+    assert block_calls == [True] * 3
+    assert [member for _, member in products].count(2) <= 2  # the partner of member 1
+    for b in range(2):
+        one = bl.eigh(bl.assemble(lat, V, ks[b], 400.0, bl.uniform_scheme()), n_lowest=4)
+        assert sol.values[b].tobytes() == one.values.tobytes() and sol.bounds[b] == one.bounds
 
 
 def test_import_pulls_in_no_scipy():

@@ -55,17 +55,8 @@ def test_modified_bands_at_or_above_kdependent(case):
     assert np.array_equal(kdep.coords, mod.coords)  # one variational space
     n = min(n_bands, len(kdep))
     low, high = bl.eigh(kdep, n_lowest=n), bl.eigh(mod, n_lowest=n)
-    # each bound carries the nominal eps ||H|| of a LAPACK solve, whose
-    # backward error is a small multiple of M eps ||H||
-    tol = len(kdep) * (low.bounds + high.bounds)
-    assert np.all(high.values >= low.values - tol)
-
-
-def tolerance(M, *solutions):
-    """The bounds of the solutions compared, times the order M of the larger
-    fiber: each bound carries the nominal eps ||H|| of a LAPACK solve, whose
-    backward error is a small multiple of M eps ||H||."""
-    return M * sum(sol.bounds for sol in solutions)
+    # each bound carries the rounding of its LAPACK solve, 16 eps ||H||
+    assert np.all(high.values >= low.values - (low.bounds + high.bounds))
 
 
 @st.composite
@@ -121,7 +112,7 @@ def test_kdependent_and_modified_bands_are_periodic(case):
         assert np.array_equal(here.entries[off], there.entries[np.ix_(perm, perm)][off])
         change = np.abs(here.diagonal - there.diagonal[perm])
         assert np.all(change <= 1e-9 * (1.0 + np.abs(here.diagonal)))
-        assert np.all(np.abs(a.values - b.values) <= change.max() + tolerance(len(here), a, b))
+        assert np.all(np.abs(a.values - b.values) <= change.max() + a.bounds + b.bounds)
 
 
 @st.composite
@@ -143,7 +134,7 @@ def test_kdependent_bands_decrease_with_the_cutoff(case):
     large = bl.assemble(lat, V, k, Ec2, bl.kdependent_scheme())
     n = min(n_bands, len(small))
     coarse, fine = bl.eigh(small, n_lowest=n), bl.eigh(large, n_lowest=n)
-    assert np.all(fine.values <= coarse.values + tolerance(len(large), coarse, fine))
+    assert np.all(fine.values <= coarse.values + coarse.bounds + fine.bounds)
 
 
 @st.composite

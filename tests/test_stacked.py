@@ -332,7 +332,8 @@ def test_compute_bands_over_rank_flips_in_stacks(lat1d):
     kset = bl.KPointSet(points=ts[:, None], kind="path")
     sizes = _basis_sizes(lat1d, 750.0, kset.points)
     assert np.count_nonzero(np.diff(sizes)) >= 2  # several rank flips
-    chunks = spectra._chunks(sizes, V.hermitian_coeffs[0].shape[0])
+    chunks = spectra._chunks(sizes, V.hermitian_coeffs[0].shape[0], 2,
+                             lat1d.fractional(kset.points.T).T)
     assert max(map(len, chunks)) > 1
     assert sorted(np.concatenate(chunks).tolist()) == list(range(len(kset)))
     for idx in chunks:
