@@ -32,8 +32,15 @@ The block path stops when every requested pair has relative residual
 ||Hx - theta x|| / (1 + |theta|) <= 1e-10, or, without vectors, as soon as
 the quadratic eigenvalue bound ||R||_F^2 / eta, with the gap eta read from
 the first guard column, is <= 1e-10 (an eigenvalue error is quadratic in the
-residual, a vector's is not).  Either stop is confirmed on an explicit
-H @ X from the same product.  If it does not get there within
+residual, a vector's is not).  H @ X follows the Ritz rotations instead of
+being recomputed, and each column carries a bound on its drift from an
+explicit product, the rotations' rounding (after Duersch, Shao, Yang and
+Gu, SIAM J. Sci. Comput. 40, 2018).  A stop is taken as it stands when the
+rule still holds with every residual norm widened by that drift and by
+||X^H X - I|| max|theta|, and the reported bounds use the widened norms;
+otherwise it is confirmed on an explicit H @ X.  A cold start is unit
+vectors on the smallest diagonal entries plus a random block passed twice
+through the preconditioner.  If the block path does not stop within
 _BLOCK_MAX_ITER iterations, the member goes through the graded/dense route
 instead, in one dense call with every other member of its stack the block
 path did not serve.
@@ -96,6 +103,8 @@ _BLOCK_MIN_ORDER = 200  # block solver from this order on (measured crossover)
 _BLOCK_MIN_RATIO = 16   # ... while its block holds at most M // 16 vectors (measured tie)
 _BLOCK_GUARD = 4        # extra vectors, so clusters at the band edge converge
 _BLOCK_MAX_ITER = 50    # beyond this the matrix goes through the dense path
+_DRIFT_ROUNDING = 2     # margin on the K eps rounding bound of a Ritz rotation
+_SKEW_TOL = 1e-12       # a stop skips the confirming product only while ||X^H X - I|| <= this
 _PAIR_TOL = 1e-9        # k and k' are partners when k + k' is 0 within this
 _STACK_BUDGET = 2**15   # index entries B * M * (M + n_coef) of one stacked solve (measured)
 
@@ -119,16 +128,26 @@ def _orthonormal_complement(V: np.ndarray, X: np.ndarray) -> np.ndarray:
     return V
 
 
-def _rayleigh_ritz(S: np.ndarray, AS: np.ndarray, count: int):
+def _rayleigh_ritz(S: np.ndarray, AS: np.ndarray, drift: np.ndarray, count: int):
     """The lowest `count` Ritz pairs of H on the orthonormal columns of S, given
-    AS = H @ S: (values, coefficients C, S @ C, AS @ C)."""
+    AS = H @ S up to a column drift ||AS_j - H S_j|| <= drift_j: (values,
+    coefficients C, S @ C, AS @ C, and the drift bound of AS @ C).
+
+    The rotation carries the drift over as drift @ |C| and adds its own
+    rounding, at most K eps sum_i ||AS_i|| |C_ij| for K columns (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, sec. 3.5), times
+    _DRIFT_ROUNDING."""
     G = S.conj().T @ AS
     theta, C = np.linalg.eigh(0.5 * (G + G.conj().T))
     C = C[:, :count]
-    return theta[:count], C, S @ C, AS @ C
+    # column norms from real squares: np.linalg.norm(AS, axis=0) makes two
+    # complex copies of AS, which put cubic3d peak RSS 0.5 MiB higher
+    norms = np.sqrt(np.sum(AS.real**2 + AS.imag**2, axis=0))
+    rounding = _DRIFT_ROUNDING * AS.shape[1] * _EPS * norms
+    return theta[:count], C, S @ C, AS @ C, (drift + rounding) @ np.abs(C)
 
 
-def _ritz_bound(theta: np.ndarray, norms: np.ndarray, take: int) -> float:
+def _ritz_bound(theta: np.ndarray, norms: np.ndarray, take: int, slack: float = 0.0) -> float:
     """Error bound of the lowest `take` Ritz values theta (ascending, from an
     orthonormal block with residual norms `norms`, one guard column at least):
     min(beta, max ||r_i||) + rounding over the `take` pairs.
@@ -137,14 +156,16 @@ def _ritz_bound(theta: np.ndarray, norms: np.ndarray, take: int) -> float:
     J. Phys. Soc. Japan 4, 334, 1949; Mathias, SIAM J. Matrix Anal. Appl. 19,
     1998), with the gap eta = theta_{take+1} - ||r_{take+1}|| - theta_take
     read from the first guard column; beta is +inf when eta <= 0, e.g. when
-    `take` cuts a degenerate multiplet.  Both terms assume that no eigenvalue
+    `take` cuts a degenerate multiplet.  It holds for Rayleigh quotients; a
+    `slack` >= |theta_i - x_i^H H x_i| (a drifted H @ X, a skew X) adds to it
+    and comes off the gap.  Both terms assume that no eigenvalue
     was missed: none lies below theta_{take+1} - ||r_{take+1}|| beyond the
     `take` found.  rounding = _LAPACK_ROUNDING eps max|theta| covers the
     Rayleigh-Ritz eigh.
     """
     rounding = _LAPACK_ROUNDING * _EPS * np.max(np.abs(theta))
-    eta = theta[take] - norms[take] - theta[take - 1]
-    beta = np.sum(norms[:take] ** 2) / eta if eta > 0 else np.inf
+    eta = theta[take] - norms[take] - theta[take - 1] - slack
+    beta = np.sum(norms[:take] ** 2) / eta + slack if eta > 0 else np.inf
     return float(min(beta, np.max(norms[:take]))) + rounding
 
 
@@ -165,25 +186,32 @@ def _eigh_block(H, take: int, diag: np.ndarray | None = None, want_vectors: bool
     The block X holds take + _BLOCK_GUARD vectors.  It starts from `start`
     when given (eigh passes a time-reversed partner's final block), and
     otherwise from unit vectors on the smallest diagonal entries plus a
-    small random block.  Each
+    random block of column norm 0.1, passed twice through the preconditioner
+    at theta = min(diag) first, so that it reaches every plane wave but
+    sits mostly on the low ones.  Each
     iteration preconditions the residuals of the unconverged columns with
     1 / (|diag(H) - theta| + 1), orthonormalizes them together with the
     previous search directions P against X (Cholesky-QR), and takes the
     lowest Ritz pairs of H on X and those directions.  H multiplies the
     orthonormalized directions, never a tiny vector scaled up, and H @ X
-    follows through the Ritz rotations.
+    follows through the Ritz rotations, with a per-column bound on its
+    drift from an explicit product (see _rayleigh_ritz).
 
     It stops once every requested pair has relative residual
     ||r_i|| / (1 + |theta_i|) <= 1e-10, or, without vectors, once the
     eigenvalue bound of _ritz_bound is <= 1e-10: an eigenvalue error is
     quadratic in the residual once a gap is known, a vector's error is not.
     Both rules assume that the block has missed no eigenvalue; the random
-    start block guards that.  Either way X is then re-orthonormalized and
-    one more Rayleigh-Ritz step on an explicit H @ X confirms the stop; the
-    first step is explicit, so a start that is already converged stops after
-    one product.  It returns that eigenvalue bound and the residual bound
-    max ||r_i|| / (1 + |theta_i|), both over the `take` pairs, and the whole
-    final block of take + _BLOCK_GUARD Ritz vectors.
+    start block guards that.  The stop stands when ||X^H X - I|| <= 1e-12
+    and the rule still holds with each ||r_i|| widened by its drift bound
+    and by ||X^H X - I|| max|theta|, which _ritz_bound also takes as its
+    slack.  Otherwise X is re-orthonormalized and one more Rayleigh-Ritz
+    step on an explicit H @ X confirms the stop; the first step is explicit,
+    so a start that is already converged stops after one product.  It
+    returns that eigenvalue bound and the residual bound
+    max ||r_i|| / (1 + |theta_i|), both over the `take` pairs and from the
+    widened norms, and the whole final block of take + _BLOCK_GUARD Ritz
+    vectors.
     Returns None instead when that takes more than _BLOCK_MAX_ITER
     iterations, when a residual is not finite, or on a LinAlgError.
     """
@@ -195,15 +223,22 @@ def _eigh_block(H, take: int, diag: np.ndarray | None = None, want_vectors: bool
         # H and the preconditioner keep every invariant subspace, e.g. the
         # cosets of plane waves a potential on a sublattice does not couple,
         # so each start column gets a component in every plane wave: a fixed
-        # random block of column norm about 0.1 (fixed seed, so results are
-        # reproducible)
-        X = (0.1 / np.sqrt(n)) * np.random.default_rng(0).standard_normal((n, nb))
+        # random block (fixed seed, so results are reproducible), passed twice
+        # through the preconditioner at theta = min(d), so that its mass sits
+        # on the low plane waves of every coset, and scaled to column norm 0.1
+        Z = np.random.default_rng(0).standard_normal((n, nb)) / ((d - d.min() + 1.0) ** 2)[:, None]
+        X = (0.1 / np.linalg.norm(Z, axis=0)) * Z
         X[np.argsort(d, kind="stable")[:nb], np.arange(nb)] += 1.0
     else:
         X = start
+
+    def stops(theta: np.ndarray, norms: np.ndarray, slack: float = 0.0) -> bool:
+        return (np.max(norms[:take] / (1.0 + np.abs(theta[:take]))) <= _RESIDUAL_TOL
+                or (not want_vectors and _ritz_bound(theta, norms, take, slack) <= _RESIDUAL_TOL))
+
     try:
         X = _cholesky_qr(X)
-        theta, _, X, AX = _rayleigh_ritz(X, H(X), nb)
+        theta, _, X, AX, drift = _rayleigh_ritz(X, H(X), np.zeros(nb), nb)
         P, explicit = None, True  # explicit: AX is H @ X up to one Rayleigh-Ritz rotation
         for _ in range(_BLOCK_MAX_ITER):
             R = AX - X * theta
@@ -211,23 +246,29 @@ def _eigh_block(H, take: int, diag: np.ndarray | None = None, want_vectors: bool
             res = norms / (1.0 + np.abs(theta))
             if not np.all(np.isfinite(res)):
                 return None
-            bound = _ritz_bound(theta, norms, take)
-            if np.max(res[:take]) <= _RESIDUAL_TOL or (not want_vectors
-                                                       and bound <= _RESIDUAL_TOL):
-                if explicit:
+            if stops(theta, norms):
+                # ||H X_j - theta_j X_j|| <= norms_j + drift_j, and a skew X
+                # moves each Ritz value by at most ||X^H X - I|| max|theta|
+                skew = np.linalg.norm(X.conj().T @ X - np.eye(nb))
+                slack = drift + skew * np.max(np.abs(theta))
+                wide, most = norms + slack, np.max(slack[:take + 1])
+                if skew <= _SKEW_TOL and stops(theta, wide, most):
                     return (theta[:take], X[:, :take] if want_vectors else None,
-                            float(np.max(res[:take])), bound, X)
-                X = _cholesky_qr(_cholesky_qr(X))
-                theta, _, X, AX = _rayleigh_ritz(X, H(X), nb)
-                P, explicit = None, True
-                continue
+                            float(np.max(wide[:take] / (1.0 + np.abs(theta[:take])))),
+                            _ritz_bound(theta, wide, take, most), X)
+                if not explicit:
+                    X = _cholesky_qr(_cholesky_qr(X))
+                    theta, _, X, AX, drift = _rayleigh_ritz(X, H(X), np.zeros(nb), nb)
+                    P, explicit = None, True
+                    continue
             active = res > _RESIDUAL_TOL
             W = R[:, active] / (np.abs(d[:, None] - theta[active]) + 1.0)
             try:
                 Q = _orthonormal_complement(W if P is None else np.hstack([W, P[:, active]]), X)
             except np.linalg.LinAlgError:  # nearly dependent: retry without P
                 Q = _orthonormal_complement(W, X)
-            theta, C, X, AX = _rayleigh_ritz(np.hstack([X, Q]), np.hstack([AX, H(Q)]), nb)
+            theta, C, X, AX, drift = _rayleigh_ritz(np.hstack([X, Q]), np.hstack([AX, H(Q)]),
+                                                    np.r_[drift, np.zeros(Q.shape[1])], nb)
             P, explicit = Q @ C[nb:], False
     except np.linalg.LinAlgError:
         pass
