@@ -76,15 +76,16 @@ _NESTED_KEYS = {
 
 _REQUIRED = object()
 _KINDS = {int: "an integer", float: "a finite number", str: "a string", dict: "an object",
-          list: "a list"}
+          list: "a list", bool: "true or false"}
 
 
 def _as(value, kind, key: str):
     """value checked to have the JSON type of `kind`, a ValueError naming the
     field otherwise: an int field takes only an integer, a float field an
     integer or a real number (as a float) within the float range, so no NaN
-    or Infinity literal, and a bool is never a number."""
-    if not isinstance(value, bool):
+    or Infinity literal, a bool field only true or false, and a bool is
+    never a number."""
+    if kind is bool or not isinstance(value, bool):
         if kind is float and isinstance(value, (int, float)):
             if abs(value) <= sys.float_info.max:  # False for NaN too
                 return float(value)
@@ -111,6 +112,16 @@ def _at_least(value: int, low: int, key: str) -> int:
     if value < low:
         raise ValueError(f"config field {key!r} must be >= {low}, got {value}")
     return value
+
+
+def _coords(value, kind, key: str, dim: int) -> list:
+    """value as a list of `dim` entries checked by _as, a ValueError naming the
+    field and the lattice dimension otherwise."""
+    entries = [_as(v, kind, key) for v in _as(value, list, key)]
+    if len(entries) != dim:
+        raise ValueError(f"config field {key!r} needs one entry per lattice dimension "
+                         f"({dim}), got {json.dumps(value)}")
+    return entries
 
 
 def _floats(cfg: dict, key: str, default=_REQUIRED) -> list:
@@ -211,8 +222,8 @@ def _build_potential(cfg: dict, lat: Lattice) -> FourierPotential:
             item = _as(item, dict, "coeffs")
             g = tuple(_as(v, int, "g") for v in _field(item, "g", list))
             entries.append((g, complex(_field(item, "re", float), _field(item, "im", float, 0.0))))
-        return potential_from_coeffs(lat, entries,
-                                     real_valued=bool(spec.get("real_valued", True)))
+        return potential_from_coeffs(lat, entries, real_valued=_as(
+            spec.get("real_valued", True), bool, "potential.real_valued"))
     raise ValueError("potential config needs one of: file, synth, coeffs")
 
 
@@ -259,9 +270,11 @@ def _build_kset(cfg: dict, lat: Lattice, require: str | None = None) -> KPointSe
         path = _field(cfg, "path", dict)
         nodes = []
         for node in _field(path, "nodes", list):
-            label, frac = _as(node, list, "nodes")
-            frac = [_as(v, float, "nodes") for v in _as(frac, list, "nodes")]
-            nodes.append((str(label), lat.reciprocal @ np.array(frac)))
+            if len(_as(node, list, "path.nodes")) != 2:
+                raise ValueError(f"config field 'path.nodes' takes [label, coords] pairs, "
+                                 f"got {json.dumps(node)}")
+            frac = _coords(node[1], float, "path.nodes", lat.dim)
+            nodes.append((str(node[0]), lat.reciprocal @ np.array(frac)))
         samples = _at_least(_field(path, "samples", int, 100), 1, "path.samples")
         return kpath(lat, nodes, samples)
     raise ValueError("exactly one of 'path' and 'grid' must be configured")
@@ -286,7 +299,8 @@ def _solve_bands(args, require: str | None = None) -> tuple[dict, BandStructure]
     """The shared run of bands, dos and fermi: nbands (default 4) bands at each k."""
     cfg, lat, V, scheme, kset = _run_context(args, solve=True, require=require)
     bands = compute_bands(lat, V, kset, _field(cfg, "ec", float), scheme,
-                          _field(cfg, "nbands", int, 4), threads=_field(cfg, "threads", int, 1))
+                          _at_least(_field(cfg, "nbands", int, 4), 1, "nbands"),
+                          threads=_field(cfg, "threads", int, 1))
     return cfg, bands
 
 
@@ -336,7 +350,8 @@ def cmd_dos(args) -> int:
     cfg, bands = _solve_bands(args, require="grid")
     lo, hi = float(bands.energies.min()), float(bands.energies.max())
     margin = 0.05 * (hi - lo) if hi > lo else 1.0
-    mus = np.linspace(lo - margin, hi + margin, _field(cfg, "mu_points", int, 200))
+    mus = np.linspace(lo - margin, hi + margin,
+                      _at_least(_field(cfg, "mu_points", int, 200), 1, "mu_points"))
     rows = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", TruncationWarning)
@@ -371,7 +386,7 @@ def cmd_converge(args) -> int:
     cfg, lat, V, scheme, kset = _run_context(args, solve=True)
     ladder = _floats(cfg, "ec_ladder")
     ec_ref = _field(cfg, "ec_reference", float, 16.0 * max(ladder))
-    band_index = _field(cfg, "band_index", int, 1)
+    band_index = _at_least(_field(cfg, "band_index", int, 1), 1, "band_index")
     threads = _field(cfg, "threads", int, 1)
     r = None if cfg.get("sobolev_r") is None else _field(cfg, "sobolev_r", float)
     if r is None and "synth" in (cfg.get("potential") or {}):  # null: zero potential
@@ -404,7 +419,7 @@ def cmd_regularity(args) -> int:
     deltas = _floats(cfg, "deltas", [1e-2, 5e-3, 2.5e-3, 1.25e-3])
     probe = regularity_probe(
         lat, V, _field(cfg, "ec", float), spec,
-        band_index=_field(cfg, "band_index", int, 1),
+        band_index=_at_least(_field(cfg, "band_index", int, 1), 1, "band_index"),
         order=_field(cfg, "derivative_order", int, 1),
         deltas=deltas, threads=_field(cfg, "threads", int, 1),
     )
@@ -430,10 +445,10 @@ def cmd_periodicity(args) -> int:
                          f"the k-point set would be empty")
     fracs = rng.uniform(-0.5, 0.5, size=(count, lat.dim))
     samples = fracs @ lat.reciprocal.T
-    shifts = [tuple(_as(v, int, "shifts") for v in _as(s, list, "shifts"))
+    shifts = [tuple(_coords(s, int, "shifts", lat.dim))
               for s in _field(cfg, "shifts", list, [[1] + [0] * (lat.dim - 1)])]
-    report = periodicity_report(lat, V, _field(cfg, "ec", float), schemes, samples,
-                                shifts, n_bands=_field(cfg, "nbands", int, 1),
+    report = periodicity_report(lat, V, _field(cfg, "ec", float), schemes, samples, shifts,
+                                n_bands=_at_least(_field(cfg, "nbands", int, 1), 1, "nbands"),
                                 threads=_field(cfg, "threads", int, 1))
     out = _output_dir(cfg)
     _write_json(out / "periodicity.json", {"command": "periodicity", **report})
@@ -471,7 +486,8 @@ def cmd_cellscan(args) -> int:
     scan = energy_vs_cell_parameter(
         make_lattice, make_potential, _field(cfg, "ec", float), schemes, a_values,
         n_electrons=_field(cfg, "electrons", float, 1.0), grid_n=_field(cfg, "grid", int, 6),
-        n_bands=_field(cfg, "nbands", int, 6), threads=_field(cfg, "threads", int, 1),
+        n_bands=_at_least(_field(cfg, "nbands", int, 6), 1, "nbands"),
+        threads=_field(cfg, "threads", int, 1),
     )
     out = _output_dir(cfg)
     tags = [s.tag for s in schemes]

@@ -17,25 +17,24 @@
             Schur complement S(0) for all bands of all such members of a
             stack, each value with a checked Weyl bound; only the pairs
             whose bound exceeds 1e-10 take fixed-point steps.
-* dense   : otherwise, one LAPACK eigvalsh/eigh of the whole matrix, shared
+* dense   : otherwise, one LAPACK eigvalsh of the whole matrix, shared
             by the plain members of a stack.
 
-Every member gets an absolute eigenvalue error bound (EigenSolution.bounds):
-the block path min(||R||_F^2 / eta, max ||r_i||) (see _ritz_bound) and the
-graded route its Weyl or contraction bound, each plus 16 eps times a norm
-of the matrix its LAPACK eigensolve works on (_LAPACK_ROUNDING), and a
-plain dense solve that rounding term alone.  EigenSolution.residual_bound, the largest
-||Hv - lv|| / (1 + |l|), exists only with vectors: it is None whenever no
-vectors are kept, on every path.
+Every solve returns one output, EigenSolution(values, bounds): the lowest
+eigenvalues of each member and an absolute error bound per member.  The
+block path bounds by min(||R||_F^2 / eta, max ||r_i||) (see _ritz_bound),
+the graded route by its Weyl or contraction bound, each plus 16 eps times a
+norm of the matrix its LAPACK eigensolve works on (_LAPACK_ROUNDING), and a
+plain dense solve by that rounding term alone.
 
 The block path stops when every requested pair has relative residual
-||Hx - theta x|| / (1 + |theta|) <= 1e-10, or, without vectors, as soon as
-the quadratic eigenvalue bound ||R||_F^2 / eta, with the gap eta read from
-the first guard column, is <= 1e-10 (an eigenvalue error is quadratic in the
-residual, a vector's is not).  H @ X follows the Ritz rotations instead of
-being recomputed, and each column carries a bound on its drift from an
-explicit product, the rotations' rounding (after Duersch, Shao, Yang and
-Gu, SIAM J. Sci. Comput. 40, 2018).  A stop is taken as it stands when the
+||Hx - theta x|| / (1 + |theta|) <= 1e-10, or as soon as the quadratic
+eigenvalue bound ||R||_F^2 / eta, with the gap eta read from the first guard
+column, is <= 1e-10 (an eigenvalue error is quadratic in the residual).
+H @ X follows the Ritz rotations instead of being recomputed, and each
+column carries a bound on its drift from an explicit product, the
+rotations' rounding (after Duersch, Shao, Yang and Gu, SIAM J. Sci.
+Comput. 40, 2018).  A stop is taken as it stands when the
 rule still holds with every residual norm widened by that drift and by
 ||X^H X - I|| max|theta|, and the reported bounds use the widened norms;
 otherwise it is confirmed on an explicit H @ X.  A cold start is unit
@@ -75,7 +74,9 @@ from .potential import FourierPotential
 
 
 class SolverFailure(RuntimeError):
-    """Eigensolver did not converge or produced out-of-tolerance residuals."""
+    """No eigenvalues with a finite error bound: a matrix with a nan or inf
+    entry, a LAPACK failure, or a Schur fixed point that does not meet its
+    bound."""
 
 
 class BandCountExceedsBasis(ValueError):
@@ -84,11 +85,8 @@ class BandCountExceedsBasis(ValueError):
 
 @dataclass(frozen=True)
 class EigenSolution:
-    values: np.ndarray            # ascending, multiplicities counted
-    vectors: np.ndarray | None    # orthonormal columns, matching order
-    residual_bound: float | None  # max ||Hv - lv|| / (1 + |l|); None when no
-                                  # vectors are kept
-    bounds: np.ndarray            # (B,) eigenvalue error bound per member; 0-d for one
+    values: np.ndarray  # ascending, multiplicities counted; (B, n) for a stack
+    bounds: np.ndarray  # (B,) eigenvalue error bound per member; 0-d for one
 
 
 _RESIDUAL_TOL = 1e-10
@@ -175,10 +173,10 @@ def _tries_block(n: int, take: int) -> bool:
     return n >= _BLOCK_MIN_ORDER and take + _BLOCK_GUARD <= n // _BLOCK_MIN_RATIO
 
 
-def _eigh_block(H, take: int, diag: np.ndarray | None = None, want_vectors: bool = True,
+def _eigh_block(H, take: int, diag: np.ndarray | None = None,
                 start: np.ndarray | None = None):
-    """Lowest `take` eigenpairs by LOBPCG: (values, vectors or None, residual
-    bound, eigenvalue bound, final Ritz block).
+    """Lowest `take` eigenvalues by LOBPCG: (values, eigenvalue bound, final
+    Ritz block).
 
     H is the (M, M) matrix, or, with its real diagonal `diag` given, a
     function X -> H @ X such as a fiber member's table product.
@@ -198,20 +196,19 @@ def _eigh_block(H, take: int, diag: np.ndarray | None = None, want_vectors: bool
     drift from an explicit product (see _rayleigh_ritz).
 
     It stops once every requested pair has relative residual
-    ||r_i|| / (1 + |theta_i|) <= 1e-10, or, without vectors, once the
-    eigenvalue bound of _ritz_bound is <= 1e-10: an eigenvalue error is
-    quadratic in the residual once a gap is known, a vector's error is not.
-    Both rules assume that the block has missed no eigenvalue; the random
-    start block guards that.  The stop stands when ||X^H X - I|| <= 1e-12
-    and the rule still holds with each ||r_i|| widened by its drift bound
-    and by ||X^H X - I|| max|theta|, which _ritz_bound also takes as its
-    slack.  Otherwise X is re-orthonormalized and one more Rayleigh-Ritz
-    step on an explicit H @ X confirms the stop; the first step is explicit,
-    so a start that is already converged stops after one product.  It
-    returns that eigenvalue bound and the residual bound
-    max ||r_i|| / (1 + |theta_i|), both over the `take` pairs and from the
-    widened norms, and the whole final block of take + _BLOCK_GUARD Ritz
-    vectors.
+    ||r_i|| / (1 + |theta_i|) <= 1e-10, or once the eigenvalue bound of
+    _ritz_bound is <= 1e-10: an eigenvalue error is quadratic in the
+    residual once a gap is known.  Both rules assume that the block has
+    missed no eigenvalue; the random start block guards that.  The stop
+    stands when ||X^H X - I|| <= 1e-12 and the rule still holds with each
+    ||r_i|| widened by its drift bound and by ||X^H X - I|| max|theta|,
+    which _ritz_bound also takes as its slack.  Otherwise X is
+    re-orthonormalized and one more Rayleigh-Ritz step on an explicit
+    H @ X confirms the stop; the first step is explicit, so a start that is
+    already converged stops after one product.  It returns the values, the
+    eigenvalue bound of _ritz_bound over the `take` pairs from the widened
+    norms, and the whole final block of take + _BLOCK_GUARD Ritz vectors,
+    from which eigh warm-starts a -k partner.
     Returns None instead when that takes more than _BLOCK_MAX_ITER
     iterations, when a residual is not finite, or on a LinAlgError.
     """
@@ -234,7 +231,7 @@ def _eigh_block(H, take: int, diag: np.ndarray | None = None, want_vectors: bool
 
     def stops(theta: np.ndarray, norms: np.ndarray, slack: float = 0.0) -> bool:
         return (np.max(norms[:take] / (1.0 + np.abs(theta[:take]))) <= _RESIDUAL_TOL
-                or (not want_vectors and _ritz_bound(theta, norms, take, slack) <= _RESIDUAL_TOL))
+                or _ritz_bound(theta, norms, take, slack) <= _RESIDUAL_TOL)
 
     try:
         X = _cholesky_qr(X)
@@ -253,9 +250,7 @@ def _eigh_block(H, take: int, diag: np.ndarray | None = None, want_vectors: bool
                 slack = drift + skew * np.max(np.abs(theta))
                 wide, most = norms + slack, np.max(slack[:take + 1])
                 if skew <= _SKEW_TOL and stops(theta, wide, most):
-                    return (theta[:take], X[:, :take] if want_vectors else None,
-                            float(np.max(wide[:take] / (1.0 + np.abs(theta[:take])))),
-                            _ritz_bound(theta, wide, take, most), X)
+                    return theta[:take], _ritz_bound(theta, wide, take, most), X
                 if not explicit:
                     X = _cholesky_qr(_cholesky_qr(X))
                     theta, _, X, AX, drift = _rayleigh_ritz(X, H(X), np.zeros(nb), nb)
@@ -311,8 +306,8 @@ def _graded_mask(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return steep & split[:, None], bound
 
 
-def _eigh_schur(stack: np.ndarray, steep: np.ndarray, take: int, want_vectors: bool):
-    """Low eigenpairs of graded members, each with the same number of steep
+def _eigh_schur(stack: np.ndarray, steep: np.ndarray, take: int):
+    """Low eigenvalues of graded members, each with the same number of steep
     diagonal entries (mask `steep`), through their Schur complements.
 
     With H = [[A, B], [B*, D + E]], D the steep diagonal and E the couplings
@@ -325,8 +320,8 @@ def _eigh_schur(stack: np.ndarray, steep: np.ndarray, take: int, want_vectors: b
     (member, band) pairs whose bound exceeds the residual tolerance iterate,
     stacked; the map contracts with L = ||B||^2 / (D_min - lam)^2, so
     L / (1 - L) |step| bounds the error after a step.  Returns (values,
-    vectors or None, bound per member); the bound adds the E term and
-    _LAPACK_ROUNDING eps ||S(0)|| (Gershgorin) for the reduced solves.
+    bound per member); the bound adds the E term and _LAPACK_ROUNDING eps
+    ||S(0)|| (Gershgorin) for the reduced solves.
     """
     G, n = stack.shape[:2]
     order = np.argsort(steep, axis=1, kind="stable")  # mild, then steep, each ascending
@@ -368,30 +363,18 @@ def _eigh_schur(stack: np.ndarray, steep: np.ndarray, take: int, want_vectors: b
     gap = d_min - lam
     bound += np.where(gap > e, b2 * e / (gap * (gap - e)), np.inf)
     bound = bound.max(axis=1) + _LAPACK_ROUNDING * _EPS * np.abs(S).sum(axis=2).max(axis=1)
-    if not want_vectors:
-        return lam, None, bound
-    # each pair's vector: the i-th eigenvector of S(lam_i) on the mild rows,
-    # back-substituted through the whole steep block on the others
-    g, i = np.divmod(np.arange(G * take), take)
-    vm = np.linalg.eigh(reduced(g, lam[g, i]))[1][np.arange(g.size), :, i]
-    shifted = E[g] - lam[g, i][:, None, None] * np.eye(n - m)
-    vs = np.linalg.solve(shifted, -(Bh[g] @ vm[:, :, None]))[:, :, 0]
-    full = np.concatenate([vm, vs], axis=1)
-    vectors = np.empty((G, n, take), dtype=stack.dtype)
-    vectors[g[:, None], order[g], i[:, None]] = full / np.linalg.norm(full, axis=1)[:, None]
-    return lam, vectors, bound
+    return lam, bound
 
 
-def _eigh_dense(stack: np.ndarray, take: int, want_vectors: bool):
-    """The dense route on a (B, M, M) stack: (values, vectors or None,
-    residual bound per member or None, eigenvalue bound per member).
+def _eigh_dense(stack: np.ndarray, take: int):
+    """The dense route on a (B, M, M) stack: (values, eigenvalue bound per
+    member).
 
     Graded members go to _eigh_schur, one call per steep count; the others
-    share one LAPACK call.  Every member gets what it gets alone, bit for
+    share one LAPACK eigvalsh.  Every member gets what it gets alone, bit for
     bit: a stacked LAPACK call or product computes each member as a single
     one, and a failure in any member fails the stack, as it fails the member.
-    A member with a non-finite entry fails; with vectors, the full residual
-    ||Hv - lv|| / (1 + |l|) is checked.
+    A member with a non-finite entry fails.
     """
     B, n = stack.shape[:2]
     steep, bounds = _graded_mask(stack)
@@ -400,33 +383,16 @@ def _eigh_dense(stack: np.ndarray, take: int, want_vectors: bool):
     count = np.count_nonzero(steep, axis=1)
     graded = (count > 0) & (take <= n - count)
     values = np.empty((B, take))
-    vectors = np.empty((B, n, take), dtype=stack.dtype) if want_vectors else None
     plain = np.flatnonzero(~graded)
     try:
         if plain.size:
-            sub = stack if plain.size == B else stack[plain]
-            if want_vectors:
-                vals, vecs = np.linalg.eigh(sub)
-                vectors[plain] = vecs[:, :, :take]
-            else:
-                vals = np.linalg.eigvalsh(sub)
-            values[plain] = vals[:, :take]
+            values[plain] = np.linalg.eigvalsh(stack if plain.size == B else stack[plain])[:, :take]
         for c in np.unique(count[graded]):
             idx = np.flatnonzero(graded & (count == c))
-            values[idx], vecs, bounds[idx] = _eigh_schur(stack[idx], steep[idx], take,
-                                                         want_vectors)
-            if want_vectors:
-                vectors[idx] = vecs
+            values[idx], bounds[idx] = _eigh_schur(stack[idx], steep[idx], take)
     except np.linalg.LinAlgError as exc:
         raise SolverFailure(f"eigensolver failed: {exc}") from exc
-    if not want_vectors:
-        return values, None, None, bounds
-    res = np.linalg.norm(stack @ vectors - vectors * values[:, None, :], axis=1)
-    residuals = np.max(res / (1.0 + np.abs(values)), axis=1)
-    if np.any(~(residuals <= _RESIDUAL_TOL)):  # nan fails too
-        raise SolverFailure(f"residual bound {np.nanmax(residuals):.3e} exceeds "
-                            f"{_RESIDUAL_TOL:g}")
-    return values, vectors, residuals, bounds
+    return values, bounds
 
 
 def _time_reversed(fib: FiberMatrix, b: int, X: np.ndarray) -> np.ndarray | None:
@@ -443,17 +409,18 @@ def _time_reversed(fib: FiberMatrix, b: int, X: np.ndarray) -> np.ndarray | None
     return None if np.any(rows < 0) else X[rows].conj()
 
 
-def eigh(H, n_lowest: int | None = None, want_vectors: bool = False) -> EigenSolution:
-    """Lowest eigenpairs of a Hermitian matrix, ascending.
+def eigh(H, n_lowest: int | None = None) -> EigenSolution:
+    """Lowest eigenvalues of a Hermitian matrix, ascending, each member with
+    an absolute error bound.
 
     Accepts a FiberMatrix or a plain Hermitian array.  Large matrices with
-    few requested eigenpairs go through the block solver, which applies a
+    few requested eigenvalues go through the block solver, which applies a
     FiberMatrix from its row table without building its dense `entries`.
     Otherwise, or if that does not converge, ordinary matrices go through a
     dense full solve and get truncated, and strongly graded matrices
     (blown-up kinetic entries far above the rest) are reduced by their
     Schur complements first, because the dense solve alone cannot deliver
-    the residual tolerance for the low bands there.
+    the tolerance for the low bands there.
 
     A (B, M, M) stack (or a stacked FiberMatrix) gets the same policy member
     by member: the block solver tries each member, and the members it does
@@ -463,9 +430,8 @@ def eigh(H, n_lowest: int | None = None, want_vectors: bool = False) -> EigenSol
     of the member before starts from that member's time-reversed final block
     (see _time_reversed) when the block path served it; every other member
     gets what it gets alone, bit for bit.  The solution then holds (B, n)
-    values, (B, M, n) vectors, the (B,) eigenvalue bounds, and, with
-    vectors, the largest member residual bound (None without vectors).  A
-    single matrix is the B = 1 case, with 0-d bounds.
+    values and the (B,) bounds.  A single matrix is the B = 1 case, with
+    (n,) values and a 0-d bound.
     """
     if isinstance(H, FiberMatrix):
         dims = H.diagonal.shape  # (M,) or (B, M)
@@ -477,35 +443,25 @@ def eigh(H, n_lowest: int | None = None, want_vectors: bool = False) -> EigenSol
     take = n if n_lowest is None else int(n_lowest)
     if not 1 <= take <= n:
         raise ValueError(f"n_lowest must be in [1, {n}], got {n_lowest}")
-    values, bounds, residuals = np.empty((B, take)), np.empty(B), np.empty(B)
-    vectors = np.empty((B, n, take), dtype=getattr(H, "dtype", complex)) if want_vectors else None
-    served = np.zeros(B, dtype=bool)
+    values, bounds, served = np.empty((B, take)), np.empty(B), np.zeros(B, dtype=bool)
     if _tries_block(n, take):
         last = None  # final Ritz block of member b - 1, when the block path served it
         for b in range(B):
             if isinstance(H, FiberMatrix):
                 start = None if last is None else _time_reversed(H, b, last)
                 block = _eigh_block(partial(H.apply, member=b), take,
-                                    H.diagonal.reshape(B, n)[b], want_vectors, start)
+                                    H.diagonal.reshape(B, n)[b], start)
             else:
-                block = _eigh_block(H.reshape(B, n, n)[b], take, None, want_vectors)
+                block = _eigh_block(H.reshape(B, n, n)[b], take)
             last = None
             if block is not None:
                 served[b] = True
-                values[b], vecs, residuals[b], bounds[b], last = block
-                if want_vectors:
-                    vectors[b] = vecs
+                values[b], bounds[b], last = block
     rest = np.flatnonzero(~served)
     if rest.size:
         stack = np.asarray(getattr(H, "entries", H)).reshape(B, n, n)
-        values[rest], vecs, res, bounds[rest] = _eigh_dense(
-            stack if rest.size == B else stack[rest], take, want_vectors)
-        if want_vectors:
-            vectors[rest], residuals[rest] = vecs, res
-    residual = float(residuals.max()) if want_vectors else None
-    if len(dims) == 1:
-        values, vectors = values[0], None if vectors is None else vectors[0]
-    return EigenSolution(values, vectors, residual, bounds.reshape(dims[:-1]))
+        values[rest], bounds[rest] = _eigh_dense(stack if rest.size == B else stack[rest], take)
+    return EigenSolution(values[0] if len(dims) == 1 else values, bounds.reshape(dims[:-1]))
 
 
 @dataclass(frozen=True)

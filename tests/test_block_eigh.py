@@ -75,35 +75,33 @@ def test_block_path_matches_lapack(case):
     assert take + spectra._BLOCK_GUARD <= n // spectra._BLOCK_MIN_RATIO
     block = spectra._eigh_block(H, take)
     assert block is not None, "block solver hit its iteration cap"
-    values, vectors, residual, bound, _ = block
+    values, bound, final = block
     dense = np.linalg.eigvalsh(H)[:take]
     # LAPACK itself is only accurate to a few eps * ||H||
     tol = 1e-9 * (1.0 + np.abs(dense)) + 64 * EPS * np.max(np.abs(H))
     assert np.all(np.abs(values - dense) <= tol)
-    assert residual <= 1e-10
-    res = np.linalg.norm(H @ vectors - vectors * values, axis=0) / (1.0 + np.abs(values))
-    assert np.max(res) <= 1e-10
-    assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(take))) <= 1e-12
-    sol = bl.eigh(H, n_lowest=take, want_vectors=True)   # eigh takes the block path here
-    assert np.array_equal(sol.values, values) and np.array_equal(sol.vectors, vectors)
-    assert sol.residual_bound == residual and sol.bounds == bound
+    # the final block, a -k partner's warm start, is orthonormal: a stop
+    # stands only while ||X^H X - I|| <= 1e-12
+    nb = take + spectra._BLOCK_GUARD
+    assert final.shape == (n, nb)
+    assert np.max(np.abs(final.conj().T @ final - np.eye(nb))) <= 1e-12
+    sol = bl.eigh(H, n_lowest=take)   # eigh takes the block path here
+    assert np.array_equal(sol.values, values) and sol.bounds == bound
 
 
 @settings(max_examples=60, deadline=None)
 @given(block_matrices())
 def test_values_only_block_solve_is_within_its_bound(case):
-    """Without vectors the block path may stop on the quadratic bound
-    ||R||_F^2 / eta; the bound it reports must hold against LAPACK."""
+    """The block path may stop on the quadratic bound ||R||_F^2 / eta; the
+    bound it reports must hold against LAPACK."""
     H, take = case
-    block = spectra._eigh_block(H, take, want_vectors=False)
+    block = spectra._eigh_block(H, take)
     assert block is not None, "block solver hit its iteration cap"
-    values, vectors, _, bound, _ = block
-    assert vectors is None
+    values, bound, _ = block
     # either stop rule, plus the Rayleigh-Ritz rounding term (below 1e-12 here)
     assert bound <= 1e-10 * (1.0 + np.max(np.abs(values))) + 1e-12
     sol = bl.eigh(H, n_lowest=take)   # eigh takes the block path here
     assert sol.values.tobytes() == values.tobytes() and sol.bounds == bound
-    assert sol.residual_bound is None and sol.vectors is None
     spectrum = np.linalg.eigvalsh(H)
     # LAPACK itself is only accurate to a few eps * ||H||
     lapack = 64 * EPS * np.max(np.abs(spectrum))
@@ -162,8 +160,8 @@ def test_values_only_stop_needs_a_gap(block_calls):
     """At the zone center the cubic potential has 2-, 3- and 6-fold levels.
     With n_lowest inside a multiplet, the first guard column belongs to the
     multiplet too, so the gap estimate eta is not positive and the quadratic
-    bound is infinite: the values-only solve must stop on the residual rule,
-    at the same iteration and with the same values as a solve with vectors."""
+    bound is infinite: the solve must stop on the residual rule, which its
+    final block meets, and report the residual bound max ||r_i||."""
     lat = bl.new_lattice(np.eye(3))
     H = bl.assemble(lat, cubic_potential(lat), np.zeros(3), 400.0,
                     bl.kdependent_scheme()).entries
@@ -171,9 +169,12 @@ def test_values_only_stop_needs_a_gap(block_calls):
     inside = [take for take in range(1, 8) if dense[take] - dense[take - 1] <= 1e-9]
     assert inside  # n_lowest cuts a multiplet
     for take in inside:
-        values, _, _, bound, _ = spectra._eigh_block(H, take, want_vectors=False)
-        with_vectors = spectra._eigh_block(H, take)
-        assert values.tobytes() == with_vectors[0].tobytes() and bound == with_vectors[3]
+        values, bound, final = spectra._eigh_block(H, take)
+        theta = np.r_[values, np.real(np.sum(final.conj() * (H @ final), axis=0))[take:]]
+        norms = np.linalg.norm(H @ final - final * theta, axis=0)
+        assert theta[take] - norms[take] - theta[take - 1] <= 0.0  # no gap: beta is inf
+        assert np.max(norms[:take] / (1.0 + np.abs(values))) <= 1e-10  # the residual rule
+        assert bound >= np.max(norms[:take])
         assert np.max(np.abs(values - dense[:take])) <= 1e-10
         assert bound <= 1e-10 * (1.0 + np.max(np.abs(values))) + 1e-12
         sol = bl.eigh(H, n_lowest=take)
@@ -269,12 +270,12 @@ def test_block_start_reaches_every_coset(case, block_calls):
     assert block_calls[-2:] == [True, True]
     for b, kb in enumerate((k, -k)):
         H = bl.assemble(lat, V, kb, 300.0, scheme).entries
-        values, _, _, lapack = spectra._eigh_dense(H[None], take, False)
+        values, lapack = spectra._eigh_dense(H[None], take)
         assert np.all(np.abs(pair.values[b] - values[0]) <= pair.bounds[b] + lapack[0])
 
 
-def fixed_point_reference(H, steep, take, want_vectors=False):
-    """The low eigenpairs of H by the per-band Schur fixed-point loop that
+def fixed_point_reference(H, steep, take):
+    """The low eigenvalues of H by the per-band Schur fixed-point loop that
     spectra.eigh used before its stacked route: with H = [[A, B], [B*, D]]
     and D the diagonal entries `steep`, iterate lam -> eig_i(A - B (D-lam)^-1 B*)
     from 0 until a step is below 1e-15 (1 + |lam|), for each band i alone."""
@@ -288,7 +289,6 @@ def fixed_point_reference(H, steep, take, want_vectors=False):
         return A - (B / (D - lam)) @ B.conj().T
 
     values = np.empty(take)
-    vectors = np.empty((n, take), dtype=H.dtype) if want_vectors else None
     for i in range(take):
         lam = 0.0
         for _ in range(40):
@@ -298,12 +298,7 @@ def fixed_point_reference(H, steep, take, want_vectors=False):
                 break
             lam = new
         values[i] = lam
-        if want_vectors:
-            vm = np.linalg.eigh(reduced(lam))[1][:, i]
-            full = np.zeros(n, dtype=H.dtype)
-            full[mild], full[steep] = vm, -(B.conj().T @ vm) / (D - lam)
-            vectors[:, i] = full / np.linalg.norm(full)
-    return values, vectors
+    return values
 
 
 def schur_reference(H, take):
@@ -312,7 +307,7 @@ def schur_reference(H, take):
     off = np.max(np.abs(H - np.diag(H.diagonal())))
     steep = np.nonzero(d > 1e3 * max(1.0, off))[0]
     assert steep.size and take <= len(d) - steep.size
-    return fixed_point_reference(H, steep, take)[0]
+    return fixed_point_reference(H, steep, take)
 
 
 @st.composite
@@ -339,30 +334,20 @@ def graded_stacks(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(graded_stacks(), st.booleans())
-def test_schur_route_matches_fixed_point_oracle(case, want_vectors):
+@given(graded_stacks())
+def test_schur_route_matches_fixed_point_oracle(case):
     stack, take = case
     mask = spectra._graded_mask(stack)[0]
     assert mask.any(axis=1).all()  # every member takes the Schur route
-    sol = bl.eigh(stack, n_lowest=take, want_vectors=want_vectors)
+    sol = bl.eigh(stack, n_lowest=take)
     assert sol.bounds.shape == (len(stack),)
     for b, H in enumerate(stack):
-        values, vectors = fixed_point_reference(H, np.flatnonzero(mask[b]), take, want_vectors)
+        values = fixed_point_reference(H, np.flatnonzero(mask[b]), take)
         assert np.all(np.abs(sol.values[b] - values) <= sol.bounds[b])
-        one = bl.eigh(H, n_lowest=take, want_vectors=want_vectors)
+        one = bl.eigh(H, n_lowest=take)
         assert one.bounds.shape == ()
         assert sol.values[b].tobytes() == one.values.tobytes()
         assert sol.bounds[b].tobytes() == one.bounds.tobytes()
-        if want_vectors:
-            assert sol.vectors[b].tobytes() == one.vectors.tobytes()
-            overlap = np.abs(np.sum(vectors.conj() * one.vectors, axis=0))
-            gaps = np.diff(values)
-            lone = np.ones(take, dtype=bool)  # eigenvalues well apart from their neighbours
-            lone[:-1] &= gaps > 1e-6
-            lone[1:] &= gaps > 1e-6
-            assert np.all(np.abs(overlap[lone] - 1.0) <= 1e-8)
-    if want_vectors:
-        assert sol.residual_bound <= 1e-10
 
 
 def test_schur_bound_covers_rounding_on_small_deep_members():
@@ -382,7 +367,7 @@ def test_schur_bound_covers_rounding_on_small_deep_members():
         assert np.count_nonzero(mask) == count  # the Schur route
         take = min(2, M - count)
         sol = bl.eigh(H, n_lowest=take)
-        values = fixed_point_reference(H, np.flatnonzero(mask), take)[0]
+        values = fixed_point_reference(H, np.flatnonzero(mask), take)
         assert np.all(np.abs(sol.values - values) <= sol.bounds), f"seed {seed}"
 
 
@@ -399,7 +384,7 @@ def test_schur_route_iterates_where_one_evaluation_is_not_enough():
     steep = np.sort(rng.permutation(M)[:count])
     H[steep, steep] = 1.01e8 * rng.uniform(1.0, 1.1, count)
     assert np.array_equal(np.flatnonzero(spectra._graded_mask(H[None])[0][0]), steep)
-    values = fixed_point_reference(H, steep, take)[0]
+    values = fixed_point_reference(H, steep, take)
     mild = np.setdiff1d(np.arange(M), steep)
     B = H[np.ix_(mild, steep)]
     D = np.real(H.diagonal())[steep]
@@ -433,8 +418,8 @@ def test_block_solver_on_graded_matrix_below_the_split():
     H = bl.assemble(lat, V, k, 800.0, scheme).entries
     assert not spectra._graded_mask(H[None])[0].any()
     ref = schur_reference(H, 4)
-    values, _, residual, _, _ = spectra._eigh_block(H, 4)
-    assert residual <= 1e-10
+    values, bound, _ = spectra._eigh_block(H, 4)
+    assert bound <= 1e-10
     assert np.max(np.abs(values - ref)) <= 1e-10
 
 
@@ -479,13 +464,13 @@ def test_drift_past_the_tolerance_takes_the_confirming_product():
         products.append(X)
         return H @ X
 
-    values, _, residual, bound, final = spectra._eigh_block(product, 4, d)
+    values, bound, final = spectra._eigh_block(product, 4, d)
     last = products[-1]
     assert len(products) > 1 and last.shape == final.shape
     assert np.linalg.norm(final - last @ (last.conj().T @ final)) <= 1e-8
-    assert residual <= 1e-10
+    assert bound <= 1e-10
     lapack = 64 * EPS * np.linalg.norm(H[np.ix_(mild, mild)], 2)
-    assert np.all(np.abs(values - fixed_point_reference(H, steep, 4)[0]) <= bound + lapack)
+    assert np.all(np.abs(values - fixed_point_reference(H, steep, 4)) <= bound + lapack)
 
 
 def test_orthonormal_complement_drops_zero_columns():

@@ -386,12 +386,17 @@ def test_grid_of_wrong_type_is_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("field, value", [
     ("nbands", None), ("ec", "high"), ("threads", [2]), ("path", 3), ("scheme", 1),
     ("lattice", [[1.0]]), ("potential", "cosine"), ("out", 7),
+    ("potential.real_valued", "no"), ("potential.real_valued", 1),
 ])
 def test_fields_of_wrong_type_are_config_errors(tmp_path, capsys, field, value):
     cfg = {"lattice": LAT_1D, "scheme": "kdep", "ec": 25.0, "nbands": 1,
            "path": {"nodes": [["G", [0.0]], ["X", [0.5]]], "samples": 4},
            "out": str(tmp_path / "run")}
-    assert main(["bands", "--config", write_cfg(tmp_path, "cfg.json", cfg | {field: value})]) == 2
+    if field.startswith("potential."):  # a flag of a valid potential
+        cfg["potential"] = {"coeffs": COSINE["coeffs"], field.split(".")[1]: value}
+    else:
+        cfg[field] = value
+    assert main(["bands", "--config", write_cfg(tmp_path, "cfg.json", cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1 and repr(field) in err
 

@@ -80,10 +80,45 @@ def test_degenerate_ladder_is_config_error(tmp_path, capsys, command, extra, fie
     ("cellscan", {"a_ladder": {"count": 2}}, "a_ladder.count"),
     ("periodicity", {"k_samples": -1}, "k_samples"),
     ("bands", {"path": {"nodes": BANDS["path"]["nodes"], "samples": 0}}, "path.samples"),
+    ("dos", {"grid": 2, "mu_points": 0}, "mu_points"),
+    ("dos", {"grid": 2, "mu_points": -1}, "mu_points"),
+    ("bands", {"nbands": 0}, "nbands"), ("dos", {"grid": 2, "nbands": 0}, "nbands"),
+    ("fermi", {"grid": 2, "nbands": 0}, "nbands"), ("periodicity", {"nbands": 0}, "nbands"),
+    ("cellscan", {"nbands": 0}, "nbands"),
+    ("converge", {"ec_ladder": [25.0, 50.0], "band_index": 0}, "band_index"),
+    ("regularity", {"blowup": {"m": 1, "p": 1.5}, "band_index": 0}, "band_index"),
 ])
 def test_out_of_range_count_names_its_field(tmp_path, capsys, command, extra, field):
     code, err = run(tmp_path, command, BANDS | extra, capsys)
     assert_config_error(code, err, field)
+    assert not (tmp_path / "run").exists()
+
+
+LAT_2D = {"dim": 2, "primitive": [[1.0, 0.0], [0.0, 1.0]]}
+
+
+def nodes(*entries):
+    return {"path": {"nodes": list(entries) + [["X", [0.5]]]}}
+
+
+@pytest.mark.parametrize("command, extra, field, hint", [
+    ("bands", nodes(["G", [0.0, 0.0]]), "path.nodes", "lattice dimension (1)"),
+    ("bands", {"lattice": LAT_2D} | nodes(["G", [0.0, 0.0]]), "path.nodes",
+     "lattice dimension (2)"),
+    ("periodicity", {"shifts": [[1, 0]]}, "shifts", "lattice dimension (1)"),
+    ("periodicity", {"lattice": LAT_2D, "shifts": [[1, 0], [1]]}, "shifts",
+     "lattice dimension (2)"),
+    ("bands", nodes(["G"]), "path.nodes", "[label, coords]"),
+    ("bands", nodes(["G", [0.0], "extra"]), "path.nodes", "[label, coords]"),
+    ("bands", nodes([]), "path.nodes", "[label, coords]"),
+])
+def test_malformed_node_or_shift_names_its_field(tmp_path, capsys, command, extra, field, hint):
+    """A node or shift of the wrong length, or a node that is not a pair, is
+    a config error that names the field, not a numpy matmul or unpacking
+    error."""
+    code, err = run(tmp_path, command, BANDS | extra, capsys)
+    assert_config_error(code, err, field)
+    assert hint in err
     assert not (tmp_path / "run").exists()
 
 

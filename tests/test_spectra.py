@@ -37,17 +37,6 @@ def test_eigh_cosine_fiber(lat1d, cosine):
     assert vals[0] < 0.0            # level repulsion pushes the ground state down
 
 
-def test_eigh_vectors_residual_and_orthonormality(lat1d, cosine):
-    fib = bl.assemble(lat1d, cosine, [0.4], 200.0, bl.kdependent_scheme())
-    sol = bl.eigh(fib, want_vectors=True)
-    H, v = fib.entries, sol.vectors
-    assert sol.residual_bound <= 1e-10
-    for i, lam in enumerate(sol.values):
-        assert np.linalg.norm(H @ v[:, i] - lam * v[:, i]) <= 1e-10 * (1 + abs(lam))
-    gram = v.conj().T @ v
-    assert np.max(np.abs(gram - np.eye(len(sol.values)))) <= 1e-10
-
-
 def test_eigh_truncation_consistent(lat1d, cosine):
     fib = bl.assemble(lat1d, cosine, [0.4], 200.0, bl.kdependent_scheme())
     full = bl.eigh(fib).values
@@ -55,13 +44,14 @@ def test_eigh_truncation_consistent(lat1d, cosine):
     assert np.array_equal(two, full[:2])
 
 
-def test_eigh_integer_matrix_with_vectors():
-    """An integer matrix is solved in double precision: its eigenvectors are
-    not truncated to integers."""
-    sol = bl.eigh(np.array([[2, 1], [1, 2]]), want_vectors=True)
-    assert sol.vectors.dtype == np.float64
+def test_eigh_integer_and_float32_matrices_in_double():
+    """Integer and float32 matrices are solved in double precision: the
+    values of a float32 matrix match those of its double copy to the bit."""
+    sol = bl.eigh(np.array([[2, 1], [1, 2]]))
+    assert sol.values.dtype == np.float64
     assert np.allclose(sol.values, [1.0, 3.0], rtol=0, atol=1e-15)
-    assert np.allclose(np.abs(sol.vectors), np.sqrt(0.5), rtol=0, atol=1e-15)
+    H = np.array([[2.0, 0.1], [0.1, 1.0]], dtype=np.float32)
+    assert bl.eigh(H).values.tobytes() == np.linalg.eigvalsh(H.astype(float)).tobytes()
 
 
 def test_eigh_bad_count():
@@ -217,14 +207,13 @@ def nan_coupled(M):
     return H
 
 
-@pytest.mark.parametrize("want_vectors", [False, True])
+@pytest.mark.parametrize("in_stack", [False, True])
 @pytest.mark.parametrize("M, n_lowest", [(3, None), (240, 4)])  # dense path; block path
-def test_non_finite_member_fails(M, n_lowest, want_vectors):
-    """A nan entry fails the solve, alone or in a stack, with or without
-    vectors: no nan values, and no finite bound next to them."""
+def test_non_finite_member_fails(M, n_lowest, in_stack):
+    """A nan entry fails the solve, alone or in a stack: no nan values, and
+    no finite bound next to them."""
     H = nan_coupled(M)
+    if in_stack:
+        H = np.stack([np.diag(np.arange(1.0, M + 1.0)), H])
     with pytest.raises(bl.SolverFailure):
-        bl.eigh(H, n_lowest=n_lowest, want_vectors=want_vectors)
-    with pytest.raises(bl.SolverFailure):
-        bl.eigh(np.stack([np.diag(np.arange(1.0, M + 1.0)), H]), n_lowest=n_lowest,
-                want_vectors=want_vectors)
+        bl.eigh(H, n_lowest=n_lowest)

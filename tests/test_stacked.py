@@ -159,21 +159,16 @@ def block_member(rng, M, spread, dtype):
     return H
 
 
-def assert_members_equal(stack, n_lowest, want_vectors=False):
-    """eigh on the stack against eigh on each member: values, bounds and
-    vectors to the bit, and the largest member residual bound."""
-    sol = bl.eigh(stack, n_lowest=n_lowest, want_vectors=want_vectors)
-    singles = [bl.eigh(H, n_lowest=n_lowest, want_vectors=want_vectors) for H in stack]
+def assert_members_equal(stack, n_lowest):
+    """eigh on the stack against eigh on each member: values and bounds to
+    the bit."""
+    sol = bl.eigh(stack, n_lowest=n_lowest)
+    singles = [bl.eigh(H, n_lowest=n_lowest) for H in stack]
     assert sol.values.shape == (len(stack), n_lowest)
     assert sol.bounds.shape == (len(stack),)
     for b, one in enumerate(singles):
         assert sol.values[b].tobytes() == one.values.tobytes()
         assert sol.bounds[b].tobytes() == one.bounds.tobytes()
-        if want_vectors:
-            assert sol.vectors.dtype == one.vectors.dtype == stack.dtype
-            assert sol.vectors[b].tobytes() == one.vectors.tobytes()
-    bounds = [one.residual_bound for one in singles]
-    assert sol.residual_bound == (None if None in bounds else max(bounds))
     return sol
 
 
@@ -193,16 +188,6 @@ def test_stacked_eigh_mixes_graded_and_plain_members():
         assert_members_equal(stack, n_lowest)
 
 
-def test_stacked_eigh_with_vectors():
-    rng = np.random.default_rng(6)
-    stack = np.stack([graded_member(30, rng) for _ in range(3)])
-    stack[1][np.diag_indices(30)] = np.linspace(0.0, 30.0, 30)  # a plain member
-    assert not spectra._graded_mask(stack[1:2])[0].any()
-    for n_lowest in (1, 5):
-        sol = assert_members_equal(stack, n_lowest, want_vectors=True)
-        assert sol.vectors.shape == (3, 30, n_lowest)
-
-
 def test_stacked_eigh_on_block_path_members(block_calls):
     rng = np.random.default_rng(7)
     M = spectra._BLOCK_MIN_ORDER + 40
@@ -214,23 +199,18 @@ def test_stacked_eigh_on_block_path_members(block_calls):
 @pytest.mark.parametrize("dtype", [complex, float])
 def test_stacked_eigh_mixes_block_and_fallback_members(monkeypatch, block_calls, dtype):
     """A stack on the block path whose middle member falls back to the dense
-    route: every member still gets its own single-matrix result.  With
-    vectors the outer members converge in 11-12 block iterations and the
-    middle one needs 26-33; without, 7-8 and 16-20.  So a cap of 14 sends
-    only the middle one to the dense route, with or without vectors."""
+    route: every member still gets its own single-matrix result.  The outer
+    members converge within 6-7 block iterations and the middle one needs
+    15-19, so a cap of 14 sends only the middle one to the dense route."""
     rng = np.random.default_rng(8)
     M = spectra._BLOCK_MIN_ORDER + 40
     stack = np.stack([block_member(rng, M, spread, dtype) for spread in (40.0, 4.0, 40.0)])
     monkeypatch.setattr(spectra, "_BLOCK_MAX_ITER", 14)
-    for want_vectors in (True, False):
-        assert [spectra._eigh_block(H, 4, None, want_vectors) is None
-                for H in stack] == [False, True, False]
+    assert [spectra._eigh_block(H, 4) is None for H in stack] == [False, True, False]
     block_calls.clear()
     sol = assert_members_equal(stack, 4)
     assert block_calls == [True, False, True] * 2  # stack, then singles
     assert sol.bounds[0] <= 1e-10 and sol.bounds[2] <= 1e-10  # block eigenvalue bounds
-    sol = assert_members_equal(stack, 4, want_vectors=True)
-    assert sol.residual_bound <= 1e-10
 
 
 def test_each_member_reports_its_bound(block_calls):
