@@ -3,7 +3,8 @@
 Free electrons in 1D give closed forms to check against: at one electron
 per cell the Fermi level is pi^2/2 and the integrated energy density up to
 it is pi^2/6.  Switching on a cosine potential opens a gap at the zone
-edge, and the Fermi search reports the gap edges instead of a plateau.
+edge: the Fermi search then reports a plateau [lower, upper] with
+upper > lower, whose edges are the gap edges.
 """
 
 import warnings
@@ -25,7 +26,7 @@ with warnings.catch_warnings(record=True) as caught:
     warnings.simplefilter("always", bl.TruncationWarning)
     energy = bl.idoe(free, report.mu)
 print(f"  energy(mu)       {energy:.10f}   (pi^2/6 = {np.pi ** 2 / 6:.10f})")
-print(f"  gap reported     {report.gap}")
+print(f"  gap width        {report.upper - report.lower:g}   (no computed state above)")
 # the band is exactly full, so the counter flags that band 2 could matter
 print(f"  library warns:   {caught[0].message}")
 
@@ -37,7 +38,7 @@ print("\ncosine potential, 16-point grid, 1 electron per cell (insulator)")
 print(f"  valence top      {report.lower:.10f}")
 print(f"  conduction floor {report.upper:.10f}")
 print(f"  fermi level      {report.mu:.10f}   (gap midpoint)")
-print(f"  gap width        {report.gap.upper - report.gap.lower:.10f}")
+print(f"  gap width        {report.upper - report.lower:.10f}")
 print(f"  idos at mu       {bl.idos(cosine, report.mu):.1f}   (filled band)")
 
 # half filling lands inside band 1: the level pins to a spectral jump

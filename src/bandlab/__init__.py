@@ -49,7 +49,6 @@ from .lattice import (
 )
 from .observables import (
     FermiLevel,
-    GapInfo,
     TruncationWarning,
     UnreachableFilling,
     fermi_level,

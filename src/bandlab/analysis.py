@@ -161,11 +161,13 @@ class RegularityProbe:
     order: int
 
 
-def _detect_basis_change(lat: Lattice, Ec: float, center, direction, halfwidth: float,
-                         n_scan: int) -> np.ndarray:
-    ts = np.linspace(-halfwidth, halfwidth, n_scan)
-    flips = np.nonzero(np.diff(_basis_sizes(lat, Ec, center + ts[:, None] * direction)))[0]
-    return np.array([center + 0.5 * (ts[i] + ts[i + 1]) * direction for i in flips])
+def _line_flips(lat: Lattice, Ec: float, center, direction, ts) -> tuple:
+    """The points center + t * direction for t in ts, the indices i where the
+    basis size changes between points i and i + 1, and the Cartesian
+    midpoints of those steps."""
+    points = center + ts[:, None] * direction
+    flips = np.nonzero(np.diff(_basis_sizes(lat, Ec, points)))[0]
+    return points, flips, center + (0.5 * (ts[flips] + ts[flips + 1]))[:, None] * direction
 
 
 def regularity_probe(lat: Lattice, V: FourierPotential, Ec: float, blowup_spec: BlowupSpec,
@@ -195,8 +197,8 @@ def regularity_probe(lat: Lattice, V: FourierPotential, Ec: float, blowup_spec: 
     if center is None:
         # scan one reciprocal period for the first rank flip and center there
         period = float(np.linalg.norm(lat.reciprocal[:, 0]))
-        found = _detect_basis_change(lat, Ec, np.zeros(lat.dim), direction,
-                                     period / 2.0, 2001)
+        ts = np.linspace(-period / 2.0, period / 2.0, 2001)
+        found = _line_flips(lat, Ec, np.zeros(lat.dim), direction, ts)[2]
         if found.size == 0:
             raise NoBasisChangeOnPath("no basis rank change within one period")
         center = found[0]
@@ -209,23 +211,20 @@ def regularity_probe(lat: Lattice, V: FourierPotential, Ec: float, blowup_spec: 
     for j, delta in enumerate(deltas):
         half_count = int(round(halfwidth / delta))
         offsets = (np.arange(2 * half_count + 1) - half_count) * delta
-        points = center + offsets[:, None] * direction
-        kset = KPointSet(points=points, kind="path")
-        flips = np.nonzero(np.diff(_basis_sizes(lat, Ec, points)))[0]
+        points, flips, midpoints = _line_flips(lat, Ec, center, direction, offsets)
         if flips.size == 0:
             raise NoBasisChangeOnPath(
                 f"no basis rank change within {halfwidth:g} of the probe center"
             )
-        bands = compute_bands(lat, V, kset, Ec, scheme, band_index, threads=threads)
+        bands = compute_bands(lat, V, KPointSet(points=points, kind="path"), Ec, scheme,
+                              band_index, threads=threads)
         trace = band_derivative_trace(bands, band_index, order)
         near = np.zeros(trace.size, dtype=bool)
         for i in flips:
             near[max(0, i - 5):i + 6] = True
         peaks[j] = np.max(np.abs(trace[near]))
         if change_points is None:
-            change_points = np.array(
-                [center + 0.5 * (offsets[i] + offsets[i + 1]) * direction for i in flips]
-            )
+            change_points = midpoints
 
     p1, p2, p3 = peaks[-3], peaks[-2], peaks[-1]
     unbounded = (p3 > p2 > p1) and (p3 >= 1.5 * p1)

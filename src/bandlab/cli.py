@@ -31,7 +31,7 @@ from .analysis import (
     regularity_probe,
 )
 from .blowup import BlowupSpec, build_blowup
-from .fiber import Scheme, kdependent_scheme, modified_scheme, uniform_scheme
+from .fiber import Scheme
 from .lattice import KPointSet, Lattice, kpath, lattice_from_dict, new_lattice, uniform_grid
 from .observables import TruncationWarning, fermi_level, idoe, idos
 from .potential import (
@@ -94,23 +94,22 @@ def _as(value, kind, key: str):
     raise ValueError(f"config field {key!r} must be {_KINDS[kind]}, got {json.dumps(value)}")
 
 
-def _field(cfg: dict, key: str, kind, default=_REQUIRED):
-    """cfg[key] checked by _as, or the default when the key is absent.  A
-    default other than None is written into cfg, so the config echoed next to
-    the outputs holds every value the run used."""
-    if key not in cfg:
+def _field(cfg: dict, key: str, kind, default=_REQUIRED, above=None):
+    """cfg[key] checked by _as and, when `above` is given, to be greater than
+    it; the default when the key is absent.  A dotted key such as
+    "path.samples" reads its last part and names the whole path in errors.
+    A default other than None is written into cfg, so the config echoed next
+    to the outputs holds every value the run used."""
+    name = key.rpartition(".")[2]
+    if name not in cfg:
         if default is _REQUIRED:
             raise ValueError(f"config is missing the {key!r} field")
         if default is not None:
-            cfg[key] = default
+            cfg[name] = default
         return default
-    return _as(cfg[key], kind, key)
-
-
-def _at_least(value: int, low: int, key: str) -> int:
-    """value, or a ValueError naming the config field when it is below `low`."""
-    if value < low:
-        raise ValueError(f"config field {key!r} must be >= {low}, got {value}")
+    value = _as(cfg[name], kind, key)
+    if above is not None and not value > above:
+        raise ValueError(f"config field {key!r} must be > {above}, got {value}")
     return value
 
 
@@ -166,18 +165,17 @@ def _config(args) -> dict:
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object")
     _check_keys(cfg, _KNOWN_KEYS[args.command], "", args.command)
-    for key in ("ec", "nbands", "grid", "electrons", "seed", "threads", "out", "scheme"):
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
-    if getattr(args, "ec_ladder", None) is not None:
-        cfg["ec_ladder"] = [float(v) for v in args.ec_ladder.split(",")]
-    if getattr(args, "path", None) is not None:
-        merged = _parse_path_flag(args.path)
-        path = _field(cfg, "path", dict, {})
-        if path.get("samples") is not None:
-            merged["samples"] = path["samples"]
-        cfg["path"] = merged
+    for key, value in vars(args).items():
+        if key not in _COMMON_KEYS or value is None:
+            continue
+        if key == "ec_ladder":
+            value = [float(v) for v in value.split(",")]
+        elif key == "path":
+            value = _parse_path_flag(value)
+            samples = _field(cfg, "path", dict, {}).get("samples")
+            if samples is not None:
+                value["samples"] = samples
+        cfg[key] = value
     blow = dict(_field(cfg, "blowup", dict, None) or {})
     for key in ("m", "p", "c", "a"):
         value = getattr(args, f"blowup_{key}", None)
@@ -251,21 +249,17 @@ def _build_scheme(cfg: dict, scheme: str | None = None) -> Scheme:
     """The named scheme, by default the config's "scheme" (kdep)."""
     if scheme is None:
         scheme = _field(cfg, "scheme", str, "kdep")
-    name = _SCHEME_NAMES.get(scheme)
-    if name is None:
+    tag = _SCHEME_NAMES.get(scheme)
+    if tag is None:
         raise ValueError(f"unknown scheme {scheme!r}")
-    if name == "uniform":
-        return uniform_scheme()
-    if name == "kdependent":
-        return kdependent_scheme()
-    return modified_scheme(_build_blowup(_field(cfg, "blowup", dict,
-                                                {"m": 1, "p": 1.5, "c": 1.0})))
+    return Scheme(tag, _build_blowup(_field(cfg, "blowup", dict, {"m": 1, "p": 1.5, "c": 1.0}))
+                  if tag == "modified" else None)
 
 
 def _build_kset(cfg: dict, lat: Lattice, require: str | None = None) -> KPointSet:
     has_path, has_grid = "path" in cfg, "grid" in cfg
     if require == "grid" or (has_grid and not has_path):
-        return uniform_grid(lat, _field(cfg, "grid", int))
+        return uniform_grid(lat, _field(cfg, "grid", int, above=0))
     if has_path and not has_grid:
         path = _field(cfg, "path", dict)
         nodes = []
@@ -274,9 +268,8 @@ def _build_kset(cfg: dict, lat: Lattice, require: str | None = None) -> KPointSe
                 raise ValueError(f"config field 'path.nodes' takes [label, coords] pairs, "
                                  f"got {json.dumps(node)}")
             frac = _coords(node[1], float, "path.nodes", lat.dim)
-            nodes.append((str(node[0]), lat.reciprocal @ np.array(frac)))
-        samples = _at_least(_field(path, "samples", int, 100), 1, "path.samples")
-        return kpath(lat, nodes, samples)
+            nodes.append((_as(node[0], str, "path.nodes"), lat.reciprocal @ np.array(frac)))
+        return kpath(lat, nodes, _field(path, "path.samples", int, 100, above=0))
     raise ValueError("exactly one of 'path' and 'grid' must be configured")
 
 
@@ -299,7 +292,7 @@ def _solve_bands(args, require: str | None = None) -> tuple[dict, BandStructure]
     """The shared run of bands, dos and fermi: nbands (default 4) bands at each k."""
     cfg, lat, V, scheme, kset = _run_context(args, solve=True, require=require)
     bands = compute_bands(lat, V, kset, _field(cfg, "ec", float), scheme,
-                          _at_least(_field(cfg, "nbands", int, 4), 1, "nbands"),
+                          _field(cfg, "nbands", int, 4, above=0),
                           threads=_field(cfg, "threads", int, 1))
     return cfg, bands
 
@@ -350,8 +343,7 @@ def cmd_dos(args) -> int:
     cfg, bands = _solve_bands(args, require="grid")
     lo, hi = float(bands.energies.min()), float(bands.energies.max())
     margin = 0.05 * (hi - lo) if hi > lo else 1.0
-    mus = np.linspace(lo - margin, hi + margin,
-                      _at_least(_field(cfg, "mu_points", int, 200), 1, "mu_points"))
+    mus = np.linspace(lo - margin, hi + margin, _field(cfg, "mu_points", int, 200, above=0))
     rows = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", TruncationWarning)
@@ -369,12 +361,12 @@ def cmd_dos(args) -> int:
 
 def cmd_fermi(args) -> int:
     cfg, bands = _solve_bands(args, require="grid")
-    level = fermi_level(bands, _field(cfg, "electrons", float, 1.0))
+    level = fermi_level(bands, _field(cfg, "electrons", float, 1.0, above=0))
     out = _output_dir(cfg)
     payload = {
         "command": "fermi", "mu": level.mu, "plateau_lower": level.lower,
         "plateau_upper": level.upper,
-        "gap_width": None if level.gap is None else level.gap.width,
+        "gap_width": level.upper - level.lower if level.upper > level.lower else None,
         **bands.metadata,
     }
     _write_json(out / "fermi.json", payload)
@@ -386,7 +378,7 @@ def cmd_converge(args) -> int:
     cfg, lat, V, scheme, kset = _run_context(args, solve=True)
     ladder = _floats(cfg, "ec_ladder")
     ec_ref = _field(cfg, "ec_reference", float, 16.0 * max(ladder))
-    band_index = _at_least(_field(cfg, "band_index", int, 1), 1, "band_index")
+    band_index = _field(cfg, "band_index", int, 1, above=0)
     threads = _field(cfg, "threads", int, 1)
     r = None if cfg.get("sobolev_r") is None else _field(cfg, "sobolev_r", float)
     if r is None and "synth" in (cfg.get("potential") or {}):  # null: zero potential
@@ -419,7 +411,7 @@ def cmd_regularity(args) -> int:
     deltas = _floats(cfg, "deltas", [1e-2, 5e-3, 2.5e-3, 1.25e-3])
     probe = regularity_probe(
         lat, V, _field(cfg, "ec", float), spec,
-        band_index=_at_least(_field(cfg, "band_index", int, 1), 1, "band_index"),
+        band_index=_field(cfg, "band_index", int, 1, above=0),
         order=_field(cfg, "derivative_order", int, 1),
         deltas=deltas, threads=_field(cfg, "threads", int, 1),
     )
@@ -448,7 +440,7 @@ def cmd_periodicity(args) -> int:
     shifts = [tuple(_coords(s, int, "shifts", lat.dim))
               for s in _field(cfg, "shifts", list, [[1] + [0] * (lat.dim - 1)])]
     report = periodicity_report(lat, V, _field(cfg, "ec", float), schemes, samples, shifts,
-                                n_bands=_at_least(_field(cfg, "nbands", int, 1), 1, "nbands"),
+                                n_bands=_field(cfg, "nbands", int, 1, above=0),
                                 threads=_field(cfg, "threads", int, 1))
     out = _output_dir(cfg)
     _write_json(out / "periodicity.json", {"command": "periodicity", **report})
@@ -462,16 +454,12 @@ def cmd_cellscan(args) -> int:
     ladder = _field(cfg, "a_ladder", dict, {})
     center = _field(ladder, "center", float, 1.0)
     span = _field(ladder, "span", float, 0.05)
-    count = _at_least(_field(ladder, "count", int, 50), 3, "a_ladder.count")
+    count = _field(ladder, "a_ladder.count", int, 50, above=2)
     if center == 0.0 or span == 0.0:
         raise ValueError(f"config field 'a_ladder' needs a nonzero center and span, "
                          f"got {json.dumps(ladder)}")
     a_values = np.linspace(center * (1.0 - span), center * (1.0 + span), count)
     unit = base.primitive / center
-
-    def make_lattice(a: float):
-        return new_lattice(a * unit)
-
     if "file" in (cfg.get("potential") or {}):
         # a saved potential belongs to the base cell; its integer-indexed
         # coefficients are reused unchanged on every scaled cell
@@ -484,10 +472,10 @@ def cmd_cellscan(args) -> int:
     names = _field(cfg, "schemes", list, ["kdep", "modified"])
     schemes = [_build_scheme(cfg, name) for name in names]
     scan = energy_vs_cell_parameter(
-        make_lattice, make_potential, _field(cfg, "ec", float), schemes, a_values,
-        n_electrons=_field(cfg, "electrons", float, 1.0), grid_n=_field(cfg, "grid", int, 6),
-        n_bands=_at_least(_field(cfg, "nbands", int, 6), 1, "nbands"),
-        threads=_field(cfg, "threads", int, 1),
+        lambda a: new_lattice(a * unit), make_potential, _field(cfg, "ec", float), schemes,
+        a_values, n_electrons=_field(cfg, "electrons", float, 1.0, above=0),
+        grid_n=_field(cfg, "grid", int, 6, above=0),
+        n_bands=_field(cfg, "nbands", int, 6, above=0), threads=_field(cfg, "threads", int, 1),
     )
     out = _output_dir(cfg)
     tags = [s.tag for s in schemes]

@@ -38,7 +38,7 @@ first access, each only on the route that needs it:
 
 So the dense route never builds the table and the block path never builds
 the dense matrix.  When the block path gives up on a member, building
-`entries` drops the table, so a fiber never keeps both.
+`entries` drops the table, so a fiber that eigh solves never keeps both.
 
 A (B, d) stack of k-points whose bases have one size M is assembled in one
 pass: one basis enumeration for the B bases (compute_bands passes the
@@ -94,9 +94,7 @@ class FiberMatrix:
     and the row `table` are built on first access."""
 
     k: np.ndarray
-    Ec: float
     coords: np.ndarray    # (M, d) int64 G-indices in deterministic order; (B, M, d) for a stack
-    scheme: Scheme
     diagonal: np.ndarray  # (M,) real diagonal of H, kinetic (or blown-up) plus Re c[0]; (B, M)
     dG: np.ndarray        # (n, d) nonzero differences G_i - G_j that fit in the basis box
     coeffs: np.ndarray    # (n,) Hermitian coefficient values c_n of the dG_n
@@ -127,7 +125,7 @@ class FiberMatrix:
         over every difference of two G-indices of the basis: the row-major
         linear index is linear, so entry (i, j) reads the box at
         lin(G_i) - lin(G_j) + lin(center).  A `table` built before is
-        dropped, so a fiber does not keep both.
+        dropped; a later `apply` builds it again.
         """
         coords = self._stack()
         B, M = coords.shape[:2]
@@ -161,11 +159,9 @@ class FiberMatrix:
 
         From the table: (HX)[j] = diagonal[j] X[j] + sum_n conj(c_n) X[table[n, j]],
         because H[j, i] = conj(H[i, j]) = conj(c_n) for i = table[n, j].
-        Work is O(n * M * r) and memory O(M * r).  Once `entries` exists,
-        its dense product.
+        Work is O(n * M * r) and memory O(M * r).  The result does not depend
+        on whether `entries` was built.
         """
-        if "entries" in vars(self):
-            return self.entries.reshape(-1, len(self), len(self))[member] @ X
         X = np.asarray(X)
         diag = self.diagonal.reshape(-1, len(self))[member]
         out = np.asarray(diag.reshape(diag.shape + (1,) * (X.ndim - 1)) * X, dtype=complex)
@@ -236,8 +232,7 @@ def assemble(lat: Lattice, V: FourierPotential, k, Ec: float, scheme: Scheme, *,
         diag = c[len(dG) // 2].real + diag
     if k.ndim < 2:
         coords, diag = coords[0], diag[0]
-    return FiberMatrix(k=k, Ec=float(Ec), coords=coords, scheme=scheme, diagonal=diag,
-                       dG=dG[near], coeffs=c[near])
+    return FiberMatrix(k=k, coords=coords, diagonal=diag, dG=dG[near], coeffs=c[near])
 
 
 _CHECK_BLOWUP = BlowupSpec(m=1, p=1.5, C=1.0)

@@ -24,21 +24,10 @@ class UnreachableFilling(ValueError):
 
 
 @dataclass(frozen=True)
-class GapInfo:
-    lower: float
-    upper: float
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
-
-@dataclass(frozen=True)
 class FermiLevel:
     mu: float
-    lower: float  # edges of the idos plateau the level was placed in
-    upper: float
-    gap: GapInfo | None
+    lower: float  # edges of the idos plateau the level was placed in; a gap
+    upper: float  # [lower, upper] exactly when upper > lower
 
 
 def _require_grid(bands: BandStructure) -> None:
@@ -96,16 +85,9 @@ def fermi_level(bands: BandStructure, n_electrons: float) -> FermiLevel:
     need = max(1, int(np.ceil(target - 1e-9)))
     e_need = float(energies[need - 1])
     count_at = int(np.searchsorted(energies, e_need, side="right"))
-    if abs(count_at - target) <= 1e-9:
-        above = energies[count_at:]
-        if above.size == 0:
-            return FermiLevel(mu=e_need, lower=e_need, upper=e_need, gap=None)
-        upper = float(above[0])
-        return FermiLevel(
-            mu=0.5 * (e_need + upper),
-            lower=e_need,
-            upper=upper,
-            gap=GapInfo(lower=e_need, upper=upper),
-        )
-    # the step function jumps over the target count at e_need
-    return FermiLevel(mu=e_need, lower=e_need, upper=e_need, gap=None)
+    if abs(count_at - target) <= 1e-9 and count_at < total:
+        upper = float(energies[count_at])
+        return FermiLevel(mu=0.5 * (e_need + upper), lower=e_need, upper=upper)
+    # the step function jumps over the target count at e_need, or no
+    # computed state lies above it
+    return FermiLevel(mu=e_need, lower=e_need, upper=e_need)

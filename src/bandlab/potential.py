@@ -1,10 +1,9 @@
 """Fourier-space periodic potentials.
 
 A potential is stored as a sparse map from integer G-indices to complex
-coefficients; `coeff_indices` and `coeff_values` give the same map as an
-(n_coef, d) int64 array and an (n_coef,) complex array, built once per
-potential and shared by every k of a run; `hermitian_coeffs` gives the
-Hermitian part that the fiber assembly reads.  The stored numbers are the
+coefficients.  `hermitian_coeffs` gives the Hermitian part that the fiber
+assembly reads, as sorted index and value arrays built from that map once
+per potential and shared by every k of a run.  The stored numbers are the
 matrix-element coefficients of the multiplication operator between
 normalized plane waves: the fiber assembly reads entry (G', G) directly as
 coeffs[G' - G], with no extra volume factor.  In real space they expand
@@ -34,20 +33,6 @@ class FourierPotential:
     real_valued: bool
 
     @cached_property
-    def coeff_indices(self) -> np.ndarray:
-        """(n_coef, d) int64 G-indices of the stored coefficients, read-only."""
-        out = np.array(list(self.coeffs), dtype=np.int64).reshape(-1, self.lattice.dim)
-        out.flags.writeable = False
-        return out
-
-    @cached_property
-    def coeff_values(self) -> np.ndarray:
-        """(n_coef,) complex coefficients in the order of coeff_indices, read-only."""
-        out = np.array(list(self.coeffs.values()), dtype=complex)
-        out.flags.writeable = False
-        return out
-
-    @cached_property
     def hermitian_coeffs(self) -> tuple[np.ndarray, np.ndarray]:
         """The coefficient map of the operator's Hermitian part, read-only.
 
@@ -57,10 +42,11 @@ class FourierPotential:
         (i, j) of 0.5 * (H + H^H) for the plain coefficient block H is thus
         the value at G_i - G_j, to the bit.
         """
-        both = np.concatenate([self.coeff_indices, -self.coeff_indices])
-        indices, where = np.unique(both, axis=0, return_inverse=True)
+        given = np.array(list(self.coeffs), dtype=np.int64).reshape(-1, self.lattice.dim)
+        indices, where = np.unique(np.concatenate([given, -given]), axis=0, return_inverse=True)
         plain = np.zeros(indices.shape[0], dtype=complex)
-        plain[where.reshape(-1)[: len(self.coeffs)]] += self.coeff_values
+        where = where.reshape(-1)[: len(given)]
+        plain[where] += np.array(list(self.coeffs.values()), dtype=complex)
         # negation reverses the lexicographic order of a set closed under it
         values = 0.5 * (plain + plain[::-1].conj())
         indices.flags.writeable = values.flags.writeable = False

@@ -87,6 +87,10 @@ def test_degenerate_ladder_is_config_error(tmp_path, capsys, command, extra, fie
     ("cellscan", {"nbands": 0}, "nbands"),
     ("converge", {"ec_ladder": [25.0, 50.0], "band_index": 0}, "band_index"),
     ("regularity", {"blowup": {"m": 1, "p": 1.5}, "band_index": 0}, "band_index"),
+    ("dos", {"grid": 0}, "grid"), ("cellscan", {"grid": 0}, "grid"),
+    ("fermi", {"grid": 2, "electrons": 0}, "electrons"),
+    ("fermi", {"grid": 2, "electrons": -1}, "electrons"),
+    ("cellscan", {"electrons": 0}, "electrons"), ("cellscan", {"electrons": -1}, "electrons"),
 ])
 def test_out_of_range_count_names_its_field(tmp_path, capsys, command, extra, field):
     code, err = run(tmp_path, command, BANDS | extra, capsys)
@@ -111,6 +115,8 @@ def nodes(*entries):
     ("bands", nodes(["G"]), "path.nodes", "[label, coords]"),
     ("bands", nodes(["G", [0.0], "extra"]), "path.nodes", "[label, coords]"),
     ("bands", nodes([]), "path.nodes", "[label, coords]"),
+    ("bands", nodes([5, [0.0]]), "path.nodes", "a string"),
+    ("bands", nodes([None, [0.0]]), "path.nodes", "a string"),
 ])
 def test_malformed_node_or_shift_names_its_field(tmp_path, capsys, command, extra, field, hint):
     """A node or shift of the wrong length, or a node that is not a pair, is

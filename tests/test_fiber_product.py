@@ -5,7 +5,7 @@ The product is checked against the dense matrix on random lattices,
 potentials, schemes and stacks.  Each route builds only the form it needs:
 the dense route never builds the table, the block path never builds the
 dense matrix, and the dense fallback after the block path keeps only the
-dense matrix.
+dense matrix.  The product is always the table product.
 """
 
 import numpy as np
@@ -87,15 +87,13 @@ def test_zero_potential_product_is_the_diagonal(lat1d, zero):
     assert np.array_equal(fib.entries, np.diag(fib.diagonal).astype(complex))
 
 
-def test_entries_built_once_and_then_used_by_the_product(lat1d, cosine):
+def test_dense_route_builds_entries_once_and_no_table(lat1d, cosine):
     """The dense route builds `entries` once and never the row table."""
     fib = bl.assemble(lat1d, cosine, [0.3], 200.0, bl.kdependent_scheme())
     sol = bl.eigh(fib, n_lowest=3)
     assert "entries" in vars(fib) and "table" not in vars(fib)
     H = fib.entries
     assert fib.entries is H and np.array_equal(sol.values, np.linalg.eigvalsh(H)[:3])
-    X = np.random.default_rng(1).normal(size=(len(fib), 3))
-    assert np.array_equal(fib.apply(X), H @ X)  # the dense product, with no table built
     assert "table" not in vars(fib)
 
 
@@ -107,6 +105,18 @@ def cubic_fiber(k_fracs, Ec=400.0):
     V = bl.FourierPotential(lattice=lat, coeffs=coeffs, real_valued=False)
     points = np.asarray(k_fracs) @ lat.reciprocal.T
     return lambda: bl.assemble(lat, V, points, Ec, bl.kdependent_scheme())
+
+
+@pytest.mark.parametrize("member", [0, 1])
+def test_product_does_not_depend_on_the_dense_matrix(member):
+    """apply(X) is the table product to the bit, whether or not `entries` was
+    built first (M = 386: the dense product differs in the last bits)."""
+    make = cubic_fiber([[0.1, 0.2, 0.3], [1.1, 0.2, -0.7]])
+    plain, dense = make(), make()
+    dense.entries  # built before the first product
+    X = np.random.default_rng(0).normal(size=(len(plain), 4))
+    assert len(plain) == 386
+    assert np.array_equal(dense.apply(X, member), plain.apply(X, member))
 
 
 @pytest.mark.parametrize("k_fracs", [[0.1, 0.2, 0.3], [[0.1, 0.2, 0.3], [1.1, 0.2, -0.7]]])

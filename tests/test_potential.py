@@ -63,13 +63,13 @@ def test_save_load_complex_roundtrip(tmp_path, lat1d):
 
 
 def test_coefficient_arrays_cached(hex2d):
-    V = bl.synth_power_law(hex2d, t=2.2, gmax=2, seed=4)
-    assert V.coeff_indices is V.coeff_indices and V.coeff_values is V.coeff_values
-    assert [tuple(g) for g in V.coeff_indices.tolist()] == list(V.coeffs)
-    assert V.coeff_values.tolist() == list(V.coeffs.values())
-    assert not V.coeff_indices.flags.writeable and not V.coeff_values.flags.writeable
-    empty = bl.potential_from_coeffs(hex2d, [])
-    assert empty.coeff_indices.shape == (0, 2) and empty.coeff_values.shape == (0,)
+    """hermitian_coeffs, the one array form of the coefficients, is built once
+    per potential and read-only, also for the zero potential."""
+    for V in (bl.synth_power_law(hex2d, t=2.2, gmax=2, seed=4), bl.potential_from_coeffs(hex2d, [])):
+        idx, vals = V.hermitian_coeffs
+        assert V.hermitian_coeffs[0] is idx and V.hermitian_coeffs[1] is vals
+        assert not idx.flags.writeable and not vals.flags.writeable
+        assert idx.shape == (len(vals), 2)
 
 
 def test_hermitian_coeffs(hex2d, lat1d):
