@@ -15,9 +15,8 @@ members = {}
 for m, p in ((0, 0.5), (1, 1.5), (2, 2.5)):
     fn = bl.build_blowup(bl.BlowupSpec(m=m, p=p))   # C resolved automatically
     members[(m, p)] = fn
-    rec = fn.validation
-    print(f"   ({m}, {p:3.1f})    {fn.spec.C:<5g} {rec['junction_mismatch']:15.3e}"
-          f" {rec['domination_margin']:19.3e}")
+    print(f"   ({m}, {p:3.1f})    {fn.spec.C:<5g} {fn.junction_mismatch:15.3e}"
+          f" {fn.domination_margin:19.3e}")
 
 fn = members[(1, 1.5)]
 print("\nvalues of the (1, 3/2) member:")

@@ -32,7 +32,15 @@ from .analysis import (
 )
 from .blowup import BlowupSpec, build_blowup
 from .fiber import Scheme
-from .lattice import KPointSet, Lattice, kpath, lattice_from_dict, new_lattice, uniform_grid
+from .lattice import (
+    KPointSet,
+    Lattice,
+    digest_of,
+    kpath,
+    lattice_from_dict,
+    new_lattice,
+    uniform_grid,
+)
 from .observables import TruncationWarning, fermi_level, idoe, idos
 from .potential import (
     FourierPotential,
@@ -41,7 +49,7 @@ from .potential import (
     save_potential,
     synth_power_law,
 )
-from .spectra import BandStructure, SolverFailure, bands_to_csv, compute_bands
+from .spectra import BandStructure, SolverFailure, _write_csv, bands_to_csv, compute_bands
 
 EXIT_OK, EXIT_CONFIG, EXIT_SOLVER = 0, 2, 3
 
@@ -288,13 +296,21 @@ def _run_context(args, solve: bool = False, require: str | None = None) -> tuple
     return cfg, lat, V, _build_scheme(cfg), _build_kset(cfg, lat, require)
 
 
-def _solve_bands(args, require: str | None = None) -> tuple[dict, BandStructure]:
-    """The shared run of bands, dos and fermi: nbands (default 4) bands at each k."""
-    cfg, lat, V, scheme, kset = _run_context(args, solve=True, require=require)
+def _solve_bands(cfg: dict, lat: Lattice, V: FourierPotential, scheme: Scheme,
+                 kset: KPointSet) -> tuple[BandStructure, dict]:
+    """The shared solve of bands, dos and fermi on a run context (see
+    _run_context), which the caller builds first so that it can check its
+    own fields before any k is solved: nbands (default 4) bands at each k,
+    and the run record that their outputs carry, with the lattice and
+    potential digests and a modified run's resolved blow-up spec."""
     bands = compute_bands(lat, V, kset, _field(cfg, "ec", float), scheme,
                           _field(cfg, "nbands", int, 4, above=0),
                           threads=_field(cfg, "threads", int, 1))
-    return cfg, bands
+    record = {"lattice_digest": digest_of(lat.to_dict()), "potential_digest": V.digest(),
+              "Ec": bands.Ec, "scheme": scheme.tag, "n_bands": bands.n_bands}
+    if scheme.blowup is not None:
+        record["blowup"] = scheme.blowup.spec.to_dict()
+    return bands, record
 
 
 def _output_dir(cfg: dict) -> Path:
@@ -309,67 +325,49 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-def _write_csv(path: Path, header: list, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _fmt(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, str):
-        return v
-    return f"{float(v):.17g}"
-
-
 def cmd_bands(args) -> int:
-    cfg, bands = _solve_bands(args)
-    kset = bands.kset
+    cfg, lat, V, scheme, kset = _run_context(args, solve=True)
+    bands, record = _solve_bands(cfg, lat, V, scheme, kset)
     out = _output_dir(cfg)
     bands_to_csv(bands, out / "bands.csv")
     _write_json(out / "summary.json", {
         "command": "bands", "n_k": len(kset), "labels": {str(i): s for i, s in kset.labels.items()},
-        **bands.metadata,
+        **record,
     })
     print(f"wrote {out / 'bands.csv'} ({len(kset)} k-points, {bands.n_bands} bands)")
     return EXIT_OK
 
 
 def cmd_dos(args) -> int:
-    cfg, bands = _solve_bands(args, require="grid")
+    cfg, lat, V, scheme, kset = _run_context(args, solve=True, require="grid")
+    count = _field(cfg, "mu_points", int, 200, above=0)
+    bands, record = _solve_bands(cfg, lat, V, scheme, kset)
     lo, hi = float(bands.energies.min()), float(bands.energies.max())
     margin = 0.05 * (hi - lo) if hi > lo else 1.0
-    mus = np.linspace(lo - margin, hi + margin, _field(cfg, "mu_points", int, 200, above=0))
-    rows = []
+    mus = np.linspace(lo - margin, hi + margin, count)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", TruncationWarning)
-        for mu in mus:
-            rows.append((mu, idos(bands, mu), idoe(bands, mu)))
+        rows = [(mu, idos(bands, mu), idoe(bands, mu)) for mu in mus]
         truncated = any(issubclass(w.category, TruncationWarning) for w in caught)
     out = _output_dir(cfg)
     _write_csv(out / "dos.csv", ["mu", "idos", "idoe"], rows)
-    _write_json(out / "summary.json", {
-        "command": "dos", "truncated_top_band": truncated, **bands.metadata,
-    })
+    _write_json(out / "summary.json", {"command": "dos", "truncated_top_band": truncated, **record})
     print(f"wrote {out / 'dos.csv'} ({len(mus)} levels)")
     return EXIT_OK
 
 
 def cmd_fermi(args) -> int:
-    cfg, bands = _solve_bands(args, require="grid")
-    level = fermi_level(bands, _field(cfg, "electrons", float, 1.0, above=0))
+    cfg, lat, V, scheme, kset = _run_context(args, solve=True, require="grid")
+    electrons = _field(cfg, "electrons", float, 1.0, above=0)
+    bands, record = _solve_bands(cfg, lat, V, scheme, kset)
+    level = fermi_level(bands, electrons)
     out = _output_dir(cfg)
-    payload = {
+    _write_json(out / "fermi.json", {
         "command": "fermi", "mu": level.mu, "plateau_lower": level.lower,
         "plateau_upper": level.upper,
         "gap_width": level.upper - level.lower if level.upper > level.lower else None,
-        **bands.metadata,
-    }
-    _write_json(out / "fermi.json", payload)
+        **record,
+    })
     print(f"fermi level mu = {level.mu:.12g} (plateau [{level.lower:.12g}, {level.upper:.12g}])")
     return EXIT_OK
 
@@ -429,7 +427,7 @@ def cmd_regularity(args) -> int:
 def cmd_periodicity(args) -> int:
     cfg, lat, V = _run_context(args)
     names = _field(cfg, "schemes", list, ["uniform", "kdep", "modified"])
-    schemes = [_build_scheme(cfg, name) for name in names]
+    schemes = [_build_scheme(cfg, _as(name, str, "schemes")) for name in names]
     rng = np.random.default_rng(_field(cfg, "seed", int, 0))
     count = _field(cfg, "k_samples", int, 50)
     if count < 1:
@@ -470,7 +468,7 @@ def cmd_cellscan(args) -> int:
             return _build_potential(cfg, lat)
 
     names = _field(cfg, "schemes", list, ["kdep", "modified"])
-    schemes = [_build_scheme(cfg, name) for name in names]
+    schemes = [_build_scheme(cfg, _as(name, str, "schemes")) for name in names]
     scan = energy_vs_cell_parameter(
         lambda a: new_lattice(a * unit), make_potential, _field(cfg, "ec", float), schemes,
         a_values, n_electrons=_field(cfg, "electrons", float, 1.0, above=0),
@@ -511,8 +509,8 @@ def cmd_blowup_check(args) -> int:
         **fn.spec.to_dict(),
         "value_at_half": fn.eval(0.5),
         "value_at_a": fn.eval(fn.spec.a),
-        "domination_margin": fn.validation["domination_margin"],
-        "junction_mismatch": fn.validation["junction_mismatch"],
+        "domination_margin": fn.domination_margin,
+        "junction_mismatch": fn.junction_mismatch,
     }
     print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK

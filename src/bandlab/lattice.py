@@ -84,7 +84,7 @@ def lattice_from_dict(payload: dict) -> Lattice:
 
 
 def digest_of(payload: dict) -> str:
-    """Short stable digest of a JSON-serializable payload, used in metadata."""
+    """Short stable digest of a JSON-serializable payload, used in run records."""
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
@@ -94,7 +94,6 @@ class KPointSet:
     points: np.ndarray               # (nk, d) Cartesian reciprocal coordinates
     kind: str                        # "path" or "grid"
     labels: dict = field(default_factory=dict)  # point index -> node label
-    mesh_width: float | None = None  # grids only
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -245,6 +244,4 @@ def uniform_grid(lat: Lattice, n: int) -> KPointSet:
         raise ValueError("grid size must be >= 1")
     frac_1d = [(m / n if 2 * m < n else m / n - 1.0) for m in range(n)]
     fracs = np.array(list(itertools.product(frac_1d, repeat=lat.dim)))
-    points = fracs @ lat.reciprocal.T
-    width = float(np.linalg.norm(lat.reciprocal, axis=0).min() / n)
-    return KPointSet(points=points, kind="grid", mesh_width=width)
+    return KPointSet(points=fracs @ lat.reciprocal.T, kind="grid")

@@ -63,13 +63,9 @@ class FourierPotential:
             ],
         }
 
-    @cached_property
-    def _digest(self) -> str:
-        return digest_of(self.to_dict())
-
     def digest(self) -> str:
-        """Short stable digest of to_dict(), computed once per potential."""
-        return self._digest
+        """Short stable digest of to_dict()."""
+        return digest_of(self.to_dict())
 
 
 def potential_from_coeffs(lat: Lattice, entries, real_valued: bool = True) -> FourierPotential:

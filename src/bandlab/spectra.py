@@ -62,14 +62,14 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .fiber import FiberMatrix, Scheme, _rows, assemble
-from .lattice import KPointSet, Lattice, _basis_coords, _bases, digest_of
+from .lattice import KPointSet, Lattice, _basis_coords, _bases
 from .potential import FourierPotential
 
 
@@ -471,7 +471,6 @@ class BandStructure:
     energies: np.ndarray  # (nk, n_bands), each row ascending
     Ec: float
     scheme: Scheme
-    metadata: dict = field(default_factory=dict)
 
     @property
     def n_bands(self) -> int:
@@ -557,29 +556,19 @@ def compute_bands(lat: Lattice, V: FourierPotential, kset: KPointSet, Ec: float,
     else:
         for idx in chunks:
             solve(idx)
+    return BandStructure(lattice=lat, kset=kset, energies=energies, Ec=float(Ec), scheme=scheme)
 
-    meta = {
-        "lattice_digest": digest_of(lat.to_dict()),
-        "potential_digest": V.digest(),
-        "Ec": float(Ec),
-        "scheme": scheme.tag,
-        "n_bands": int(n_bands),
-    }
-    if scheme.blowup is not None:  # the resolved spec, with its tail constant C
-        meta["blowup"] = scheme.blowup.spec.to_dict()
-    return BandStructure(lattice=lat, kset=kset, energies=energies, Ec=float(Ec),
-                         scheme=scheme, metadata=meta)
+
+def _write_csv(path, header: list, rows) -> None:
+    """CSV of a header and rows of numbers, each cell float(v) at full double
+    precision (.17g), so a bool reads 1 or 0."""
+    lines = [",".join(header)] + [",".join(f"{float(v):.17g}" for v in row) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def bands_to_csv(bands: BandStructure, path) -> None:
     """CSV with fractional k columns then band columns, full double precision."""
-    d = bands.lattice.dim
-    header = [f"k_frac_{i + 1}" for i in range(d)] + [
-        f"band_{n + 1}" for n in range(bands.n_bands)
-    ]
-    lines = [",".join(header)]
-    for k, row in zip(bands.kset.points, bands.energies):
-        frac = bands.lattice.fractional(k)
-        cells = [f"{v:.17g}" for v in frac] + [f"{v:.17g}" for v in row]
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = ([f"k_frac_{i + 1}" for i in range(bands.lattice.dim)]
+              + [f"band_{n + 1}" for n in range(bands.n_bands)])
+    _write_csv(path, header, ([*bands.lattice.fractional(k), *row]
+                              for k, row in zip(bands.kset.points, bands.energies)))

@@ -78,9 +78,8 @@ def test_junction_smoothness(m, p):
     # finite differences reach 1e-4 relative agreement up to m = 2; beyond
     # that the bridge coefficients make the check exceed double precision
     fn = build_blowup(BlowupSpec(m=m, p=p, C=1.0))
-    assert fn.validation["junction_mismatch"] <= 1e-4
-    assert fn.validation["domination_margin"] >= -1e-12
-    assert fn.validation["weighted_tail_diverges"]
+    assert fn.junction_mismatch <= 1e-4
+    assert fn.domination_margin >= -1e-12
 
 
 def central_fd(fn, x0: float, j: int, h: float) -> float:
@@ -122,17 +121,17 @@ def fd_junction_mismatch(fn) -> float:
 
 @pytest.mark.parametrize("m,p", [(0, 0.5), (1, 1.5), (2, 2.5), (2, 4.0)])
 def test_finite_differences_agree_at_junctions(m, p):
-    # an independent cross-check of the exact record: difference quotients
+    # an independent cross-check of the exact junction_mismatch: difference quotients
     # see only G's values, never the bridge coefficients
     fn = build_blowup(BlowupSpec(m=m, p=p, C=1.0))
     assert fd_junction_mismatch(fn) <= 1e-4
-    assert fn.validation["junction_mismatch"] <= 1e-12
+    assert fn.junction_mismatch <= 1e-12
 
 
 @pytest.mark.parametrize("m,p", [(0, 0.5), (1, 1.5), (2, 2.5), (2, 4.0)])
 def test_record_catches_a_perturbed_bridge(monkeypatch, m, p):
     # raising one coefficient by 1e-6 of itself keeps G >= x^2 on the bridge,
-    # so the build succeeds and only the junction record can see the fault
+    # so the build succeeds and only junction_mismatch can see the fault
     exact = blowup_module._bridge_polynomial
     for i in range(2 * m + 2):
         def perturbed(spec, C, i=i):
@@ -141,7 +140,7 @@ def test_record_catches_a_perturbed_bridge(monkeypatch, m, p):
             return Polynomial(coef)
         monkeypatch.setattr(blowup_module, "_bridge_polynomial", perturbed)
         fn = build_blowup(BlowupSpec(m=m, p=p, C=1.0))
-        assert fn.validation["junction_mismatch"] > 1e-8, i
+        assert fn.junction_mismatch > 1e-8, i
 
 
 @pytest.mark.parametrize("m,p", [(0, 0.5), (1, 1.5), (2, 2.5)])
@@ -166,7 +165,7 @@ def test_domination_violated_for_small_c():
 def test_msmooth_bridge_keeps_low_order():
     # junctions can be made C^6 while the certified order stays m=0
     fn = build_blowup(BlowupSpec(m=0, p=0.5, C=1.0, msmooth=6))
-    assert fn.validation["domination_margin"] >= -1e-12
+    assert fn.domination_margin >= -1e-12
     with pytest.raises(bl.OrderTooHigh):
         fn.eval_derivative(0.3, 1)
 

@@ -1,5 +1,6 @@
 """Property test: build_blowup on random specs either refuses the spec or
-returns a function whose validation record and weighted tail hold."""
+returns a function whose junction_mismatch and domination_margin properties
+and weighted tail hold."""
 
 import numpy as np
 import pytest
@@ -25,9 +26,8 @@ def test_random_specs_build_valid_or_raise(spec):
         fn = build_blowup(spec)
     except (bl.DominationViolated, bl.IllPosedSpec):
         return
-    assert fn.validation["junction_mismatch"] <= 1e-10
-    assert fn.validation["domination_margin"] >= -1e-12
-    assert fn.validation["weighted_tail_diverges"] is True
+    assert fn.junction_mismatch <= 1e-10
+    assert fn.domination_margin >= -1e-12
     xs = 1.0 - 2.0 ** -np.arange(5, 21)
     weighted = (1.0 - xs) ** spec.m * fn.eval(xs)
     # each step multiplies the weighted tail by 2^(p - m); a spec whose

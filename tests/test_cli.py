@@ -5,6 +5,7 @@ import pytest
 
 import bandlab as bl
 from bandlab.cli import main
+from bandlab.lattice import digest_of
 
 LAT_1D = {"dim": 1, "primitive": [[1.0]]}
 COSINE = {"coeffs": [{"g": [1], "re": 1.0}, {"g": [-1], "re": 1.0}]}
@@ -49,21 +50,35 @@ def test_bands_deterministic_and_config_roundtrip(tmp_path):
     assert first == (out3 / "bands.csv").read_bytes()
 
 
-def test_modified_runs_record_their_blowup_spec(tmp_path):
+def test_modified_runs_record_their_blowup_spec(tmp_path, cosine):
+    """summary.json and fermi.json carry the run record: the lattice and
+    potential digests, Ec, the scheme, n_bands and, for a modified run only,
+    the resolved blow-up spec, with C filled in when the config leaves it
+    out."""
     base = {
         "lattice": LAT_1D, "potential": {"coeffs": COSINE["coeffs"]},
-        "scheme": "modified", "ec": 150.0, "nbands": 2, "grid": 6,
+        "ec": 150.0, "nbands": 2, "grid": 6,
     }
+    common = {"lattice_digest": digest_of(cosine.lattice.to_dict()),
+              "potential_digest": cosine.digest(), "Ec": 150.0, "n_bands": 2}
     records = []
-    for name, blowup in (("a", {"m": 1, "p": 1.5, "c": 1.0}), ("b", {"m": 2, "p": 2.5, "c": 2.0})):
+    for name, blowup, C in (("a", {"m": 1, "p": 1.5, "c": 1.0}, 1.0),
+                            ("b", {"m": 2, "p": 2.5, "c": 2.0}, 2.0),
+                            ("c", {"m": 1, "p": 1.5}, 1.0), ("d", None, None)):
         out = tmp_path / name
-        cfg = write_cfg(tmp_path, f"{name}.json", base | {"blowup": blowup, "out": str(out)})
+        if blowup is None:
+            extra, want = {"scheme": "kdep"}, common | {"scheme": "kdependent"}
+        else:
+            extra = {"scheme": "modified", "blowup": blowup}
+            want = common | {"scheme": "modified", "blowup": {
+                "m": blowup["m"], "p": blowup["p"], "C": C, "a": 0.75, "msmooth": blowup["m"]}}
+        cfg = write_cfg(tmp_path, f"{name}.json", base | extra | {"out": str(out)})
         for command in ("bands", "fermi"):
             assert main([command, "--config", cfg]) == 0
         records.append([json.loads((out / f).read_text()) for f in ("summary.json", "fermi.json")])
         for record in records[-1]:
-            assert record["blowup"] == {"m": blowup["m"], "p": blowup["p"], "C": blowup["c"],
-                                        "a": 0.75, "msmooth": blowup["m"]}
+            assert {key: record[key] for key in want} == want
+            assert ("blowup" in record) == (blowup is not None)
     assert records[0][0] != records[1][0] and records[0][1] != records[1][1]
 
 

@@ -92,10 +92,25 @@ def test_degenerate_ladder_is_config_error(tmp_path, capsys, command, extra, fie
     ("fermi", {"grid": 2, "electrons": -1}, "electrons"),
     ("cellscan", {"electrons": 0}, "electrons"), ("cellscan", {"electrons": -1}, "electrons"),
 ])
-def test_out_of_range_count_names_its_field(tmp_path, capsys, command, extra, field):
+def test_out_of_range_count_names_its_field(tmp_path, capsys, monkeypatch, command, extra,
+                                            field):
+    """An out-of-range field exits 2 naming it, and bands, dos and fermi read
+    every field before they solve any k."""
+    def solve(*args, **kwargs):
+        raise AssertionError("compute_bands was called")
+
+    monkeypatch.setattr("bandlab.cli.compute_bands", solve)
     code, err = run(tmp_path, command, BANDS | extra, capsys)
     assert_config_error(code, err, field)
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["periodicity", "cellscan"])
+@pytest.mark.parametrize("schemes", [[["kdep"]], [5]])
+def test_scheme_name_takes_only_a_string(tmp_path, capsys, command, schemes):
+    code, err = run(tmp_path, command, BANDS | {"schemes": schemes}, capsys)
+    assert_config_error(code, err, "schemes")
+    assert "Traceback" not in err and not (tmp_path / "run").exists()
 
 
 LAT_2D = {"dim": 2, "primitive": [[1.0, 0.0], [0.0, 1.0]]}

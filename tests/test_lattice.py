@@ -133,7 +133,6 @@ def test_uniform_grid_1d(lat1d):
     fracs = sorted(lat1d.fractional(k)[0] for k in grid.points)
     assert np.allclose(fracs, [-0.5, -0.25, 0.0, 0.25])
     assert grid.kind == "grid"
-    assert grid.mesh_width == pytest.approx(TWO_PI / 4)
 
 
 def test_uniform_grid_gamma_only(lat1d):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import bandlab as bl
-from bandlab.lattice import digest_of
 
 
 def test_zero_potential(lat1d, zero):
@@ -85,11 +84,3 @@ def test_hermitian_coeffs(hex2d, lat1d):
     assert vals.tolist() == [0.5 - 1.5j, 0.5 + 1.5j]
     empty = bl.potential_from_coeffs(hex2d, [])
     assert empty.hermitian_coeffs[0].shape == (0, 2)
-
-
-def test_digest_cached(hex2d, monkeypatch):
-    V = bl.synth_power_law(hex2d, t=2.2, gmax=2, seed=4)
-    first = V.digest()
-    assert first == digest_of(V.to_dict())
-    monkeypatch.setattr(bl.FourierPotential, "to_dict", None)  # not serialized again
-    assert V.digest() == first

@@ -155,22 +155,21 @@ def test_threading_schedule_independent(lat1d, cosine):
     assert np.array_equal(serial.energies, threaded.energies)
 
 
-def test_band_metadata(lat1d, cosine):
-    bands = bl.compute_bands(lat1d, cosine, bl.uniform_grid(lat1d, 4), 25.0,
-                             bl.kdependent_scheme(), 2)
-    assert bands.metadata["potential_digest"] == cosine.digest()
-    assert bands.metadata["scheme"] == "kdependent"
-    assert "blowup" not in bands.metadata
+def test_library_builds_no_run_record(lat1d, monkeypatch):
+    """build_blowup never sweeps the junctions, and compute_bands serializes
+    neither the lattice, the potential nor the blow-up spec: run records and
+    the junction check are built only where they are read."""
+    def refuse(*args):
+        raise AssertionError("a run record was built")
 
-
-def test_band_metadata_holds_the_resolved_blowup_spec(lat1d, cosine):
-    fn = bl.build_blowup(bl.BlowupSpec(m=1, p=1.5))  # C chosen automatically
-    bands = bl.compute_bands(lat1d, cosine, bl.uniform_grid(lat1d, 4), 25.0,
-                             bl.modified_scheme(fn), 2)
-    assert bands.metadata["scheme"] == "modified"
-    assert bands.metadata["blowup"] == {"m": 1, "p": 1.5, "C": fn.spec.C, "a": 0.75,
-                                        "msmooth": 1}
-    assert bands.metadata["blowup"]["C"] is not None
+    monkeypatch.setattr(bl.BlowupFunction, "junction_mismatch", property(refuse))
+    for cls in (bl.Lattice, bl.FourierPotential, bl.BlowupSpec):
+        monkeypatch.setattr(cls, "to_dict", refuse)
+    fn = bl.build_blowup(bl.BlowupSpec(m=1, p=1.5))
+    V = bl.potential_from_coeffs(lat1d, [((1,), 1.0), ((-1,), 1.0)])  # no digest yet
+    for scheme in (bl.kdependent_scheme(), bl.modified_scheme(fn)):
+        bands = bl.compute_bands(lat1d, V, bl.uniform_grid(lat1d, 4), 25.0, scheme, 2)
+        assert bands.energies.shape == (4, 2)
 
 
 def test_galerkin_monotonicity_nested_cutoffs(lat1d, cosine):
