@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import bandlab as bl
+from bandlab.cli import _solve_bands as solve_bands
 
 PI2_TWICE = 19.739208802178717238
 
@@ -153,6 +154,26 @@ def test_threading_schedule_independent(lat1d, cosine):
     threaded = bl.compute_bands(lat1d, cosine, grid, 150.0, bl.kdependent_scheme(), 3,
                                 threads=4)
     assert np.array_equal(serial.energies, threaded.energies)
+
+
+def test_band_metadata(lat1d, cosine):
+    """The run record that goes with a band solve names the potential and the
+    scheme, and a k-dependent run carries no blow-up spec."""
+    bands, record = solve_bands({"ec": 25.0, "nbands": 2}, lat1d, cosine,
+                                bl.kdependent_scheme(), bl.uniform_grid(lat1d, 4))
+    assert record["potential_digest"] == cosine.digest()
+    assert record["scheme"] == "kdependent"
+    assert (record["Ec"], record["n_bands"]) == (bands.Ec, bands.n_bands) == (25.0, 2)
+    assert "blowup" not in record
+
+
+def test_band_metadata_holds_the_resolved_blowup_spec(lat1d, cosine):
+    fn = bl.build_blowup(bl.BlowupSpec(m=1, p=1.5))  # C chosen automatically
+    _, record = solve_bands({"ec": 25.0, "nbands": 2}, lat1d, cosine,
+                            bl.modified_scheme(fn), bl.uniform_grid(lat1d, 4))
+    assert record["scheme"] == "modified"
+    assert record["blowup"] == {"m": 1, "p": 1.5, "C": fn.spec.C, "a": 0.75, "msmooth": 1}
+    assert record["blowup"]["C"] is not None
 
 
 def test_library_builds_no_run_record(lat1d, monkeypatch):
