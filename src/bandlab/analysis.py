@@ -8,7 +8,7 @@ energies along a family of cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,6 +65,19 @@ def fermi_adjusted_band_error(lat: Lattice, V: FourierPotential, Ec: float, sche
     return float(np.mean(np.abs(shifted_ref - shifted)))
 
 
+def _check_ladder(ec_ladder, ec_reference: float) -> np.ndarray:
+    """The cutoff ladder sorted ascending; a ValueError unless it holds at
+    least two cutoffs and the reference cutoff is >= 8x the largest."""
+    ladder = np.asarray(sorted(float(e) for e in ec_ladder))
+    if ladder.size < 2:
+        raise ValueError(f"cutoff ladder 'ec_ladder' needs at least two cutoffs to fit a "
+                         f"rate, got {ladder.tolist()}")
+    if ec_reference < 8.0 * ladder[-1]:
+        raise ValueError(f"reference cutoff 'ec_reference' {ec_reference:g} must be >= 8x "
+                         f"the largest ladder cutoff {ladder[-1]:g}")
+    return ladder
+
+
 @dataclass(frozen=True)
 class ConvergenceStudy:
     ec_ladder: np.ndarray
@@ -87,11 +100,7 @@ def convergence_study(lat: Lattice, V: FourierPotential, band_index: int, kset: 
     are all exact (clamped to 1e-16) measures nothing and is None.  The
     predicted rate for a potential of Sobolev order r is r + 1 - d/4.
     """
-    ladder = np.asarray(sorted(float(e) for e in ec_ladder))
-    if ladder.size < 2:
-        raise ValueError("need at least two cutoffs to fit a rate")
-    if reference.Ec < 8.0 * ladder[-1]:
-        raise ValueError("reference cutoff must be >= 8x the largest ladder cutoff")
+    ladder = _check_ladder(ec_ladder, reference.Ec)
     _check_same_kset(reference, kset)
     if not 1 <= band_index <= reference.n_bands:
         raise ValueError(f"band_index {band_index} outside the reference bands")
@@ -161,15 +170,6 @@ class RegularityProbe:
     order: int
 
 
-def _line_flips(lat: Lattice, Ec: float, center, direction, ts) -> tuple:
-    """The points center + t * direction for t in ts, the indices i where the
-    basis size changes between points i and i + 1, and the Cartesian
-    midpoints of those steps."""
-    points = center + ts[:, None] * direction
-    flips = np.nonzero(np.diff(_basis_sizes(lat, Ec, points)))[0]
-    return points, flips, center + (0.5 * (ts[flips] + ts[flips + 1]))[:, None] * direction
-
-
 def regularity_probe(lat: Lattice, V: FourierPotential, Ec: float, blowup_spec: BlowupSpec,
                      band_index: int, order: int, deltas, center=None,
                      halfwidth: float = 0.15, direction=None, threads: int = 1) -> RegularityProbe:
@@ -181,6 +181,12 @@ def regularity_probe(lat: Lattice, V: FourierPotential, Ec: float, blowup_spec: 
     exactly when the peaks of the three finest meshes strictly increase and
     grow by a factor of at least 1.5 overall; a bounded derivative settles
     to the smooth background level instead.
+
+    The meshes are solved together: one compute_bands call over the union
+    of their offsets (exact floats, so a nested ladder solves each point
+    once), and each mesh reads its rows from it, bit-identical to a solve of
+    that mesh alone.  Every mesh must see a rank flip, checked before the
+    solve (NoBasisChangeOnPath).
     """
     deltas = np.asarray([float(d) for d in deltas])
     if deltas.size < 3:
@@ -198,41 +204,46 @@ def regularity_probe(lat: Lattice, V: FourierPotential, Ec: float, blowup_spec: 
         # scan one reciprocal period for the first rank flip and center there
         period = float(np.linalg.norm(lat.reciprocal[:, 0]))
         ts = np.linspace(-period / 2.0, period / 2.0, 2001)
-        found = _line_flips(lat, Ec, np.zeros(lat.dim), direction, ts)[2]
+        found = np.flatnonzero(np.diff(_basis_sizes(lat, Ec, ts[:, None] * direction)))
         if found.size == 0:
             raise NoBasisChangeOnPath("no basis rank change within one period")
-        center = found[0]
+        # 0 + x turns a -0.0 component into 0.0, which change_points would print
+        center = np.zeros(lat.dim) + 0.5 * (ts[found[0]] + ts[found[0] + 1]) * direction
     else:
         center = np.asarray(center, dtype=float)
 
-    scheme = modified_scheme(build_blowup(blowup_spec))
+    counts = np.rint(halfwidth / deltas).astype(int)  # mesh points on each side
+    meshes = [(np.arange(2 * n + 1) - n) * delta for n, delta in zip(counts, deltas)]
+    offsets, inverse = np.unique(np.concatenate(meshes), return_inverse=True)
+    points = center + offsets[:, None] * direction
+    sizes = _basis_sizes(lat, Ec, points)
+    rows = np.split(inverse, np.cumsum([mesh.size for mesh in meshes[:-1]]))
+    flips = [np.flatnonzero(np.diff(sizes[idx])) for idx in rows]
+    if any(f.size == 0 for f in flips):
+        raise NoBasisChangeOnPath(
+            f"no basis rank change within {halfwidth:g} of the probe center"
+        )
+    union = compute_bands(lat, V, KPointSet(points=points, kind="path"), Ec,
+                          modified_scheme(build_blowup(blowup_spec)), band_index,
+                          threads=threads)
     peaks = np.empty(deltas.size)
-    change_points = None
-    for j, delta in enumerate(deltas):
-        half_count = int(round(halfwidth / delta))
-        offsets = (np.arange(2 * half_count + 1) - half_count) * delta
-        points, flips, midpoints = _line_flips(lat, Ec, center, direction, offsets)
-        if flips.size == 0:
-            raise NoBasisChangeOnPath(
-                f"no basis rank change within {halfwidth:g} of the probe center"
-            )
-        bands = compute_bands(lat, V, KPointSet(points=points, kind="path"), Ec, scheme,
-                              band_index, threads=threads)
-        trace = band_derivative_trace(bands, band_index, order)
+    for j, (idx, f) in enumerate(zip(rows, flips)):
+        mesh = replace(union, kset=KPointSet(points=points[idx], kind="path"),
+                       energies=union.energies[idx])
+        trace = band_derivative_trace(mesh, band_index, order)
         near = np.zeros(trace.size, dtype=bool)
-        for i in flips:
+        for i in f:
             near[max(0, i - 5):i + 6] = True
         peaks[j] = np.max(np.abs(trace[near]))
-        if change_points is None:
-            change_points = midpoints
 
+    coarse, f = meshes[0], flips[0]  # change points as the coarsest mesh sees them
     p1, p2, p3 = peaks[-3], peaks[-2], peaks[-1]
     unbounded = (p3 > p2 > p1) and (p3 >= 1.5 * p1)
     return RegularityProbe(
         deltas=deltas,
         peaks=peaks,
         verdict="UnboundedDerivative" if unbounded else "BoundedDerivative",
-        change_points=change_points,
+        change_points=center + (0.5 * (coarse[f] + coarse[f + 1]))[:, None] * direction,
         band_index=band_index,
         order=order,
     )

@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    _check_ladder,
     convergence_study,
     energy_vs_cell_parameter,
     make_reference,
@@ -254,12 +255,16 @@ def _build_blowup(blow: dict):
 
 
 def _build_scheme(cfg: dict, scheme: str | None = None) -> Scheme:
-    """The named scheme, by default the config's "scheme" (kdep)."""
+    """The named scheme, an item of the config's "schemes", by default the
+    config's "scheme" (kdep); an unknown name is an error naming that field
+    and the accepted names."""
+    key = "scheme" if scheme is None else "schemes"
     if scheme is None:
         scheme = _field(cfg, "scheme", str, "kdep")
     tag = _SCHEME_NAMES.get(scheme)
     if tag is None:
-        raise ValueError(f"unknown scheme {scheme!r}")
+        raise ValueError(f"config field {key!r} takes one of "
+                         f"{', '.join(sorted(_SCHEME_NAMES))}, got {json.dumps(scheme)}")
     return Scheme(tag, _build_blowup(_field(cfg, "blowup", dict, {"m": 1, "p": 1.5, "c": 1.0}))
                   if tag == "modified" else None)
 
@@ -375,7 +380,8 @@ def cmd_fermi(args) -> int:
 def cmd_converge(args) -> int:
     cfg, lat, V, scheme, kset = _run_context(args, solve=True)
     ladder = _floats(cfg, "ec_ladder")
-    ec_ref = _field(cfg, "ec_reference", float, 16.0 * max(ladder))
+    ec_ref = _field(cfg, "ec_reference", float, 16.0 * max(ladder, default=0.0))
+    _check_ladder(ladder, ec_ref)  # before the reference solve
     band_index = _field(cfg, "band_index", int, 1, above=0)
     threads = _field(cfg, "threads", int, 1)
     r = None if cfg.get("sobolev_r") is None else _field(cfg, "sobolev_r", float)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import bandlab as bl
+from bandlab import analysis
 from bandlab.fiber import kdependent_scheme
+from bandlab.lattice import _basis_sizes
 from bandlab.spectra import BandStructure
 
 
@@ -132,6 +134,99 @@ def test_regularity_probe_needs_rank_flip(lat1d, rough):
     with pytest.raises(bl.NoBasisChangeOnPath):
         bl.regularity_probe(lat1d, rough, 25.0, spec, 1, 1,
                             [1e-3, 5e-4, 2.5e-4], center=[0.0], halfwidth=0.01)
+
+
+LADDER = [1e-2, 5e-3, 2.5e-3, 1.25e-3]
+
+
+@pytest.fixture(scope="module")
+def wells(lat1d):
+    # deep wells, as in criterion 6: the verdicts differ across the tail orders
+    return bl.synth_power_law(lat1d, t=1.55, gmax=8, seed=7, amplitude=48000.0)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The k-point count of every compute_bands call the analysis module makes."""
+    calls = []
+    solve = analysis.compute_bands
+
+    def recorded(lat, V, kset, *args, **kwargs):
+        calls.append(len(kset))
+        return solve(lat, V, kset, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "compute_bands", recorded)
+    return calls
+
+
+def test_regularity_probe_solves_the_ladder_once(lat1d, wells, solves):
+    # 31 + 61 + 121 + 241 mesh points, every coarse one also a point of the finest
+    bl.regularity_probe(lat1d, wells, 750.0, bl.BlowupSpec(m=1, p=1.5, C=1.0), 1, 1, LADDER)
+    assert solves == [241]
+
+
+def per_mesh_probe(lat, V, Ec, spec, order, deltas, halfwidth=0.15):
+    """regularity_probe written as one solve per mesh, centred on the first
+    rank flip of a 2001-point scan over one period."""
+    direction = lat.reciprocal[:, 0] / np.linalg.norm(lat.reciprocal[:, 0])
+    period = float(np.linalg.norm(lat.reciprocal[:, 0]))
+    ts = np.linspace(-period / 2.0, period / 2.0, 2001)
+    first = np.flatnonzero(np.diff(_basis_sizes(lat, Ec, ts[:, None] * direction)))[0]
+    center = np.zeros(lat.dim) + 0.5 * (ts[first] + ts[first + 1]) * direction
+    scheme = bl.modified_scheme(bl.build_blowup(spec))
+    peaks, change_points = [], None
+    for delta in deltas:
+        n = int(round(halfwidth / delta))
+        offsets = (np.arange(2 * n + 1) - n) * delta
+        points = center + offsets[:, None] * direction
+        flips = np.flatnonzero(np.diff(_basis_sizes(lat, Ec, points)))
+        bands = bl.compute_bands(lat, V, bl.KPointSet(points=points, kind="path"), Ec,
+                                 scheme, 1)
+        trace = bl.band_derivative_trace(bands, 1, order)
+        near = np.zeros(trace.size, dtype=bool)
+        for i in flips:
+            near[max(0, i - 5):i + 6] = True
+        peaks.append(np.max(np.abs(trace[near])))
+        if change_points is None:
+            change_points = center + (0.5 * (offsets[flips] + offsets[flips + 1]))[:, None] \
+                * direction
+    p1, p2, p3 = peaks[-3:]
+    unbounded = (p3 > p2 > p1) and (p3 >= 1.5 * p1)
+    return np.array(peaks), "UnboundedDerivative" if unbounded else "BoundedDerivative", \
+        change_points
+
+
+@pytest.mark.parametrize("deltas, union", [(LADDER, 241), ([1e-2, 4e-3, 1e-3], 303)])
+@pytest.mark.parametrize("m, p, order", [(0, 0.5, 1), (1, 1.5, 1), (1, 1.5, 2), (2, 2.5, 2)])
+def test_regularity_probe_matches_a_solve_per_mesh(lat1d, wells, solves, deltas, union, m, p,
+                                                    order):
+    """Reading every mesh from the union solve changes no bit of the result.
+    The ladder 1e-2, 4e-3, 1e-3 is not nested: 1e-2 is not a power-of-2
+    multiple of 1e-3, and two of its offsets are no offset of the finest
+    mesh, so the union holds 303 points where that mesh has 301."""
+    spec = bl.BlowupSpec(m=m, p=p, C=1.0)
+    probe = bl.regularity_probe(lat1d, wells, 750.0, spec, 1, order, deltas)
+    assert solves == [union]
+    peaks, verdict, change_points = per_mesh_probe(lat1d, wells, 750.0, spec, order, deltas)
+    assert np.array_equal(probe.peaks, peaks)
+    assert probe.verdict == verdict
+    assert np.array_equal(probe.change_points, change_points)
+
+
+def test_regularity_probe_checks_every_mesh_before_solving(lat1d, wells, monkeypatch):
+    """A finer mesh that misses the rank flip fails the probe before any k
+    is solved.  The free-electron basis of cutoff 750 changes rank where
+    |k + G| = sqrt(1500); here that flip sits 7e-3 below the center, inside
+    the 1e-2 mesh (offsets 0, +-1e-2) but beyond the two finer meshes, which
+    reach only +-5e-3 for a halfwidth of 6e-3."""
+    def solve(*args, **kwargs):
+        raise AssertionError("compute_bands was called")
+
+    monkeypatch.setattr(analysis, "compute_bands", solve)
+    flip = np.sqrt(1500.0) - 12.0 * np.pi
+    with pytest.raises(bl.NoBasisChangeOnPath):
+        bl.regularity_probe(lat1d, wells, 750.0, bl.BlowupSpec(m=1, p=1.5, C=1.0), 1, 1,
+                            [1e-2, 5e-3, 2.5e-3], center=[flip + 7e-3], halfwidth=6e-3)
 
 
 def test_periodicity_report(lat1d, cosine, blowup_std):

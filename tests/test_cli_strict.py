@@ -105,6 +105,37 @@ def test_out_of_range_count_names_its_field(tmp_path, capsys, monkeypatch, comma
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("extra, field", [
+    ({"ec_ladder": [25.0]}, "ec_ladder"), ({"ec_ladder": []}, "ec_ladder"),
+    ({"ec_ladder": [25.0, 50.0], "ec_reference": 399.0}, "ec_reference"),
+])
+def test_converge_checks_its_ladder_before_the_reference_solve(tmp_path, capsys, monkeypatch,
+                                                              extra, field):
+    def solve(*args, **kwargs):
+        raise AssertionError("make_reference was called")
+
+    monkeypatch.setattr("bandlab.cli.make_reference", solve)
+    code, err = run(tmp_path, "converge", BANDS | extra, capsys)
+    assert_config_error(code, err, field)
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command, extra, field", [
+    ("bands", {"scheme": "kdependent"}, "scheme"),
+    ("fermi", {"grid": 2, "scheme": "Modified"}, "scheme"),
+    ("dos", {"grid": 2, "scheme": "blowup"}, "scheme"),
+    ("converge", {"ec_ladder": [25.0, 50.0], "scheme": "uniform "}, "scheme"),
+    ("periodicity", {"schemes": ["kdep", "kdependent"]}, "schemes"),
+    ("cellscan", {"schemes": ["modified", "Uniform"]}, "schemes"),
+])
+def test_unknown_scheme_names_its_field_and_the_choices(tmp_path, capsys, command, extra,
+                                                        field):
+    code, err = run(tmp_path, command, BANDS | extra, capsys)
+    assert_config_error(code, err, field)
+    assert "kdep, modified, uniform" in err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("command", ["periodicity", "cellscan"])
 @pytest.mark.parametrize("schemes", [[["kdep"]], [5]])
 def test_scheme_name_takes_only_a_string(tmp_path, capsys, command, schemes):
