@@ -185,14 +185,15 @@ def regularity_probe(lat: Lattice, V: FourierPotential, Ec: float, blowup_spec: 
     The meshes are solved together: one compute_bands call over the union
     of their offsets (exact floats, so a nested ladder solves each point
     once), and each mesh reads its rows from it, bit-identical to a solve of
-    that mesh alone.  Every mesh must see a rank flip, checked before the
-    solve (NoBasisChangeOnPath).
+    that mesh alone.  Every mesh must see a rank flip (NoBasisChangeOnPath)
+    and hold at least 5 points (TooFewPoints), both checked before the
+    solve.
     """
     deltas = np.asarray([float(d) for d in deltas])
     if deltas.size < 3:
         raise ValueError("need at least three mesh widths for a verdict")
-    if not np.all(deltas > 0.0):
-        raise ValueError(f"mesh widths 'deltas' must be > 0, got {deltas.tolist()}")
+    if not np.all((deltas > 0.0) & np.isfinite(deltas)):
+        raise ValueError(f"mesh widths 'deltas' must be > 0 and finite, got {deltas.tolist()}")
     if np.any(deltas[:-1] / deltas[1:] < 2.0 - 1e-12):
         raise ValueError("mesh widths must descend by factors >= 2")
     if order not in (1, 2):
@@ -223,6 +224,10 @@ def regularity_probe(lat: Lattice, V: FourierPotential, Ec: float, blowup_spec: 
         raise NoBasisChangeOnPath(
             f"no basis rank change within {halfwidth:g} of the probe center"
         )
+    if counts.min() < 2:
+        raise TooFewPoints(f"mesh width {deltas[counts.argmin()]:g} leaves "
+                           f"{2 * counts.min() + 1} points within {halfwidth:g} of the probe "
+                           f"center; the stencils need at least 5")
     union = compute_bands(lat, V, KPointSet(points=points, kind="path"), Ec,
                           modified_scheme(build_blowup(blowup_spec)), band_index,
                           threads=threads)

@@ -11,7 +11,10 @@
             diagonal preconditioner 1 / (|diag(H) - theta| + 1).  It only
             multiplies H by thin blocks, so H is never copied, and it is
             accurate on graded matrices too: a blown-up diagonal entry D
-            enters the low bands only through |B|^2 / D.
+            enters the low bands only through |B|^2 / D.  Once the first
+            guard column shows a gap, only it and the requested pairs take
+            search directions; the other guard vectors ride along in every
+            Rayleigh-Ritz step.
 * graded  : otherwise, when a few diagonal entries sit 1e8 times above the
             off-diagonal scale, a stacked Schur route: one eigvalsh of the
             Schur complement S(0) for all bands of all such members of a
@@ -186,11 +189,22 @@ def _eigh_block(H, take: int, diag: np.ndarray | None = None,
     otherwise from unit vectors on the smallest diagonal entries plus a
     random block of column norm 0.1, passed twice through the preconditioner
     at theta = min(diag) first, so that it reaches every plane wave but
-    sits mostly on the low ones.  Each
-    iteration preconditions the residuals of the unconverged columns with
-    1 / (|diag(H) - theta| + 1), orthonormalizes them together with the
-    previous search directions P against X (Cholesky-QR), and takes the
-    lowest Ritz pairs of H on X and those directions.  H multiplies the
+    sits mostly on the low ones.  Each iteration preconditions the
+    residuals of the unconverged columns with 1 / (|diag(H) - theta| + 1),
+    orthonormalizes them together with their previous search directions P
+    against X (Cholesky-QR), and takes the lowest Ritz pairs of H on X and
+    those directions.  While the first guard column shows the gap that
+    _ritz_bound reads, theta_take - ||r_take|| > theta_{take-1}, only the
+    first take + 1 columns take directions: the other guard columns stay in
+    X and in every Rayleigh-Ritz step without directions of their own, as
+    in the soft locking of Duersch, Shao, Yang and Gu (SIAM J. Sci. Comput.
+    40, 2018).  That keeps the random start's reach into every coset and
+    spares H the directions of columns that neither stop rule nor bound
+    reads.  Without that gap (early on, or with take inside a multiplet)
+    only the residual rule can stop, and its pace rests on the whole block,
+    so every unconverged column takes a direction, as it also does when
+    the first take + 1 are all below the tolerance but the stop did not
+    stand, so that no step is empty.  H multiplies the
     orthonormalized directions, never a tiny vector scaled up, and H @ X
     follows through the Ritz rotations, with a per-column bound on its
     drift from an explicit product (see _rayleigh_ritz).
@@ -257,6 +271,8 @@ def _eigh_block(H, take: int, diag: np.ndarray | None = None,
                     P, explicit = None, True
                     continue
             active = res > _RESIDUAL_TOL
+            if np.any(active[:take + 1]) and theta[take] - norms[take] > theta[take - 1]:
+                active[take + 1:] = False
             W = R[:, active] / (np.abs(d[:, None] - theta[active]) + 1.0)
             try:
                 Q = _orthonormal_complement(W if P is None else np.hstack([W, P[:, active]]), X)

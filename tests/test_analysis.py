@@ -124,7 +124,7 @@ def test_regularity_probe_validation(lat1d, rough):
     with pytest.raises(ValueError):
         bl.regularity_probe(lat1d, rough, 750.0, spec, 1, 3,
                             [1e-2, 5e-3, 2.5e-3])
-    for deltas in ([1e-2, 5e-3, 0.0], [-1e-2, -5e-3, -2.5e-3]):
+    for deltas in ([1e-2, 5e-3, 0.0], [-1e-2, -5e-3, -2.5e-3], [np.inf, 1e-2, 5e-3]):
         with pytest.raises(ValueError, match="'deltas' must be > 0"):
             bl.regularity_probe(lat1d, rough, 750.0, spec, 1, 1, deltas)
 
@@ -227,6 +227,18 @@ def test_regularity_probe_checks_every_mesh_before_solving(lat1d, wells, monkeyp
     with pytest.raises(bl.NoBasisChangeOnPath):
         bl.regularity_probe(lat1d, wells, 750.0, bl.BlowupSpec(m=1, p=1.5, C=1.0), 1, 1,
                             [1e-2, 5e-3, 2.5e-3], center=[flip + 7e-3], halfwidth=6e-3)
+
+
+def test_regularity_probe_counts_mesh_points_before_solving(lat1d, wells, monkeypatch):
+    """A halfwidth of 0.012 leaves the 1e-2 mesh 3 points, too few for the
+    5-point stencils: the probe fails before any k is solved."""
+    def solve(*args, **kwargs):
+        raise AssertionError("compute_bands was called")
+
+    monkeypatch.setattr(analysis, "compute_bands", solve)
+    with pytest.raises(bl.TooFewPoints, match="mesh width 0.01 leaves 3 points"):
+        bl.regularity_probe(lat1d, wells, 750.0, bl.BlowupSpec(m=1, p=1.5, C=1.0), 1, 1,
+                            [1e-2, 5e-3, 2.5e-3], halfwidth=0.012)
 
 
 def test_periodicity_report(lat1d, cosine, blowup_std):

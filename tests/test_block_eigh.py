@@ -4,12 +4,12 @@ and the stacked Schur route for graded matrices.
 The block solver is checked against LAPACK on random Hermitian matrices
 (kinetic-like, graded and exactly degenerate) and on matrices that split
 into decoupled blocks, among them random sublattice potentials on +-k
-pairs, against the exact Schur-complement solve on graded fibers, for the
-confirming product its drift bound asks for, through its dense fallback,
-and for thread independence; its time-reversal warm start on +-k pairs is
-checked for its product count, its bounds and the bit-identity of every
-member it does not touch.  The
-Schur route is checked against the per-band fixed-point loop it replaced,
+pairs, against the exact Schur-complement solve on graded fibers and the
+dense route on strong axis potentials, for the confirming product its
+drift bound asks for, for the columns it multiplies by H, through its
+dense fallback, and for thread independence; its time-reversal warm start
+on +-k pairs is checked for its product count, its bounds and the
+bit-identity of every member it does not touch.  The Schur route is checked against the per-band fixed-point loop it replaced,
 kept below as the oracle, on random graded stacks.
 """
 
@@ -202,13 +202,16 @@ def test_block_path_finds_a_block_with_higher_diagonal(block_calls):
     assert np.max(np.abs(sol.values - np.linalg.eigvalsh(H)[:take])) <= 1e-10
 
 
-def count_products(monkeypatch):
-    """Every table product, as (fiber, member), in call order."""
+def count_products(monkeypatch, columns=None):
+    """Every table product, as (fiber, member), in call order; each
+    product's column count X.shape[1] goes to the list `columns` when given."""
     calls = []
     apply = bl.FiberMatrix.apply
 
     def counted(self, X, member=0):
         calls.append((self, member))
+        if columns is not None:
+            columns.append(X.shape[1])
         return apply(self, X, member)
 
     monkeypatch.setattr(bl.FiberMatrix, "apply", counted)
@@ -236,6 +239,27 @@ def test_block_path_on_potential_on_a_sublattice(frac, monkeypatch, block_calls)
     for b, kb in enumerate((k, -k)):
         H = bl.assemble(lat, V, kb, 400.0, bl.kdependent_scheme()).entries
         assert np.max(np.abs(pair.values[b] - np.linalg.eigvalsh(H)[:8])) <= 1e-10
+
+
+def test_block_path_iterates_the_whole_block_without_a_gap(block_calls):
+    """V(+-2 e_1) = -26, V(+-e_2) = -1 and V(+-e_3) = +1 at k = 0 (M = 251):
+    the third and fourth levels form a pair, so for n_lowest = 3 the first
+    guard column shows no gap and only the residual rule can stop.  Its pace
+    then rests on the whole block, so every column takes search directions;
+    with only the first n_lowest + 1 iterating, the solve hits the
+    iteration cap."""
+    lat = bl.new_lattice(np.eye(3))
+    e = np.eye(3, dtype=int)
+    V = bl.potential_from_coeffs(lat, [(tuple(s * g), c) for g, c in
+                                       ((2 * e[0], -26.0), (e[1], -1.0), (e[2], 1.0))
+                                       for s in (1, -1)])
+    H = bl.assemble(lat, V, np.zeros(3), 300.0, bl.kdependent_scheme()).entries
+    dense = np.linalg.eigvalsh(H)
+    assert dense[3] - dense[2] <= 1e-9
+    sol = bl.eigh(H, n_lowest=3)
+    assert block_calls == [True]
+    lapack = 64 * EPS * np.max(np.abs(dense))
+    assert np.all(np.abs(sol.values - dense[:3]) <= sol.bounds + lapack)
 
 
 @st.composite
@@ -439,6 +463,29 @@ def test_dense_bound_covers_the_error_below_the_split():
     assert np.all(err <= sol.bounds)
 
 
+@pytest.mark.parametrize("coefficient", [-20.0, -80.0, 30.0, -200.0])
+@pytest.mark.parametrize("scheme", [bl.kdependent_scheme(),
+                                    bl.modified_scheme(bl.build_blowup(bl.BlowupSpec(m=1, p=1.5)))],
+                         ids=["kdep", "modified"])
+def test_block_path_on_strong_axis_potentials(scheme, coefficient, block_calls):
+    """V(+-e_i) = c on the simple cubic lattice at Ec = 400 (M 360-389): hard
+    fibers, on which the block path takes more iterations with its guard
+    columns left out of the search directions.  Each solve stays on the
+    block path and lies within the two reported bounds of the dense route.
+    The modified fibers reach a diagonal of 2.4e7, below the graded split,
+    so a fixed tolerance against eigvalsh would not do: the dense route
+    reports up to 8.6e-8 there, and the block values sit 4.8e-10 from it."""
+    lat = bl.new_lattice(np.eye(3))
+    V = bl.potential_from_coeffs(lat, [(tuple(s * np.eye(3, dtype=int)[i]), coefficient)
+                                       for i in range(3) for s in (1, -1)])
+    for frac in ([0.0, 0.0, 0.0], [0.5, 0.5, 0.5], [0.13, -0.27, 0.41]):
+        fib = bl.assemble(lat, V, lat.reciprocal @ np.array(frac), 400.0, scheme)
+        sol = bl.eigh(fib, n_lowest=4)
+        assert block_calls[-1], f"k = {frac} left the block path"
+        values, bounds = spectra._eigh_dense(fib.entries[None], 4)
+        assert np.all(np.abs(sol.values - values[0]) <= sol.bounds + bounds[0])
+
+
 def test_drift_past_the_tolerance_takes_the_confirming_product():
     """Diagonal entries from 1e3 to 1e12, each coupled to the low plane waves
     by sqrt(diag) / 10 and not to each other: H @ Q then has columns of norm
@@ -546,6 +593,21 @@ def test_values_only_solves_take_few_products(monkeypatch, block_calls, cubic3d)
     assert block_calls == [True] * len(grid)
     assert len(products) / len(grid) <= 3.0
     assert np.all(np.isfinite(bands.energies))
+
+
+def test_block_iterates_only_the_requested_pairs_and_the_gap_column(monkeypatch, block_calls,
+                                                                    cubic3d):
+    """Only the n_lowest requested columns and the first guard column, whose
+    residual _ritz_bound reads, take search directions; the other guard
+    columns stay in the Rayleigh-Ritz basis.  On the cubic3d inputs H
+    multiplies at most 24 columns per k (23.2 measured; 30.5 when every
+    unconverged column of the block takes a direction)."""
+    lat, V, scheme, grid, Ec = cubic3d
+    columns = []
+    count_products(monkeypatch, columns)
+    bl.compute_bands(lat, V, grid, Ec, scheme, 4)
+    assert block_calls == [True] * len(grid)
+    assert sum(columns) / len(grid) <= 24.0
 
 
 def test_each_minus_k_partner_takes_at_most_two_products(monkeypatch, cubic3d):
