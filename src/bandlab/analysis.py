@@ -254,13 +254,29 @@ def regularity_probe(lat: Lattice, V: FourierPotential, Ec: float, blowup_spec: 
     )
 
 
+def _distinct_tags(schemes) -> list:
+    """The schemes as a list, a ValueError unless it holds at least one and
+    their tags, the keys of a per-scheme result, are distinct."""
+    schemes = list(schemes)
+    tags = [scheme.tag for scheme in schemes]
+    if not tags:
+        raise ValueError("'schemes' is empty: name at least one scheme")
+    repeated = sorted({tag for tag in tags if tags.count(tag) > 1})
+    if repeated:
+        raise ValueError(f"'schemes' repeat the tag {', '.join(repeated)}: the results are "
+                         f"keyed by tag, so each tag may appear once")
+    return schemes
+
+
 def periodicity_report(lat: Lattice, V: FourierPotential, Ec: float, schemes,
                        k_samples, shifts, n_bands: int = 1, threads: int = 1) -> dict:
     """Max band deviation between k and k + G over samples, per scheme tag.
 
     The k-dependent and modified schemes are exactly periodic up to floating
     point noise; the uniform scheme is not, which this report quantifies.
+    Raises ValueError for an empty scheme list or a repeated tag.
     """
+    schemes = _distinct_tags(schemes)
     pts = k_samples.points if isinstance(k_samples, KPointSet) else np.asarray(k_samples, float)
     base = KPointSet(points=pts, kind="path")
     report = {}
@@ -290,8 +306,10 @@ def energy_vs_cell_parameter(make_lattice, make_potential, Ec: float, schemes,
     make_lattice(a) and make_potential(lattice) define the family.  The max
     absolute second difference over the uniform a-ladder measures how
     smoothly each scheme responds to the cell parameter; rank changes of the
-    k-dependent space show up as jumps here.
+    k-dependent space show up as jumps here.  Raises ValueError for an empty
+    scheme list or a repeated tag.
     """
+    schemes = _distinct_tags(schemes)
     a_values = np.asarray([float(a) for a in a_values])
     if a_values.size < 3:
         raise ValueError("need at least three cell parameters")

@@ -310,7 +310,7 @@ def _solve_bands(cfg: dict, lat: Lattice, V: FourierPotential, scheme: Scheme,
     potential digests and a modified run's resolved blow-up spec."""
     bands = compute_bands(lat, V, kset, _field(cfg, "ec", float), scheme,
                           _field(cfg, "nbands", int, 4, above=0),
-                          threads=_field(cfg, "threads", int, 1))
+                          threads=_field(cfg, "threads", int, 1, above=0))
     record = {"lattice_digest": digest_of(lat.to_dict()), "potential_digest": V.digest(),
               "Ec": bands.Ec, "scheme": scheme.tag, "n_bands": bands.n_bands}
     if scheme.blowup is not None:
@@ -383,7 +383,7 @@ def cmd_converge(args) -> int:
     ec_ref = _field(cfg, "ec_reference", float, 16.0 * max(ladder, default=0.0))
     _check_ladder(ladder, ec_ref)  # before the reference solve
     band_index = _field(cfg, "band_index", int, 1, above=0)
-    threads = _field(cfg, "threads", int, 1)
+    threads = _field(cfg, "threads", int, 1, above=0)
     r = None if cfg.get("sobolev_r") is None else _field(cfg, "sobolev_r", float)
     if r is None and "synth" in (cfg.get("potential") or {}):  # null: zero potential
         r = float(cfg["potential"]["synth"]["t"]) - lat.dim / 2.0
@@ -417,7 +417,7 @@ def cmd_regularity(args) -> int:
         lat, V, _field(cfg, "ec", float), spec,
         band_index=_field(cfg, "band_index", int, 1, above=0),
         order=_field(cfg, "derivative_order", int, 1),
-        deltas=deltas, threads=_field(cfg, "threads", int, 1),
+        deltas=deltas, threads=_field(cfg, "threads", int, 1, above=0),
     )
     out = _output_dir(cfg)
     _write_csv(out / "regularity.csv", ["delta", "peak"], zip(probe.deltas, probe.peaks))
@@ -445,7 +445,7 @@ def cmd_periodicity(args) -> int:
               for s in _field(cfg, "shifts", list, [[1] + [0] * (lat.dim - 1)])]
     report = periodicity_report(lat, V, _field(cfg, "ec", float), schemes, samples, shifts,
                                 n_bands=_field(cfg, "nbands", int, 1, above=0),
-                                threads=_field(cfg, "threads", int, 1))
+                                threads=_field(cfg, "threads", int, 1, above=0))
     out = _output_dir(cfg)
     _write_json(out / "periodicity.json", {"command": "periodicity", **report})
     for tag, worst in report.items():
@@ -479,7 +479,8 @@ def cmd_cellscan(args) -> int:
         lambda a: new_lattice(a * unit), make_potential, _field(cfg, "ec", float), schemes,
         a_values, n_electrons=_field(cfg, "electrons", float, 1.0, above=0),
         grid_n=_field(cfg, "grid", int, 6, above=0),
-        n_bands=_field(cfg, "nbands", int, 6, above=0), threads=_field(cfg, "threads", int, 1),
+        n_bands=_field(cfg, "nbands", int, 6, above=0),
+        threads=_field(cfg, "threads", int, 1, above=0),
     )
     out = _output_dir(cfg)
     tags = [s.tag for s in schemes]

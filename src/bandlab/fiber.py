@@ -41,10 +41,14 @@ the dense matrix.  When the block path gives up on a member, building
 `entries` drops the table, so a fiber that eigh solves never keeps both.
 
 A (B, d) stack of k-points whose bases have one size M is assembled in one
-pass: one basis enumeration for the B bases (compute_bands passes the
-bases it sliced from its one pass over the k-set instead) and one
-vectorized diagonal; each lazy form is then built for the B members at
-once.  A single k is the B = 1 case of the same code.
+pass: one basis enumeration for the B bases and one vectorized diagonal
+(_diagonal); each lazy form is then built for the B members at once.  A
+single k is the B = 1 case of the same code.  compute_bands does the basis
+and diagonal work once for its whole k-set instead: its one basis pass
+also yields every kinetic value, _diagonal turns them all into diagonals
+with one blow-up evaluation, and each stack passes its slices of both.
+The uniform basis is enumerated at k = 0, so for it each stack computes
+its kinetic values here.
 """
 
 from __future__ import annotations
@@ -130,7 +134,7 @@ class FiberMatrix:
         coords = self._stack()
         B, M = coords.shape[:2]
         span = coords.max(axis=(0, 1)) - coords.min(axis=(0, 1))
-        strides = np.cumprod(np.r_[1, 2 * span[:0:-1] + 1])[::-1]  # row-major
+        strides = _row_major(2 * span + 1)
         center = span @ strides
         # each (i, j) has one difference G_i - G_j; one no dG reaches keeps
         # its 0, which is what 0.5 * (0 + conj(0)) gives
@@ -172,6 +176,14 @@ class FiberMatrix:
         return out
 
 
+def _row_major(dims: np.ndarray) -> np.ndarray:
+    """Strides of the row-major linear index of an integer box with the
+    given extents: the last coordinate fastest."""
+    strides = np.ones_like(dims)
+    strides[:-1] = np.cumprod(dims[:0:-1])[::-1]
+    return strides
+
+
 def _rows(basis: np.ndarray, points: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """Row in member b of `basis` of every points[b, j] + shifts[s], as an
     (n_shift, B, n_point) array holding -1 where that coordinate is not a
@@ -187,7 +199,7 @@ def _rows(basis: np.ndarray, points: np.ndarray, shifts: np.ndarray) -> np.ndarr
     lo = np.minimum(basis.min(axis=(0, 1)), points.min(axis=(0, 1)) + shifts.min(axis=0))
     dims = np.maximum(basis.max(axis=(0, 1)),
                       points.max(axis=(0, 1)) + shifts.max(axis=0)) - lo + 1
-    strides = np.cumprod(np.r_[1, dims[:0:-1]])[::-1]  # row-major: last coordinate fastest
+    strides = _row_major(dims)
     size = int(np.prod(dims))
     offset = size * np.arange(basis.shape[0])[:, None]
     table = np.full(size * basis.shape[0], -1, dtype=np.intp)
@@ -195,32 +207,40 @@ def _rows(basis: np.ndarray, points: np.ndarray, shifts: np.ndarray) -> np.ndarr
     return table[((points - lo) @ strides + offset)[None] + (shifts @ strides)[:, None, None]]
 
 
+def _diagonal(kin: np.ndarray, Ec: float, scheme: Scheme) -> np.ndarray:
+    """The scheme's kinetic diagonal from the kinetic values 0.5*|k+G|^2 of
+    an array of any shape, elementwise, written over kin: kin itself, or in
+    the modified scheme Ec * G(|k+G| / sqrt(2 Ec)) from one blow-up
+    evaluation over the entries with argument above 1/2, and the same float
+    kin below."""
+    if scheme.tag == "modified":
+        x = np.sqrt(kin / Ec)  # |k+G| / sqrt(2 Ec)
+        steep = x > 0.5
+        if steep.any():
+            kin[steep] = Ec * scheme.blowup.eval(x[steep])
+    return kin
+
+
 def assemble(lat: Lattice, V: FourierPotential, k, Ec: float, scheme: Scheme, *,
-             _basis: np.ndarray | None = None) -> FiberMatrix:
+             _basis: np.ndarray | None = None, _diag: np.ndarray | None = None) -> FiberMatrix:
     """Fiber matrix at k for the given scheme and cutoff.
 
     k may also be a (B, d) stack of points whose bases all hold M plane
     waves.  The result then has (B, M, d) coords, a (B, M) diagonal and
     (B, M, M) entries, built from one basis pass and one diagonal pass; a
     single k is the B = 1 case, and every member equals its own single-k
-    matrix to the bit.  `_basis`, the (B, M, d) bases of the points when
-    the caller has enumerated them already (compute_bands), skips that pass.
+    matrix to the bit.  `_basis`, the (B, M, d) bases of the points, and
+    `_diag`, their (B, M) kinetic diagonal (_diagonal), skip those passes
+    when the caller has them already (compute_bands).
     """
     k = np.zeros(lat.dim) if k is None else np.asarray(k, dtype=float)
     ks = k.reshape(-1, lat.dim)
     if _basis is None:
         _basis = _basis_coords(lat, k, Ec, scheme.basis_mode)
     coords = _basis.reshape(len(ks), -1, lat.dim)
-
-    kin = kinetic_values(lat, ks[:, None, :], coords)  # (B, M)
-    if scheme.tag == "modified":
-        x = np.sqrt(kin / Ec)  # |k+G| / sqrt(2 Ec)
-        diag = np.where(x <= 0.5, kin, 0.0)
-        steep = x > 0.5
-        if steep.any():
-            diag[steep] = Ec * scheme.blowup.eval(x[steep])
-    else:
-        diag = kin
+    if _diag is None:
+        _diag = _diagonal(kinetic_values(lat, ks[:, None, :], coords), Ec, scheme)
+    diag = _diag.reshape(coords.shape[:2])
 
     dG, c = V.hermitian_coeffs
     # a dG longer than the basis box in some coordinate couples no pair

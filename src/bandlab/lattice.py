@@ -111,7 +111,21 @@ def _gbox(lat: Lattice, Ec: float, kmax: float) -> tuple[np.ndarray, np.ndarray]
     rng = np.arange(-bound, bound + 1, dtype=np.int64)
     coords = np.stack(np.meshgrid(*([rng] * lat.dim), indexing="ij"), axis=-1)
     coords = coords.reshape(-1, lat.dim)
-    return coords, coords @ lat.reciprocal.T
+    return coords, _cartesian(lat, coords)
+
+
+def _cartesian(lat: Lattice, coords) -> np.ndarray:
+    """Cartesian vectors of integer G-indices, an (..., d) array of any shape.
+
+    Every vector comes from BLAS's matrix-matrix product over all rows at
+    once: a single row would take the matrix-vector product, which rounds
+    differently, so it is doubled.  A G thus gets the same vector in every
+    box and every basis.
+    """
+    flat = np.asarray(coords, dtype=float).reshape(-1, lat.dim)
+    one = flat.shape[0] == 1
+    gvecs = (np.concatenate([flat, flat]) if one else flat) @ lat.reciprocal.T
+    return (gvecs[:1] if one else gvecs).reshape(np.shape(coords))
 
 
 def _kinetic_chunks(gvecs: np.ndarray, points: np.ndarray):
@@ -131,18 +145,17 @@ def _kinetic_chunks(gvecs: np.ndarray, points: np.ndarray):
 
 def _bases(lat: Lattice, Ec: float, points: np.ndarray):
     """The k-dependent basis of each of the (P, d) points, from one G-box and
-    one sort: (box, rows, sizes).
+    one sort: (box, rows, sizes, kin).
 
     box holds the (N, d) int64 G-indices of the box and sizes the (P,) basis
     sizes, 0 for an empty basis.  rows holds the int32 box rows of every
     basis, point after point, each basis in enumerate_basis order: by kinetic
-    value, then by G-index, which is the order of the box rows.
+    value, then by G-index, which is the order of the box rows.  kin holds
+    the kinetic value 0.5*|k+G|^2 of each entry of rows, equal to what
+    kinetic_values gives for that basis to the bit.
     """
     if Ec <= 0:
         raise EmptyBasis(f"cutoff Ec={Ec:g} selects no plane wave")
-    # the box has at least 3^d rows, so for d > 1 its G vectors always come
-    # from BLAS's matrix-matrix product, never the matrix-vector one that
-    # rounds differently, and a G gets the same vector in every box
     box, gvecs = _gbox(lat, Ec, np.linalg.norm(points, axis=1).max())
     member, where, kin = [], [], []
     for lo, kinetic in _kinetic_chunks(gvecs, points):
@@ -153,8 +166,9 @@ def _bases(lat: Lattice, Ec: float, points: np.ndarray):
     member, where, kin = (np.concatenate(a) for a in (member, where, kin))
     # nonzero lists each point's rows in box order, which the stable sort
     # keeps among equal kinetic values
-    rows = where[np.lexsort((kin, member))].astype(np.int32)
-    return box, rows, np.bincount(member, minlength=points.shape[0])
+    order = np.lexsort((kin, member))
+    sizes = np.bincount(member, minlength=points.shape[0])
+    return box, where[order].astype(np.int32), sizes, kin[order]
 
 
 def _basis_coords(lat: Lattice, k, Ec: float, mode: str = "kdependent") -> np.ndarray:
@@ -167,7 +181,7 @@ def _basis_coords(lat: Lattice, k, Ec: float, mode: str = "kdependent") -> np.nd
         raise ValueError(f"unknown basis mode {mode!r}")
     k = np.zeros(lat.dim) if k is None else np.asarray(k, dtype=float)
     ks = k.reshape(-1, lat.dim)
-    box, rows, counts = _bases(lat, Ec, ks if mode == "kdependent" else np.zeros_like(ks))
+    box, rows, counts, _ = _bases(lat, Ec, ks if mode == "kdependent" else np.zeros_like(ks))
     if not counts.all():
         empty = k if k.ndim < 2 else k[np.argmin(counts)]
         raise EmptyBasis(f"no plane wave below Ec={Ec:g} at k={empty}")
@@ -192,8 +206,7 @@ def kinetic_values(lat: Lattice, k, basis) -> np.ndarray:
     """0.5*|k+G|^2 for each G-index of a basis (list or (M, d) array), in basis order;
     a (B, 1, d) stack of k with a (B, M, d) stack of bases gives (B, M)."""
     k = np.zeros(lat.dim) if k is None else np.asarray(k, dtype=float)
-    gvecs = np.asarray(basis, dtype=float) @ lat.reciprocal.T
-    return 0.5 * np.sum((gvecs + k) ** 2, axis=-1)
+    return 0.5 * np.sum((_cartesian(lat, basis) + k) ** 2, axis=-1)
 
 
 def _basis_sizes(lat: Lattice, Ec: float, points) -> np.ndarray:

@@ -13,6 +13,7 @@ V(x) = sum_G coeffs[G] * e_G(x) with e_G(x) = |cell|^(-1/2) exp(i G.x).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -24,6 +25,19 @@ from .lattice import GIndex, Lattice, digest_of, lattice_from_dict
 
 class BrokenHermitianSymmetry(ValueError):
     """Coefficients violate conj-symmetry of a real-valued potential."""
+
+
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(rows, axis=0, return_inverse=True) of an (n, d) int array,
+    from one lexsort: the distinct rows in lexicographic order, and the
+    position of each row among them."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ranked[first], inverse
 
 
 @dataclass(frozen=True)
@@ -43,9 +57,9 @@ class FourierPotential:
         the value at G_i - G_j, to the bit.
         """
         given = np.array(list(self.coeffs), dtype=np.int64).reshape(-1, self.lattice.dim)
-        indices, where = np.unique(np.concatenate([given, -given]), axis=0, return_inverse=True)
+        indices, where = _unique_rows(np.concatenate([given, -given]))
         plain = np.zeros(indices.shape[0], dtype=complex)
-        where = where.reshape(-1)[: len(given)]
+        where = where[: len(given)]
         plain[where] += np.array(list(self.coeffs.values()), dtype=complex)
         # negation reverses the lexicographic order of a set closed under it
         values = 0.5 * (plain + plain[::-1].conj())
@@ -76,20 +90,28 @@ def potential_from_coeffs(lat: Lattice, entries, real_valued: bool = True) -> Fo
     """
     coeffs: dict[GIndex, complex] = {}
     for g, c in entries:
-        g = tuple(int(v) for v in np.atleast_1d(g))
+        g = tuple(map(int, g if isinstance(g, tuple) else np.atleast_1d(g)))
         if len(g) != lat.dim:
             raise ValueError(f"G-index {g} does not match lattice dimension {lat.dim}")
         coeffs[g] = coeffs.get(g, 0.0 + 0.0j) + complex(c)
-    if real_valued:
-        bad = []
-        for g, c in coeffs.items():
-            mirror = tuple(-v for v in g)
-            partner = coeffs.get(mirror)
-            if partner is None or abs(partner - np.conj(c)) > 1e-12 * max(1.0, abs(c)):
-                bad.append(g)
-        if bad:
+    if real_valued and coeffs:
+        given = np.array(list(coeffs), dtype=np.int64)
+        values = np.array(list(coeffs.values()), dtype=complex)
+        # row of -G among the given G, -1 if absent: both sets' positions in
+        # their sorted union
+        _, where = _unique_rows(np.concatenate([given, -given]))
+        row = np.full(len(where), -1)
+        row[where[: len(given)]] = np.arange(len(given))
+        partner = row[where[len(given):]]
+        # np.hypot is the scalar abs of a complex number to the bit; the
+        # vectorized np.abs of a complex array is not
+        gap = values[partner] - values.conj()
+        bad = (partner < 0) | (np.hypot(gap.real, gap.imag)
+                               > 1e-12 * np.maximum(1.0, np.hypot(values.real, values.imag)))
+        if bad.any():
             raise BrokenHermitianSymmetry(
-                f"real-valued potential needs conjugate partners; offending G: {sorted(bad)}"
+                "real-valued potential needs conjugate partners; offending G: "
+                f"{sorted(map(tuple, given[bad].tolist()))}"
             )
     return FourierPotential(lattice=lat, coeffs=coeffs, real_valued=real_valued)
 
@@ -113,19 +135,22 @@ def synth_power_law(lat: Lattice, t: float, gmax: int, seed: int,
         raise ValueError(f"need t > d/2 = {lat.dim / 2:g} for a summable tail, got t={t:g}")
     if gmax < 0:
         raise ValueError("gmax must be >= 0")
-    entries = []  # gmax = 0 leaves the box empty: the zero potential
-    rng1d = range(-gmax, gmax + 1)
-    for g in np.ndindex(*([2 * gmax + 1] * lat.dim)):
-        n = tuple(rng1d[i] for i in g)
-        if all(v == 0 for v in n):
-            continue
-        # keep the lexicographically positive representative of each {G, -G} pair
-        if n < tuple(-v for v in n):
-            continue
-        mag = amplitude * float(np.linalg.norm(lat.gvector(n))) ** (-t)
-        c = mag * _phase(seed, n)
-        entries.append((n, c))
-        entries.append((tuple(-v for v in n), np.conj(c)))
+    # the box rows in lexicographic order; negation reverses it, so the rows
+    # after the center G = 0 are the lexicographically positive
+    # representatives of the {G, -G} pairs (gmax = 0 leaves none: the zero
+    # potential)
+    span = np.arange(-gmax, gmax + 1)
+    box = np.stack(np.meshgrid(*([span] * lat.dim), indexing="ij"), axis=-1)
+    half = box.reshape(-1, lat.dim)[(2 * gmax + 1) ** lat.dim // 2 + 1:]
+    # |G|^2 from one matrix-vector product and one dot product per G, each
+    # stacked in one matmul: the arithmetic of norm(lat.gvector(G)) to the bit
+    gvecs = lat.reciprocal @ half[:, :, None].astype(float)
+    squares = (gvecs.transpose(0, 2, 1) @ gvecs).reshape(-1)
+    entries = []
+    for g, neg, sq in zip(map(tuple, half.tolist()), map(tuple, (-half).tolist()),
+                          squares.tolist()):
+        c = amplitude * math.sqrt(sq) ** (-t) * _phase(seed, g)
+        entries += [(g, c), (neg, np.conj(c))]
     return potential_from_coeffs(lat, entries, real_valued=True)
 
 

@@ -71,7 +71,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fiber import FiberMatrix, Scheme, _rows, assemble
+from .fiber import FiberMatrix, Scheme, _diagonal, _rows, assemble
 from .lattice import KPointSet, Lattice, _basis_coords, _bases
 from .potential import FourierPotential
 
@@ -312,13 +312,15 @@ def _graded_mask(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     top = off.max(axis=(1, 2))
     scale = np.fmax(1.0, top)
     steep = d > _GRADED_RATIO * scale[:, None]
+    # np.maximum keeps a nan, so the bound is not finite where top is not
+    bound = _LAPACK_ROUNDING * _EPS * (np.abs(d).max(axis=1) + (M - 1) * np.maximum(1.0, top))
+    if not steep.any():
+        return steep, bound
     count = np.count_nonzero(steep, axis=1)
     # the mild block must also stay well below the steep entries
     mild_top = np.where(steep, -np.inf, d).max(axis=1)
     steep_low = np.where(steep, d, np.inf).min(axis=1)
     split = (count > 0) & (count < M) & ~(mild_top > 1e-2 * steep_low)
-    # np.maximum keeps a nan, so the bound is not finite where top is not
-    bound = _LAPACK_ROUNDING * _EPS * (np.abs(d).max(axis=1) + (M - 1) * np.maximum(1.0, top))
     return steep & split[:, None], bound
 
 
@@ -403,9 +405,10 @@ def _eigh_dense(stack: np.ndarray, take: int):
     try:
         if plain.size:
             values[plain] = np.linalg.eigvalsh(stack if plain.size == B else stack[plain])[:, :take]
-        for c in np.unique(count[graded]):
-            idx = np.flatnonzero(graded & (count == c))
-            values[idx], bounds[idx] = _eigh_schur(stack[idx], steep[idx], take)
+        if graded.any():
+            for c in np.unique(count[graded]):
+                idx = np.flatnonzero(graded & (count == c))
+                values[idx], bounds[idx] = _eigh_schur(stack[idx], steep[idx], take)
     except np.linalg.LinAlgError as exc:
         raise SolverFailure(f"eigensolver failed: {exc}") from exc
     return values, bounds
@@ -525,17 +528,21 @@ def compute_bands(lat: Lattice, V: FourierPotential, kset: KPointSet, Ec: float,
                   scheme: Scheme, n_bands: int, threads: int = 1) -> BandStructure:
     """Solve the fiber problem at every k of the set.
 
-    The k-points are grouped by basis size and each group is assembled and
-    solved as stacks (see _chunks).  Every member is bit-identical to its
-    own single-k solve, except the -k partner in a block-path pair: eigh
-    warm-starts it from the first member's time-reversed block, and its
-    values lie within its reported bound.  If a pair's block solve hits the
-    iteration cap, the dense fallback builds `entries` for both members
-    (2 x 16 M^2 bytes).  Raises BandCountExceedsBasis naming the first
-    offending k, in k order, when the requested band count cannot be
-    represented there, and ValueError for an empty k-set or threads < 1.  Rows are
-    written by k index and the stacks do not depend on `threads`, so
-    threading never changes the result.
+    One pass over the k-set enumerates every basis with its kinetic values
+    (lattice._bases), and one _diagonal call turns those into every
+    kinetic diagonal, blow-up included, so a stack only slices them; the
+    uniform basis is enumerated at k = 0, so there assemble computes each
+    stack's kinetic values.  The k-points are grouped by basis size and
+    each group is assembled and solved as stacks (see _chunks).  Every
+    member is bit-identical to its own single-k solve, except the -k
+    partner in a block-path pair: eigh warm-starts it from the first
+    member's time-reversed block, and its values lie within its reported
+    bound.  If a pair's block solve hits the iteration cap, the dense
+    fallback builds `entries` for both members (2 x 16 M^2 bytes).  Raises
+    BandCountExceedsBasis naming the first offending k, in k order, when the
+    requested band count cannot be represented there, and ValueError for an
+    empty k-set or threads < 1.  Rows are written by k index and the stacks
+    do not depend on `threads`, so threading never changes the result.
     """
     if n_bands < 1:
         raise ValueError("n_bands must be >= 1")
@@ -545,10 +552,10 @@ def compute_bands(lat: Lattice, V: FourierPotential, kset: KPointSet, Ec: float,
         raise ValueError("the k-point set is empty")
     points = kset.points
     energies = np.empty((len(kset), n_bands))
-    # every basis from one pass; the uniform basis is the k-dependent one at
-    # k = 0, for every k
-    box, rows, sizes = _bases(lat, Ec, points if scheme.basis_mode == "kdependent"
-                              else np.zeros_like(points))
+    # every basis and its kinetic values from one pass; the uniform basis is
+    # the k-dependent one at k = 0, for every k
+    box, rows, sizes, kin = _bases(lat, Ec, points if scheme.basis_mode == "kdependent"
+                                   else np.zeros_like(points))
     short = np.flatnonzero(sizes < n_bands)
     if short.size:
         k = points[short[0]]
@@ -559,10 +566,14 @@ def compute_bands(lat: Lattice, V: FourierPotential, kset: KPointSet, Ec: float,
             f"at k={k} (Ec={Ec:g})"
         )
     starts = np.cumsum(sizes) - sizes
+    # every kinetic diagonal at once; for the uniform basis kin holds the
+    # values at k = 0, so there each stack computes its own
+    diag = _diagonal(kin, Ec, scheme) if scheme.basis_mode == "kdependent" else None
 
     def solve(idx: np.ndarray) -> None:
-        basis = box[rows[starts[idx, None] + np.arange(sizes[idx[0]])]]
-        fib = assemble(lat, V, points[idx], Ec, scheme, _basis=basis)
+        at = starts[idx, None] + np.arange(sizes[idx[0]])
+        fib = assemble(lat, V, points[idx], Ec, scheme, _basis=box[rows[at]],
+                       _diag=None if diag is None else diag[at])
         energies[idx] = eigh(fib, n_lowest=n_bands).values
 
     chunks = _chunks(sizes, V.hermitian_coeffs[0].shape[0], n_bands, lat.fractional(points.T).T)

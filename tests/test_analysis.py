@@ -292,3 +292,27 @@ def test_cell_scan_needs_a_nonzero_step(lat1d):
             lambda lat: bl.potential_from_coeffs(lat, []),
             50.0, [bl.kdependent_scheme()], [1.0, 1.0, 1.0],
             n_electrons=1.0, grid_n=4, n_bands=2)
+
+
+@pytest.mark.parametrize("study", ["periodicity", "cellscan"])
+def test_schemes_must_be_distinct_and_present(lat1d, zero, study):
+    """Both studies key their results by scheme tag: two modified schemes
+    with different blow-ups would collapse into one entry holding the
+    second's numbers, and an empty list would give an empty study."""
+    two = [bl.modified_scheme(bl.build_blowup(bl.BlowupSpec(m=1, p=1.5))),
+           bl.modified_scheme(bl.build_blowup(bl.BlowupSpec(m=2, p=2.5)))]
+
+    def run(schemes):
+        if study == "periodicity":
+            return bl.periodicity_report(lat1d, zero, 25.0, schemes, [[0.1]], [(1,)])
+        return bl.energy_vs_cell_parameter(
+            lambda a: bl.new_lattice([[a]]), lambda lat: bl.potential_from_coeffs(lat, []),
+            50.0, schemes, [0.95, 1.0, 1.05], n_electrons=1.0, grid_n=8, n_bands=3)
+
+    with pytest.raises(ValueError, match="repeat the tag modified"):
+        run(two)
+    with pytest.raises(ValueError, match="empty"):
+        run([])
+    with pytest.raises(ValueError, match="repeat the tag kdependent"):
+        run(iter([bl.kdependent_scheme(), two[0], bl.kdependent_scheme()]))
+    run(iter([bl.kdependent_scheme(), two[0]]))  # a one-pass iterable is read once

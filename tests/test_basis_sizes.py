@@ -6,8 +6,10 @@ scans, the regularity probe and basis_cardinality_bounds used before the
 vectorized counter; an empty basis counts 0.  The bases that compute_bands
 slices from its one pass over the k-set must equal enumerate_basis at each
 k, element for element, although that pass reads every k from one G-box
-sized for the whole set.  Cutoffs are drawn at random and also exactly at a
-kinetic value 0.5*|k+G|^2, where the strict cutoff inequality decides.
+sized for the whole set, and its kinetic values, from which compute_bands
+builds every diagonal, must equal kinetic_values of each basis to the bit.
+Cutoffs are drawn at random and also exactly at a kinetic value
+0.5*|k+G|^2, where the strict cutoff inequality decides.
 """
 
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 
 import bandlab as bl
 from bandlab import spectra
-from bandlab.lattice import _basis_coords, _basis_sizes
+from bandlab.lattice import _bases, _basis_coords, _basis_sizes
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -105,10 +107,10 @@ def test_one_pass_bases_match_enumerate_basis(case):
     got = {}
     assemble = spectra.assemble
 
-    def recorded(lat, V, k, Ec, scheme, *, _basis):
+    def recorded(lat, V, k, Ec, scheme, *, _basis, _diag):
         for kb, basis in zip(k, _basis):
             got.setdefault(kb.tobytes(), []).append(list(map(tuple, basis.tolist())))
-        return assemble(lat, V, k, Ec, scheme, _basis=_basis)
+        return assemble(lat, V, k, Ec, scheme, _basis=_basis, _diag=_diag)
 
     scheme = bl.kdependent_scheme() if mode == "kdependent" else bl.uniform_scheme()
     V = bl.potential_from_coeffs(lat, [])
@@ -123,3 +125,37 @@ def test_one_pass_bases_match_enumerate_basis(case):
     for k, basis in zip(points, want):
         assert got[k.tobytes()][0] == basis
     assert sum(map(len, got.values())) == len(points)
+
+
+def per_point_kinetic(lat, Ec, points):
+    """The kinetic values of the one basis pass and kinetic_values of each
+    point's basis, both as a list of per-point byte strings."""
+    box, rows, sizes, kin = _bases(lat, Ec, points)
+    at = np.split(np.arange(len(rows)), np.cumsum(sizes)[:-1])
+    return ([kin[i].tobytes() for i in at],
+            [bl.kinetic_values(lat, k, box[rows[i]]).tobytes() for k, i in zip(points, at)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(cases())
+def test_one_pass_kinetic_values_match_kinetic_values(case):
+    lat, Ec, points = case
+    if Ec <= 0:
+        return  # no basis, no kinetic values: _bases raises EmptyBasis
+    got, want = per_point_kinetic(lat, Ec, points)
+    assert got == want
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_one_plane_wave_kinetic_value(dim):
+    """A basis of a single plane wave reads its G vector as the box does,
+    from BLAS's matrix-matrix product: the matrix-vector product that numpy
+    takes for one row rounds differently for several of these k, whose
+    nearest G has large integer coordinates."""
+    rng = np.random.default_rng(dim)
+    lat = bl.new_lattice(np.eye(dim) + rng.uniform(-0.3, 0.3, (dim, dim)))
+    for k in rng.uniform(-40.0, 40.0, (40, dim)):
+        kin = np.sort(bl.kinetic_values(lat, k, _basis_coords(lat, k, 60.0)))
+        Ec = 0.5 * (kin[0] + kin[1])  # between the two lowest: one plane wave
+        got, want = per_point_kinetic(lat, Ec, k[None])
+        assert len(got[0]) == 8 and got == want

@@ -53,6 +53,10 @@ def test_integer_beyond_the_float_range_is_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("command, extra, flags, word", [
     ("bands", {"threads": 0}, [], "threads"), ("bands", {"threads": -5}, [], "threads"),
     ("bands", {}, ["--threads", "0"], "threads"), ("periodicity", {"k_samples": 0}, [], "empty"),
+    ("converge", {"ec_ladder": [25.0, 50.0], "threads": 0}, [], "'threads' must be > 0"),
+    ("regularity", {"blowup": {"m": 1, "p": 1.5}, "threads": 0}, [], "'threads' must be > 0"),
+    ("periodicity", {"threads": 0}, [], "'threads' must be > 0"),
+    ("cellscan", {"threads": 0}, [], "'threads' must be > 0"),
 ])
 def test_bad_threads_and_empty_kset_are_config_errors(tmp_path, capsys, command, extra, flags,
                                                       word):
@@ -272,3 +276,13 @@ def test_readme_config_runs_every_subcommand(tmp_path, command, flags):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(README_CONFIG))
     assert main([command, "--config", str(path), "--out", str(tmp_path / "run")] + flags) == 0
+
+
+@pytest.mark.parametrize("command", ["periodicity", "cellscan"])
+@pytest.mark.parametrize("schemes", [["kdep", "kdep"], ["modified", "uniform", "modified"], []])
+def test_schemes_must_name_each_scheme_once(tmp_path, capsys, command, schemes):
+    """A repeated name would solve everything twice and write duplicate
+    columns; an empty list would write a study of no scheme."""
+    code, err = run(tmp_path, command, BANDS | {"schemes": schemes}, capsys)
+    assert_config_error(code, err, "schemes")
+    assert not (tmp_path / "run").exists()

@@ -84,3 +84,32 @@ def test_hermitian_coeffs(hex2d, lat1d):
     assert vals.tolist() == [0.5 - 1.5j, 0.5 + 1.5j]
     empty = bl.potential_from_coeffs(hex2d, [])
     assert empty.hermitian_coeffs[0].shape == (0, 2)
+
+
+HEX = np.array([[1.0, -0.5], [0.0, np.sqrt(3.0) / 2.0]])
+
+
+@pytest.mark.parametrize("primitive, args, digest", [
+    (0.95 * HEX, dict(t=2.2, gmax=3, seed=5, amplitude=400.0), "a2cfc4a1cfe9"),
+    (1.0 * HEX, dict(t=2.2, gmax=3, seed=5, amplitude=400.0), "90feb1d831de"),
+    (1.05 * HEX, dict(t=2.2, gmax=3, seed=5, amplitude=400.0), "67a87ad5bbee"),
+    (np.eye(3), dict(t=2.1, gmax=1, seed=1, amplitude=5.0), "4c6e8a47b3ca"),
+    (np.eye(1), dict(t=1.55, gmax=8, seed=7, amplitude=48000.0), "b60a94025f8c"),
+    (HEX, dict(t=2.1, gmax=6, seed=1), "387ad1106c9e"),
+])
+def test_synth_digest_pinned(primitive, args, digest):
+    """The benchmark and test potentials keep every coefficient bit: each G's
+    phase from its own generator, |G| from the arithmetic of
+    norm(lat.gvector(G))."""
+    assert bl.synth_power_law(bl.new_lattice(primitive), **args).digest() == digest
+
+
+def test_broken_partner_check_names_each_offender(hex2d):
+    entries = [((1, 0), 1.0 + 1.0j), ((-1, 0), 1.0 + 1.0j),   # partner not conjugate
+               ((0, 2), 2.0), ((0, 0), 0.5j),                  # no partner; c[0] not real
+               ((1, 1), 3.0 - 1.0j), ((-1, -1), 3.0 + 1.0j)]   # a proper pair
+    with pytest.raises(bl.BrokenHermitianSymmetry) as info:
+        bl.potential_from_coeffs(hex2d, entries)
+    assert "[(-1, 0), (0, 0), (0, 2), (1, 0)]" in str(info.value)
+    # a mismatch within 1e-12 of max(1, |c|) passes
+    bl.potential_from_coeffs(hex2d, [((0, 1), 1e3), ((0, -1), 1e3 + 1e-10j)])
