@@ -17,7 +17,7 @@ from .fiber import Scheme, modified_scheme, uniform_scheme
 from .lattice import KPointSet, Lattice, _basis_sizes, uniform_grid
 from .observables import fermi_level, idoe
 from .potential import FourierPotential
-from .spectra import BandStructure, compute_bands
+from .spectra import BandStructure, _band_structures, compute_bands
 
 
 class GridMismatch(ValueError):
@@ -270,24 +270,31 @@ def _distinct_tags(schemes) -> list:
 
 def periodicity_report(lat: Lattice, V: FourierPotential, Ec: float, schemes,
                        k_samples, shifts, n_bands: int = 1, threads: int = 1) -> dict:
-    """Max band deviation between k and k + G over samples, per scheme tag.
+    """Max band deviation between k and k + G over samples, per scheme tag,
+    in the order of `schemes`.
 
     The k-dependent and modified schemes are exactly periodic up to floating
     point noise; the uniform scheme is not, which this report quantifies.
-    Raises ValueError for an empty scheme list or a repeated tag.
+    The samples and each shifted copy are one k-set each, solved for every
+    scheme at once: the schemes that share a basis share one basis pass and
+    one set of stacks (spectra._band_structures).  Raises ValueError for an
+    empty scheme list, a repeated tag, or no shift or a zero one among
+    `shifts` (a zero shift compares each k with itself).
     """
     schemes = _distinct_tags(schemes)
+    shifts = list(shifts)
+    if not shifts or not all(np.any(shift) for shift in shifts):
+        raise ValueError(f"'shifts' must hold at least one G-shift and no zero one, got "
+                         f"{[list(map(int, shift)) for shift in shifts]}")
     pts = k_samples.points if isinstance(k_samples, KPointSet) else np.asarray(k_samples, float)
-    base = KPointSet(points=pts, kind="path")
-    report = {}
-    for scheme in schemes:
-        e0 = compute_bands(lat, V, base, Ec, scheme, n_bands, threads=threads).energies
-        worst = 0.0
-        for shift in shifts:
-            moved = KPointSet(points=pts + lat.gvector(shift), kind="path")
-            e1 = compute_bands(lat, V, moved, Ec, scheme, n_bands, threads=threads).energies
-            worst = max(worst, float(np.max(np.abs(e1 - e0))))
-        report[scheme.tag] = worst
+    base = _band_structures(lat, V, KPointSet(points=pts, kind="path"), Ec, schemes, n_bands,
+                            threads)
+    report = dict.fromkeys((scheme.tag for scheme in schemes), 0.0)
+    for shift in shifts:
+        moved = KPointSet(points=pts + lat.gvector(shift), kind="path")
+        for b0, b1 in zip(base, _band_structures(lat, V, moved, Ec, schemes, n_bands, threads)):
+            deviation = float(np.max(np.abs(b1.energies - b0.energies)))
+            report[b0.scheme.tag] = max(report[b0.scheme.tag], deviation)
     return report
 
 
@@ -306,7 +313,10 @@ def energy_vs_cell_parameter(make_lattice, make_potential, Ec: float, schemes,
     make_lattice(a) and make_potential(lattice) define the family.  The max
     absolute second difference over the uniform a-ladder measures how
     smoothly each scheme responds to the cell parameter; rank changes of the
-    k-dependent space show up as jumps here.  Raises ValueError for an empty
+    k-dependent space show up as jumps here.  Each cell's grid is solved for
+    every scheme at once: the schemes that share a basis share one basis
+    pass and one set of stacks (spectra._band_structures).  The results are
+    keyed by tag in the order of `schemes`.  Raises ValueError for an empty
     scheme list or a repeated tag.
     """
     schemes = _distinct_tags(schemes)
@@ -320,11 +330,10 @@ def energy_vs_cell_parameter(make_lattice, make_potential, Ec: float, schemes,
     for i, a in enumerate(a_values):
         lat = make_lattice(a)
         V = make_potential(lat)
-        grid = uniform_grid(lat, grid_n)
-        for scheme in schemes:
-            bands = compute_bands(lat, V, grid, Ec, scheme, n_bands, threads=threads)
+        for bands in _band_structures(lat, V, uniform_grid(lat, grid_n), Ec, schemes, n_bands,
+                                      threads):
             mu = fermi_level(bands, n_electrons).mu
-            energies[scheme.tag][i] = idoe(bands, mu) / lat.cell_volume
+            energies[bands.scheme.tag][i] = idoe(bands, mu) / lat.cell_volume
     second = {
         tag: float(np.max(np.abs(np.diff(vals, n=2) / da[0] ** 2)))
         for tag, vals in energies.items()

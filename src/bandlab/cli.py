@@ -456,12 +456,15 @@ def cmd_periodicity(args) -> int:
 def cmd_cellscan(args) -> int:
     cfg, base, saved = _run_context(args)
     ladder = _field(cfg, "a_ladder", dict, {})
-    center = _field(ladder, "center", float, 1.0)
-    span = _field(ladder, "span", float, 0.05)
+    center = _field(ladder, "a_ladder.center", float, 1.0)
+    span = _field(ladder, "a_ladder.span", float, 0.05)
     count = _field(ladder, "a_ladder.count", int, 50, above=2)
     if center == 0.0 or span == 0.0:
         raise ValueError(f"config field 'a_ladder' needs a nonzero center and span, "
                          f"got {json.dumps(ladder)}")
+    if not abs(span) < 1.0:
+        raise ValueError(f"config field 'a_ladder.span' must satisfy |span| < 1, got {span}: "
+                         f"the ladder scales the cell by 1 - |span| to 1 + |span|")
     a_values = np.linspace(center * (1.0 - span), center * (1.0 + span), count)
     unit = base.primitive / center
     if "file" in (cfg.get("potential") or {}):

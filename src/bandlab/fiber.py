@@ -47,6 +47,9 @@ single k is the B = 1 case of the same code.  compute_bands does the basis
 and diagonal work once for its whole k-set instead: its one basis pass
 also yields every kinetic value, _diagonal turns them all into diagonals
 with one blow-up evaluation, and each stack passes its slices of both.
+Schemes that share a basis share that set-up when solved on one k-set
+together (spectra._band_structures): one basis pass, one _diagonal call
+per scheme, and one set of stacks whose members are (scheme, k) pairs.
 The uniform basis is enumerated at k = 0, so for it each stack computes
 its kinetic values here.
 """

@@ -496,7 +496,8 @@ class BandStructure:
         return self.energies.shape[1]
 
 
-def _chunks(sizes: np.ndarray, n_coef: int, take: int, frac: np.ndarray) -> list[np.ndarray]:
+def _chunks(sizes: np.ndarray, n_coef: int, take: int, frac: np.ndarray,
+            schemes: int = 1) -> list[np.ndarray]:
     """k indices grouped by basis size M, in ascending M and in k order
     within a size.  Where eigh tries the block path for `take` bands
     (_tries_block), each k forms a 2-member stack with its partner: the first
@@ -504,7 +505,7 @@ def _chunks(sizes: np.ndarray, n_coef: int, take: int, frac: np.ndarray) -> list
     own to 0 within _PAIR_TOL.  A k without one, such as Gamma or a point
     whose partner lies only across a reciprocal vector, is alone.  Elsewhere
     a size is cut into stacks of at most _STACK_BUDGET // (M * (M + n_coef))
-    members (one at least)."""
+    members (one at least), each k counting once per scheme solved on it."""
     order = np.argsort(sizes, kind="stable")
     chunks = []
     for run in np.split(order, np.flatnonzero(np.diff(sizes[order])) + 1):
@@ -519,30 +520,43 @@ def _chunks(sizes: np.ndarray, n_coef: int, take: int, frac: np.ndarray) -> list
                     free[partner] = False
                     chunks.append(run[np.r_[i, partner]])
         else:
-            cap = max(1, _STACK_BUDGET // (M * (M + n_coef)))
+            cap = max(1, _STACK_BUDGET // (M * (M + n_coef) * schemes))
             chunks += np.split(run, range(cap, run.size, cap))
     return chunks
 
 
 def compute_bands(lat: Lattice, V: FourierPotential, kset: KPointSet, Ec: float,
                   scheme: Scheme, n_bands: int, threads: int = 1) -> BandStructure:
-    """Solve the fiber problem at every k of the set.
+    """Solve the fiber problem at every k of the set: the one-scheme call of
+    _band_structures, which describes the solve, its errors and its bits."""
+    return _band_structures(lat, V, kset, Ec, [scheme], n_bands, threads)[0]
 
-    One pass over the k-set enumerates every basis with its kinetic values
-    (lattice._bases), and one _diagonal call turns those into every
-    kinetic diagonal, blow-up included, so a stack only slices them; the
-    uniform basis is enumerated at k = 0, so there assemble computes each
-    stack's kinetic values.  The k-points are grouped by basis size and
-    each group is assembled and solved as stacks (see _chunks).  Every
-    member is bit-identical to its own single-k solve, except the -k
+
+def _band_structures(lat: Lattice, V: FourierPotential, kset: KPointSet, Ec: float,
+                     schemes: list, n_bands: int, threads: int = 1) -> list[BandStructure]:
+    """compute_bands for each of `schemes` on one k-set, in their order.
+
+    The schemes of one basis mode share the set-up.  One pass over the k-set
+    enumerates every basis with its kinetic values (lattice._bases), one
+    _diagonal call per scheme turns those into all its kinetic diagonals,
+    blow-up included, and one _chunks groups the k-points by basis size.  A
+    dense-route stack holds the (scheme, k) members of its k-points, scheme
+    after scheme: the k-stack's basis repeated per scheme, each with its
+    scheme's diagonal slice, and the stack budget counts every member.
+    Where eigh tries the block path, each scheme solves its own +-k pairs,
+    so a warm start never crosses schemes.  The uniform basis is enumerated
+    at k = 0, so there assemble computes each stack's kinetic values.
+
+    Every member is bit-identical to its own single-k solve, except the -k
     partner in a block-path pair: eigh warm-starts it from the first
     member's time-reversed block, and its values lie within its reported
     bound.  If a pair's block solve hits the iteration cap, the dense
     fallback builds `entries` for both members (2 x 16 M^2 bytes).  Raises
-    BandCountExceedsBasis naming the first offending k, in k order, when the
-    requested band count cannot be represented there, and ValueError for an
-    empty k-set or threads < 1.  Rows are written by k index and the stacks
-    do not depend on `threads`, so threading never changes the result.
+    BandCountExceedsBasis naming the first offending k, in k order (for the
+    basis mode of the first scheme that has one), when the requested band
+    count cannot be represented there, and ValueError for an empty k-set or
+    threads < 1; both before any solve.  Rows are written by k index and the
+    stacks do not depend on `threads`, so threading never changes the result.
     """
     if n_bands < 1:
         raise ValueError("n_bands must be >= 1")
@@ -551,39 +565,54 @@ def compute_bands(lat: Lattice, V: FourierPotential, kset: KPointSet, Ec: float,
     if not len(kset):
         raise ValueError("the k-point set is empty")
     points = kset.points
-    energies = np.empty((len(kset), n_bands))
-    # every basis and its kinetic values from one pass; the uniform basis is
-    # the k-dependent one at k = 0, for every k
-    box, rows, sizes, kin = _bases(lat, Ec, points if scheme.basis_mode == "kdependent"
-                                   else np.zeros_like(points))
-    short = np.flatnonzero(sizes < n_bands)
-    if short.size:
-        k = points[short[0]]
-        if sizes[short[0]] == 0:
-            _basis_coords(lat, k, Ec, scheme.basis_mode)  # raises EmptyBasis for this k
-        raise BandCountExceedsBasis(
-            f"{n_bands} bands requested but only {sizes[short[0]]} plane waves "
-            f"at k={k} (Ec={Ec:g})"
-        )
-    starts = np.cumsum(sizes) - sizes
-    # every kinetic diagonal at once; for the uniform basis kin holds the
-    # values at k = 0, so there each stack computes its own
-    diag = _diagonal(kin, Ec, scheme) if scheme.basis_mode == "kdependent" else None
+    energies = np.empty((len(schemes), len(kset), n_bands))
 
-    def solve(idx: np.ndarray) -> None:
-        at = starts[idx, None] + np.arange(sizes[idx[0]])
-        fib = assemble(lat, V, points[idx], Ec, scheme, _basis=box[rows[at]],
-                       _diag=None if diag is None else diag[at])
-        energies[idx] = eigh(fib, n_lowest=n_bands).values
+    def solve(task) -> None:
+        (group, box, rows, starts, diag), members, idx, M = task  # members: positions in group
+        ks = np.tile(idx, members.size)  # the k of each member, scheme after scheme
+        at = starts[ks, None] + np.arange(M)
+        fib = assemble(lat, V, points[ks], Ec, schemes[group[members[0]]], _basis=box[rows[at]],
+                       _diag=None if diag is None else diag[members.repeat(idx.size)[:, None], at])
+        energies[group[members, None], idx] = eigh(fib, n_lowest=n_bands).values.reshape(
+            members.size, idx.size, n_bands)
 
-    chunks = _chunks(sizes, V.hermitian_coeffs[0].shape[0], n_bands, lat.fractional(points.T).T)
+    tasks = []
+    for mode in dict.fromkeys(scheme.basis_mode for scheme in schemes):
+        group = np.flatnonzero([scheme.basis_mode == mode for scheme in schemes])
+        # every basis and its kinetic values from one pass; the uniform basis
+        # is the k-dependent one at k = 0, for every k
+        box, rows, sizes, kin = _bases(lat, Ec, points if mode == "kdependent"
+                                       else np.zeros_like(points))
+        short = np.flatnonzero(sizes < n_bands)
+        if short.size:
+            k = points[short[0]]
+            if sizes[short[0]] == 0:
+                _basis_coords(lat, k, Ec, mode)  # raises EmptyBasis for this k
+            raise BandCountExceedsBasis(f"{n_bands} bands requested but only {sizes[short[0]]} "
+                                        f"plane waves at k={k} (Ec={Ec:g})")
+        # every kinetic diagonal at once, a row per scheme of the group, each
+        # written over its own copy of kin; for the uniform basis kin holds
+        # the values at k = 0, so there each stack computes its own
+        diag = None
+        if mode == "kdependent":
+            diag = kin[None] if group.size == 1 else np.tile(kin, (group.size, 1))
+            for row, i in zip(diag, group):
+                _diagonal(row, Ec, schemes[i])
+        setup = (group, box, rows, np.cumsum(sizes) - sizes, diag)
+        members = np.arange(group.size)
+        for idx in _chunks(sizes, V.hermitian_coeffs[0].shape[0], n_bands,
+                           lat.fractional(points.T).T, group.size):
+            M = int(sizes[idx[0]])
+            tasks += [(setup, m, idx, M) for m in
+                      (members[:, None] if _tries_block(M, n_bands) else [members])]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(solve, chunks))
+            list(pool.map(solve, tasks))
     else:
-        for idx in chunks:
-            solve(idx)
-    return BandStructure(lattice=lat, kset=kset, energies=energies, Ec=float(Ec), scheme=scheme)
+        for task in tasks:
+            solve(task)
+    return [BandStructure(lattice=lat, kset=kset, energies=e, Ec=float(Ec), scheme=scheme)
+            for e, scheme in zip(energies, schemes)]
 
 
 def _write_csv(path, header: list, rows) -> None:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import bandlab as bl
-from bandlab import analysis
+from bandlab import analysis, spectra
 from bandlab.fiber import kdependent_scheme
 from bandlab.lattice import _basis_sizes
 from bandlab.spectra import BandStructure
@@ -316,3 +316,30 @@ def test_schemes_must_be_distinct_and_present(lat1d, zero, study):
     with pytest.raises(ValueError, match="repeat the tag kdependent"):
         run(iter([bl.kdependent_scheme(), two[0], bl.kdependent_scheme()]))
     run(iter([bl.kdependent_scheme(), two[0]]))  # a one-pass iterable is read once
+
+
+@pytest.mark.parametrize("shifts", [[], [(0,)], [(1,), (0,)], np.zeros((1, 1), dtype=int)])
+def test_periodicity_needs_nonzero_shifts(lat1d, cosine, shifts):
+    """No shift, or a zero one, compares each k with itself: the report read
+    0.0 for every scheme and called the uniform scheme exactly periodic."""
+    with pytest.raises(ValueError, match="'shifts'"):
+        bl.periodicity_report(lat1d, cosine, 25.0, [bl.uniform_scheme()], [[0.1]], shifts)
+
+
+def test_cell_scan_enumerates_each_cell_once(blowup_std, monkeypatch):
+    """The k-dependent and modified schemes share each cell's basis pass."""
+    cells = []
+    bases = spectra._bases
+
+    def recorded(lat, Ec, points):
+        cells.append(lat.primitive[0, 0])
+        return bases(lat, Ec, points)
+
+    monkeypatch.setattr(spectra, "_bases", recorded)
+    a_values = np.linspace(0.95, 1.05, 5)
+    bl.energy_vs_cell_parameter(
+        lambda a: bl.new_lattice([[a]]),
+        lambda lat: bl.synth_power_law(lat, t=2.1, gmax=3, seed=1),
+        50.0, [bl.kdependent_scheme(), bl.modified_scheme(blowup_std)], a_values,
+        n_electrons=1.0, grid_n=8, n_bands=3)
+    assert cells == pytest.approx(a_values)

@@ -81,6 +81,24 @@ def test_degenerate_ladder_is_config_error(tmp_path, capsys, command, extra, fie
 
 
 @pytest.mark.parametrize("command, extra, field", [
+    ("periodicity", {"shifts": []}, "shifts"), ("periodicity", {"shifts": [[0]]}, "shifts"),
+    ("periodicity", {"shifts": [[1], [0]]}, "shifts"),
+    ("cellscan", {"a_ladder": {"center": "x"}}, "a_ladder.center"),
+    ("cellscan", {"a_ladder": {"span": "x"}}, "a_ladder.span"),
+    ("cellscan", {"a_ladder": {"span": 1.5}}, "a_ladder.span"),
+    ("cellscan", {"a_ladder": {"span": 1}}, "a_ladder.span"),
+    ("cellscan", {"a_ladder": {"span": -1.0}}, "a_ladder.span"),
+])
+def test_zero_shift_and_wide_cell_ladder_are_config_errors(tmp_path, capsys, command, extra,
+                                                           field):
+    """A zero shift compares each k with itself, and a span of 1 or more puts
+    a cell of zero or negative scale into the ladder."""
+    code, err = run(tmp_path, command, BANDS | extra, capsys)
+    assert_config_error(code, err, field)
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command, extra, field", [
     ("cellscan", {"a_ladder": {"count": 2}}, "a_ladder.count"),
     ("periodicity", {"k_samples": -1}, "k_samples"),
     ("bands", {"path": {"nodes": BANDS["path"]["nodes"], "samples": 0}}, "path.samples"),

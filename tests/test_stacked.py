@@ -358,3 +358,60 @@ def test_first_offending_k_is_not_the_smallest_basis(hex2d):
     with pytest.raises(bl.BandCountExceedsBasis, match=re.escape(f"k={path.points[first]}")):
         bl.compute_bands(hex2d, bl.potential_from_coeffs(hex2d, []), path, 40.0,
                          bl.kdependent_scheme(), 7)
+
+
+# ------------------------------------------------ several schemes on one k-set
+
+
+@st.composite
+def grouped_cases(draw):
+    """band_cases with a list of distinct schemes in random order, with or
+    without the uniform one; or, when `block` is drawn, a 3D cell whose
+    k-dependent bases are large enough for eigh to try the block path, on
+    a +-k pair and one more point."""
+    tags = draw(st.permutations(["uniform", "kdependent", "modified"]))
+    tags = tags[:draw(st.integers(1, 3))]
+    blowup = BLOWUPS[draw(st.sampled_from([0, 1, 2]))]
+    schemes = [bl.modified_scheme(blowup) if tag == "modified" else bl.Scheme(tag=tag)
+               for tag in tags]
+    block = draw(st.booleans())
+    if not block:
+        lat, V, kset, Ec, _, n_bands = draw(band_cases())
+        return lat, V, kset, Ec, schemes, n_bands, False
+    lat = bl.new_lattice(np.eye(3))
+    V = bl.synth_power_law(lat, t=2.1, gmax=1, seed=draw(st.integers(0, 9)),
+                           amplitude=draw(st.floats(0.5, 20.0)))
+    fracs = np.array(draw(st.lists(st.floats(-0.5, 0.5), min_size=6, max_size=6)))
+    fracs = np.vstack([fracs[:3], -fracs[:3], fracs[3:]])
+    kset = bl.KPointSet(points=fracs @ lat.reciprocal.T, kind="path")
+    return lat, V, kset, draw(st.floats(300.0, 340.0)), schemes, draw(st.integers(1, 4)), True
+
+
+def tagged_energies(fn):
+    """(scheme tag, energies as bytes) of each band structure fn returns, or
+    the (type, message) of the band-count or empty-basis error it raises."""
+    try:
+        return [(b.scheme.tag, b.energies.tobytes()) for b in fn()]
+    except (bl.BandCountExceedsBasis, bl.EmptyBasis) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=30, deadline=None)
+@given(grouped_cases(), st.sampled_from([1, 2**10, 2**30]))
+def test_grouped_solve_matches_compute_bands_per_scheme(case, budget):
+    """_band_structures gives each scheme, in the given order, the bits
+    compute_bands gives it alone, with one or two threads and for any stack
+    budget; an error is the one the first failing scheme raises alone."""
+    lat, V, kset, Ec, schemes, n_bands, block = case
+    if block:  # every k-dependent basis, and the uniform one (k = 0)
+        sizes = _basis_sizes(lat, Ec, np.vstack([kset.points, np.zeros(3)]))
+        assert all(spectra._tries_block(int(M), n_bands) for M in sizes)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectra, "_STACK_BUDGET", budget)
+        alone = [tagged_energies(lambda: [bl.compute_bands(lat, V, kset, Ec, scheme, n_bands)])
+                 for scheme in schemes]
+        errors = [a for a in alone if isinstance(a, tuple)]
+        want = errors[0] if errors else [a[0] for a in alone]
+        for threads in (1, 2):
+            assert tagged_energies(lambda: spectra._band_structures(
+                lat, V, kset, Ec, schemes, n_bands, threads)) == want
