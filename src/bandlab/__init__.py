@@ -11,7 +11,6 @@ from .analysis import (
     band_derivative_trace,
     convergence_study,
     energy_vs_cell_parameter,
-    fermi_adjusted_band_error,
     make_reference,
     periodicity_report,
     regularity_probe,

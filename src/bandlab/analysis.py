@@ -44,27 +44,6 @@ def _check_same_kset(reference: BandStructure, kset: KPointSet) -> None:
         raise GridMismatch("reference bands live on a different k-point set")
 
 
-def fermi_adjusted_band_error(lat: Lattice, V: FourierPotential, Ec: float, scheme: Scheme,
-                              reference: BandStructure, grid: KPointSet,
-                              n_electrons: float = 1.0, n_bands: int = 2,
-                              threads: int = 1) -> float:
-    """Grid average of |(e_ref,1 - mu_ref) - (e_1 - mu)| for the lowest band.
-
-    Shifting each band structure by its own Fermi level removes the constant
-    offset a truncated potential tail induces, which is what makes errors of
-    different cutoffs comparable.  For a meaningful error the reference
-    should sit at a much larger cutoff (8x or more); the comparison itself
-    is well defined for any pair, including self-comparison (exactly 0).
-    """
-    _check_same_kset(reference, grid)
-    bands = compute_bands(lat, V, grid, Ec, scheme, n_bands, threads=threads)
-    mu = fermi_level(bands, n_electrons).mu
-    mu_ref = fermi_level(reference, n_electrons).mu
-    shifted = bands.energies[:, 0] - mu
-    shifted_ref = reference.energies[:, 0] - mu_ref
-    return float(np.mean(np.abs(shifted_ref - shifted)))
-
-
 def _check_ladder(ec_ladder, ec_reference: float) -> np.ndarray:
     """The cutoff ladder sorted ascending; a ValueError unless it holds at
     least two cutoffs and the reference cutoff is >= 8x the largest."""
@@ -172,7 +151,7 @@ class RegularityProbe:
 
 def regularity_probe(lat: Lattice, V: FourierPotential, Ec: float, blowup_spec: BlowupSpec,
                      band_index: int, order: int, deltas, center=None,
-                     halfwidth: float = 0.15, direction=None, threads: int = 1) -> RegularityProbe:
+                     halfwidth: float = 0.15, threads: int = 1) -> RegularityProbe:
     """Mesh-refinement study of a finite-difference band derivative.
 
     For each mesh width a straight path through a basis-rank flip is solved
@@ -199,11 +178,11 @@ def regularity_probe(lat: Lattice, V: FourierPotential, Ec: float, blowup_spec: 
     if order not in (1, 2):
         raise ValueError("derivative order must be 1 or 2")
 
-    direction = lat.reciprocal[:, 0] if direction is None else np.asarray(direction, float)
-    direction = direction / np.linalg.norm(direction)
+    # the path runs along the first reciprocal vector
+    period = float(np.linalg.norm(lat.reciprocal[:, 0]))
+    direction = lat.reciprocal[:, 0] / period
     if center is None:
         # scan one reciprocal period for the first rank flip and center there
-        period = float(np.linalg.norm(lat.reciprocal[:, 0]))
         ts = np.linspace(-period / 2.0, period / 2.0, 2001)
         found = np.flatnonzero(np.diff(_basis_sizes(lat, Ec, ts[:, None] * direction)))
         if found.size == 0:

@@ -43,13 +43,7 @@ from .lattice import (
     uniform_grid,
 )
 from .observables import TruncationWarning, fermi_level, idoe, idos
-from .potential import (
-    FourierPotential,
-    load_potential,
-    potential_from_coeffs,
-    save_potential,
-    synth_power_law,
-)
+from .potential import FourierPotential, potential_from_coeffs, save_potential, synth_power_law
 from .spectra import BandStructure, SolverFailure, _write_csv, bands_to_csv, compute_bands
 
 EXIT_OK, EXIT_CONFIG, EXIT_SOLVER = 0, 2, 3
@@ -72,15 +66,17 @@ _KNOWN_KEYS = {
     "cellscan": _COMMON_KEYS | {"a_ladder", "schemes"},
     "potential": _COMMON_KEYS,
 }
-# Keys of the nested config objects by dotted path ("[]": each item of a list).
+# Keys of the nested objects by the key that holds them ("[]": each item of a
+# list); "file" lists the keys of a saved potential file.
 _NESTED_KEYS = {
     "blowup": frozenset({"m", "p", "c", "a", "msmooth"}),
     "path": frozenset({"nodes", "samples"}),
     "lattice": frozenset({"dim", "primitive"}),
     "potential": frozenset({"file", "synth", "coeffs", "real_valued"}),
-    "potential.synth": frozenset({"t", "gmax", "seed", "amplitude"}),
-    "potential.coeffs[]": frozenset({"g", "re", "im"}),
+    "synth": frozenset({"t", "gmax", "seed", "amplitude"}),
+    "coeffs[]": frozenset({"g", "re", "im"}),
     "a_ladder": frozenset({"center", "span", "count"}),
+    "file": frozenset({"lattice", "coeffs", "real_valued"}),
 }
 
 _REQUIRED = object()
@@ -137,7 +133,7 @@ def _floats(cfg: dict, key: str, default=_REQUIRED) -> list:
     return [_as(v, float, key) for v in _field(cfg, key, list, default)]
 
 
-def _parse_path_flag(text: str) -> dict:
+def _parse_path_flag(text: str) -> list:
     nodes = []
     for token in text.split():
         label, _, coords = token.partition(":")
@@ -146,52 +142,44 @@ def _parse_path_flag(text: str) -> dict:
         nodes.append([label, [float(v) for v in coords.split(",")]])
     if len(nodes) < 2:
         raise ValueError("--path needs at least two nodes")
-    return {"nodes": nodes}
+    return nodes
 
 
-def _check_keys(obj: dict, known: frozenset, prefix: str, command: str) -> None:
+def _check_keys(obj: dict, known: frozenset, prefix: str, where: str) -> None:
     """A ValueError naming the keys of obj outside known by dotted path, with a
-    close match as a hint; then the same for the _NESTED_KEYS objects in obj."""
+    close match as a hint and `where` they were read; then the same for the
+    _NESTED_KEYS objects in obj."""
     unknown = sorted(set(obj) - known)
     if unknown:
         hint = difflib.get_close_matches(unknown[0].lower(), known, n=1)
-        raise ValueError(f"unknown config key {', '.join(repr(prefix + k) for k in unknown)}"
-                         f" for bandlab {command}"
-                         + (f" (did you mean {prefix + hint[0]!r}?)" if hint else ""))
+        raise ValueError(f"unknown config key {', '.join(repr(prefix + k) for k in unknown)} "
+                         f"for {where}" + (f" (did you mean {prefix + hint[0]!r}?)" if hint else ""))
     for key, value in obj.items():
-        path = prefix + key
-        if isinstance(value, dict) and path in _NESTED_KEYS:
-            _check_keys(value, _NESTED_KEYS[path], path + ".", command)
-        elif isinstance(value, list) and path + "[]" in _NESTED_KEYS:
+        if isinstance(value, dict) and key in _NESTED_KEYS:
+            _check_keys(value, _NESTED_KEYS[key], prefix + key + ".", where)
+        elif isinstance(value, list) and key + "[]" in _NESTED_KEYS:
             for i, item in enumerate(value):
                 if isinstance(item, dict):
-                    _check_keys(item, _NESTED_KEYS[path + "[]"], f"{path}[{i}].", command)
+                    _check_keys(item, _NESTED_KEYS[key + "[]"], f"{prefix}{key}[{i}].", where)
 
 
 def _config(args) -> dict:
-    """The JSON object of --config (empty without one), overridden by the flags."""
+    """The JSON object of --config (empty without one), overridden by the
+    flags.  A flag's dest is the config path it sets: a dotted one such as
+    blowup.m or path.nodes sets that key of the nested object."""
     cfg = {} if args.config is None else json.loads(Path(args.config).read_text())
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object")
-    _check_keys(cfg, _KNOWN_KEYS[args.command], "", args.command)
-    for key, value in vars(args).items():
-        if key not in _COMMON_KEYS or value is None:
-            continue
-        if key == "ec_ladder":
-            value = [float(v) for v in value.split(",")]
-        elif key == "path":
-            value = _parse_path_flag(value)
-            samples = _field(cfg, "path", dict, {}).get("samples")
-            if samples is not None:
-                value["samples"] = samples
-        cfg[key] = value
-    blow = dict(_field(cfg, "blowup", dict, None) or {})
-    for key in ("m", "p", "c", "a"):
-        value = getattr(args, f"blowup_{key}", None)
-        if value is not None:
-            blow[key] = value
-    if blow:
-        cfg["blowup"] = blow
+    _check_keys(cfg, _KNOWN_KEYS[args.command], "", f"bandlab {args.command}")
+    for dest, value in vars(args).items():
+        top, _, key = dest.rpartition(".")
+        if (top or key) in _COMMON_KEYS and value is not None:
+            if key == "ec_ladder":
+                value = [float(v) for v in value.split(",")]
+            elif dest == "path.nodes":
+                value = _parse_path_flag(value)
+            (_field(cfg, top, dict, {}) if top else cfg)[key] = value
+    _field(cfg, "blowup", dict, None)  # null is an error whether a scheme reads it or not
     return cfg
 
 
@@ -203,15 +191,31 @@ def _build_lattice(cfg: dict) -> Lattice:
 
 
 def _build_potential(cfg: dict, lat: Lattice) -> FourierPotential:
+    """The potential of the config's one source: a saved file, a synth draw
+    (seeded by the run's seed unless it gives its own) or a coeffs list; no
+    potential, or null, is the zero potential.  A saved file's fields are
+    read as a config's, and an error names the file and the field."""
     spec = cfg.get("potential")
     if spec is None:
         return potential_from_coeffs(lat, [])
-    spec = _as(spec, dict, "potential")
+    sources = [key for key in ("file", "synth", "coeffs") if key in _as(spec, dict, "potential")]
+    if len(sources) != 1:
+        raise ValueError("potential config needs one of: file, synth, coeffs" if not sources else
+                         f"config field 'potential' takes one source, got {' and '.join(sources)}")
     if "file" in spec:
-        V = load_potential(_field(spec, "file", str))
+        path = _field(spec, "file", str)
+        saved = json.loads(Path(path).read_text())
+        if not isinstance(saved, dict):
+            raise ValueError(f"potential file {path} must hold a JSON object")
+        try:
+            _check_keys(saved, _NESTED_KEYS["file"], "", "a saved potential")
+            _field(saved, "coeffs", list)  # named when missing, not as a missing source
+            V = _build_potential({"potential": saved}, _build_lattice(saved))
+        except ValueError as exc:
+            raise ValueError(f"potential file {path}: {exc}") from None
         if V.lattice.to_dict() != lat.to_dict():
             raise ValueError(
-                f"potential file {spec['file']} was built for primitive "
+                f"potential file {path} was built for primitive "
                 f"{V.lattice.primitive.tolist()}, not the configured {lat.primitive.tolist()}"
             )
         return V
@@ -219,19 +223,17 @@ def _build_potential(cfg: dict, lat: Lattice) -> FourierPotential:
         s = _field(spec, "synth", dict)
         seed = _field(s, "seed", int, None)
         return synth_power_law(
-            lat, t=_field(s, "t", float), gmax=_field(s, "gmax", int),
+            lat, t=_field(s, "t", float), gmax=_field(s, "gmax", int, above=-1),
             seed=_field(cfg, "seed", int, 0) if seed is None else seed,
             amplitude=_field(s, "amplitude", float, 1.0),
         )
-    if "coeffs" in spec:
-        entries = []
-        for item in _field(spec, "coeffs", list):
-            item = _as(item, dict, "coeffs")
-            g = tuple(_as(v, int, "g") for v in _field(item, "g", list))
-            entries.append((g, complex(_field(item, "re", float), _field(item, "im", float, 0.0))))
-        return potential_from_coeffs(lat, entries, real_valued=_as(
-            spec.get("real_valued", True), bool, "potential.real_valued"))
-    raise ValueError("potential config needs one of: file, synth, coeffs")
+    entries = []
+    for item in _field(spec, "coeffs", list):
+        item = _as(item, dict, "coeffs")
+        g = tuple(_as(v, int, "g") for v in _field(item, "g", list))
+        entries.append((g, complex(_field(item, "re", float), _field(item, "im", float, 0.0))))
+    return potential_from_coeffs(lat, entries, real_valued=_as(
+        spec.get("real_valued", True), bool, "potential.real_valued"))
 
 
 def _blowup_spec(blow: dict) -> BlowupSpec:
@@ -503,9 +505,8 @@ def cmd_cellscan(args) -> int:
 
 def cmd_potential_synth(args) -> int:
     cfg = _config(args)
-    lat = _build_lattice(cfg)
-    V = synth_power_law(lat, t=float(args.t), gmax=int(args.gmax),
-                        seed=_field(cfg, "seed", int, 0), amplitude=float(args.amplitude))
+    cfg["potential"] = {"synth": {"t": args.t, "gmax": args.gmax, "amplitude": args.amplitude}}
+    V = _build_potential(cfg, _build_lattice(cfg))
     out = Path(_field(cfg, "out", str, "."))
     out.mkdir(parents=True, exist_ok=True)
     save_potential(V, out / "potential.json")
@@ -531,13 +532,14 @@ def _add_common_flags(sub) -> None:
     sub.add_argument("--ec", type=float, help="plane-wave cutoff energy")
     sub.add_argument("--ec-ladder", dest="ec_ladder", help="comma-separated cutoffs")
     sub.add_argument("--scheme", choices=sorted(_SCHEME_NAMES), help="discretization scheme")
-    sub.add_argument("--blowup-m", dest="blowup_m", type=int, help="blow-up order m")
-    sub.add_argument("--blowup-p", dest="blowup_p", type=float, help="blow-up tail exponent p")
-    sub.add_argument("--blowup-c", dest="blowup_c", type=float, help="blow-up tail constant C")
-    sub.add_argument("--blowup-a", dest="blowup_a", type=float, help="blow-up junction point a")
+    sub.add_argument("--blowup-m", dest="blowup.m", type=int, help="blow-up order m")
+    sub.add_argument("--blowup-p", dest="blowup.p", type=float, help="blow-up tail exponent p")
+    sub.add_argument("--blowup-c", dest="blowup.c", type=float, help="blow-up tail constant C")
+    sub.add_argument("--blowup-a", dest="blowup.a", type=float, help="blow-up junction point a")
     sub.add_argument("--nbands", type=int, help="number of bands")
     sub.add_argument("--grid", type=int, help="uniform grid size per dimension")
-    sub.add_argument("--path", help="k-path nodes, e.g. 'G:0 X:0.5' (fractional)")
+    sub.add_argument("--path", dest="path.nodes",
+                     help="k-path nodes, e.g. 'G:0 X:0.5' (fractional)")
     sub.add_argument("--electrons", type=float, help="electrons per unit cell")
     sub.add_argument("--out", help="output directory")
     sub.add_argument("--seed", type=int, help="random seed")

@@ -164,7 +164,8 @@ def potential_from_dict(payload: dict) -> FourierPotential:
 
 
 def save_potential(V: FourierPotential, path) -> None:
-    Path(path).write_text(json.dumps(V.to_dict(), indent=2) + "\n")
+    # no NaN or Infinity literal: they are not JSON, and no reader takes them back
+    Path(path).write_text(json.dumps(V.to_dict(), indent=2, allow_nan=False) + "\n")
 
 
 def load_potential(path) -> FourierPotential:

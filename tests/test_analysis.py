@@ -21,28 +21,12 @@ def test_make_reference_uses_uniform(lat1d, cosine):
     assert ref.Ec == 400.0
 
 
-def test_fermi_adjusted_self_comparison(lat1d, cosine):
-    grid = bl.uniform_grid(lat1d, 8)
-    ref = bl.make_reference(lat1d, cosine, grid, 200.0, 2)
-    err = bl.fermi_adjusted_band_error(lat1d, cosine, 200.0, bl.uniform_scheme(),
-                                       ref, grid)
-    assert err == 0.0
-
-
-def test_fermi_adjusted_grid_mismatch(lat1d, cosine):
-    ref = bl.make_reference(lat1d, cosine, bl.uniform_grid(lat1d, 8), 200.0, 2)
+def test_convergence_study_grid_mismatch(lat1d, cosine):
+    """A reference solved on another k-set compares different k-points."""
+    ref = bl.make_reference(lat1d, cosine, bl.uniform_grid(lat1d, 8), 800.0, 1)
     with pytest.raises(bl.GridMismatch):
-        bl.fermi_adjusted_band_error(lat1d, cosine, 25.0, bl.kdependent_scheme(),
-                                     ref, bl.uniform_grid(lat1d, 16))
-
-
-def test_fermi_adjusted_errors_decrease(lat1d, rough, blowup_std):
-    grid = bl.uniform_grid(lat1d, 32)
-    ref = bl.make_reference(lat1d, rough, grid, 6400.0, 2)
-    for scheme in (bl.kdependent_scheme(), bl.modified_scheme(blowup_std)):
-        errs = [bl.fermi_adjusted_band_error(lat1d, rough, ec, scheme, ref, grid)
-                for ec in (50.0, 100.0, 200.0, 400.0)]
-        assert np.all(np.diff(errs) < 0)
+        bl.convergence_study(lat1d, cosine, 1, bl.uniform_grid(lat1d, 16), [25.0, 50.0],
+                             bl.kdependent_scheme(), ref)
 
 
 def test_convergence_study_basic(lat1d, cosine):

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import bandlab as bl
 from bandlab.cli import main
 
 LAT_1D = {"dim": 1, "primitive": [[1.0]]}
@@ -304,3 +305,102 @@ def test_schemes_must_name_each_scheme_once(tmp_path, capsys, command, schemes):
     code, err = run(tmp_path, command, BANDS | {"schemes": schemes}, capsys)
     assert_config_error(code, err, "schemes")
     assert not (tmp_path / "run").exists()
+
+
+@pytest.fixture
+def saved(tmp_path):
+    """A potential file of the 1D lattice, as `potential synth` writes it."""
+    path = tmp_path / "potential.json"
+    lat = bl.lattice_from_dict(LAT_1D)
+    bl.save_potential(bl.synth_power_law(lat, t=2.1, gmax=2, seed=1), path)
+    return path
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda p: p["coeffs"][0].update(re="x") or p, "re"),
+    (lambda p: p["coeffs"][0].update(g=1) or p, "g"),
+    (lambda p: p["coeffs"][0].update(g=[1.0]) or p, "g"),
+    (lambda p: p.update(coeffs={"g": [1]}) or p, "coeffs"),
+    (lambda p: p.update(real_valued="no") or p, "potential.real_valued"),
+    (lambda p: p.update(lattice=[[1.0]]) or p, "lattice"),
+    (lambda p: p.update(extra=1) or p, "extra"),
+    (lambda p: p["lattice"].update(primitve=[[1.0]]) or p, "lattice.primitve"),
+    (lambda p: p["coeffs"][1].update(img=0.0) or p, "coeffs[1].img"),
+    (lambda p: {k: v for k, v in p.items() if k != "coeffs"}, "coeffs"),
+    (lambda p: {k: v for k, v in p.items() if k != "lattice"}, "lattice"),
+], ids=["re-string", "g-int", "g-float", "coeffs-object", "real_valued-string",
+        "lattice-list", "unknown-key", "unknown-lattice-key", "unknown-coeff-key",
+        "missing-coeffs", "missing-lattice"])
+def test_potential_file_fields_are_checked(tmp_path, capsys, saved, edit, field):
+    """A saved potential's fields go through the config readers: a bad one
+    exits 2 with one line naming the file and the field, and writes nothing."""
+    saved.write_text(json.dumps(edit(json.loads(saved.read_text()))))
+    code, err = run(tmp_path, "bands", BANDS | {"potential": {"file": str(saved)}}, capsys)
+    assert_config_error(code, err, field)
+    assert str(saved) in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_potential_file_must_hold_an_object(tmp_path, capsys, saved):
+    saved.write_text(json.dumps([json.loads(saved.read_text())]))
+    code, err = run(tmp_path, "bands", BANDS | {"potential": {"file": str(saved)}}, capsys)
+    assert code == 2 and err == f"error: potential file {saved} must hold a JSON object\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_potential_file_reads_like_a_config_potential(tmp_path, capsys, saved):
+    """A file may leave out what a config's coeffs leave out: im is 0 and
+    real_valued true by default."""
+    coeffs = [{"g": [1], "re": 1.0}, {"g": [-1], "re": 1.0}]
+    saved.write_text(json.dumps({"lattice": LAT_1D, "coeffs": coeffs}))
+    outputs = []
+    for name, potential in (("file", {"file": str(saved)}), ("inline", {"coeffs": coeffs})):
+        (tmp_path / name).mkdir()
+        assert run(tmp_path / name, "bands", BANDS | {"potential": potential}, capsys)[0] == 0
+        outputs.append((tmp_path / name / "run" / "bands.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("flags, field", [
+    (["--t", "nan", "--gmax", "2"], "t"),
+    (["--t", "2.1", "--gmax", "2", "--amplitude", "inf"], "amplitude"),
+    (["--t", "2.1", "--gmax", "-1"], "gmax"),
+])
+def test_potential_synth_flags_are_checked(tmp_path, capsys, flags, field):
+    """`potential synth` reads its flags as a config's synth object."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"lattice": LAT_1D, "out": str(tmp_path / "run")}))
+    code = main(["potential", "synth", "--config", str(path)] + flags)
+    assert_config_error(code, capsys.readouterr().err, field)
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("sources", [("file", "coeffs"), ("synth", "coeffs"), ("file", "synth"),
+                                     ("file", "synth", "coeffs")])
+def test_potential_takes_one_source(tmp_path, capsys, saved, sources):
+    given = {"file": str(saved), "synth": {"t": 2.1, "gmax": 2}, "coeffs": COSINE}
+    potential = {key: given[key] for key in sources}
+    code, err = run(tmp_path, "bands", BANDS | {"potential": potential}, capsys)
+    assert_config_error(code, err, "potential")
+    assert " and ".join(sources) in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("scheme", ["kdep", "uniform"])
+def test_null_blowup_is_config_error_without_a_blowup_scheme(tmp_path, capsys, scheme):
+    """A scheme that reads no blow-up still rejects a null one."""
+    code, err = run(tmp_path, "bands", BANDS | {"scheme": scheme, "blowup": None}, capsys)
+    assert_config_error(code, err, "blowup")
+
+
+def test_nested_flags_set_their_config_path(tmp_path):
+    """--path sets path.nodes and keeps path.samples; --blowup-m and
+    --blowup-p set their keys and keep the config's other blow-up keys."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(BANDS | {"scheme": "modified", "out": str(tmp_path / "run"),
+                                        "blowup": {"m": 1, "p": 1.5, "a": 0.8}}))
+    assert main(["bands", "--config", str(path), "--path", "G:0 X:0.25",
+                 "--blowup-m", "2", "--blowup-p", "2.5"]) == 0
+    resolved = json.loads((tmp_path / "run" / "resolved_config.json").read_text())
+    assert resolved["path"] == {"nodes": [["G", [0.0]], ["X", [0.25]]], "samples": 4}
+    assert {k: resolved["blowup"][k] for k in ("m", "p", "a")} == {"m": 2, "p": 2.5, "a": 0.8}

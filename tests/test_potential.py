@@ -61,6 +61,16 @@ def test_save_load_complex_roundtrip(tmp_path, lat1d):
     assert bl.load_potential(path).coeffs == V.coeffs
 
 
+def test_save_refuses_non_finite_coefficients(tmp_path, lat1d):
+    """NaN and Infinity are not JSON: saving such a potential raises and
+    writes no file."""
+    V = bl.potential_from_coeffs(lat1d, [((1,), complex(np.inf, 0.0))], real_valued=False)
+    path = tmp_path / "v.json"
+    with pytest.raises(ValueError):
+        bl.save_potential(V, path)
+    assert not path.exists()
+
+
 def test_coefficient_arrays_cached(hex2d):
     """hermitian_coeffs, the one array form of the coefficients, is built once
     per potential and read-only, also for the zero potential."""
