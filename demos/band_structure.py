@@ -42,5 +42,7 @@ gap = np.min(results["modified"].energies - results["kdependent"].energies)
 print(f"   min over path and band of (modified - kdependent) = {gap:.3e}")
 
 out = "bands_cosine.csv"
-bl.bands_to_csv(results["kdependent"], out)
+k_frac = [lat.fractional(k) for k in path.points]
+np.savetxt(out, np.column_stack([k_frac, results["kdependent"].energies]), fmt="%.17g",
+           delimiter=",", header="k_frac_1,band_1,band_2", comments="")
 print(f"\nwrote {out} (k-dependent scheme, two bands)")

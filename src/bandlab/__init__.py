@@ -57,9 +57,7 @@ from .observables import (
 from .potential import (
     BrokenHermitianSymmetry,
     FourierPotential,
-    load_potential,
     potential_from_coeffs,
-    save_potential,
     synth_power_law,
 )
 from .spectra import (
@@ -67,7 +65,6 @@ from .spectra import (
     BandStructure,
     EigenSolution,
     SolverFailure,
-    bands_to_csv,
     compute_bands,
     eigh,
 )

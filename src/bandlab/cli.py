@@ -43,8 +43,8 @@ from .lattice import (
     uniform_grid,
 )
 from .observables import TruncationWarning, fermi_level, idoe, idos
-from .potential import FourierPotential, potential_from_coeffs, save_potential, synth_power_law
-from .spectra import BandStructure, SolverFailure, _write_csv, bands_to_csv, compute_bands
+from .potential import FourierPotential, potential_from_coeffs, synth_power_law
+from .spectra import BandStructure, SolverFailure, compute_bands
 
 EXIT_OK, EXIT_CONFIG, EXIT_SOLVER = 0, 2, 3
 
@@ -163,13 +163,23 @@ def _check_keys(obj: dict, known: frozenset, prefix: str, where: str) -> None:
                     _check_keys(item, _NESTED_KEYS[key + "[]"], f"{prefix}{key}[{i}].", where)
 
 
+def _read_object(path: str, what: str) -> dict:
+    """The JSON object in the file at path, a ValueError naming `what` and
+    the file when it is not valid JSON or holds no object."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except ValueError as exc:  # a JSON syntax error or bytes that are not text
+        raise ValueError(f"{what} {path}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"{what} {path} must hold a JSON object")
+    return payload
+
+
 def _config(args) -> dict:
     """The JSON object of --config (empty without one), overridden by the
     flags.  A flag's dest is the config path it sets: a dotted one such as
     blowup.m or path.nodes sets that key of the nested object."""
-    cfg = {} if args.config is None else json.loads(Path(args.config).read_text())
-    if not isinstance(cfg, dict):
-        raise ValueError("config file must hold a JSON object")
+    cfg = {} if args.config is None else _read_object(args.config, "config file")
     _check_keys(cfg, _KNOWN_KEYS[args.command], "", f"bandlab {args.command}")
     for dest, value in vars(args).items():
         top, _, key = dest.rpartition(".")
@@ -194,7 +204,9 @@ def _build_potential(cfg: dict, lat: Lattice) -> FourierPotential:
     """The potential of the config's one source: a saved file, a synth draw
     (seeded by the run's seed unless it gives its own) or a coeffs list; no
     potential, or null, is the zero potential.  A saved file's fields are
-    read as a config's, and an error names the file and the field."""
+    read as a config's, and an error names the file and the field.  Only a
+    coeffs list takes real_valued: a file carries its own, and a synth draw
+    is real valued."""
     spec = cfg.get("potential")
     if spec is None:
         return potential_from_coeffs(lat, [])
@@ -202,11 +214,11 @@ def _build_potential(cfg: dict, lat: Lattice) -> FourierPotential:
     if len(sources) != 1:
         raise ValueError("potential config needs one of: file, synth, coeffs" if not sources else
                          f"config field 'potential' takes one source, got {' and '.join(sources)}")
+    if "real_valued" in spec and "coeffs" not in spec:
+        raise ValueError("config field 'potential.real_valued' goes only with 'coeffs'")
     if "file" in spec:
         path = _field(spec, "file", str)
-        saved = json.loads(Path(path).read_text())
-        if not isinstance(saved, dict):
-            raise ValueError(f"potential file {path} must hold a JSON object")
+        saved = _read_object(path, "potential file")
         try:
             _check_keys(saved, _NESTED_KEYS["file"], "", "a saved potential")
             _field(saved, "coeffs", list)  # named when missing, not as a missing source
@@ -332,11 +344,20 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
+def _write_csv(path, header: list, rows) -> None:
+    """CSV of a header and rows of numbers, each cell float(v) at full double
+    precision (.17g), so a bool reads 1 or 0."""
+    lines = [",".join(header)] + [",".join(f"{float(v):.17g}" for v in row) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 def cmd_bands(args) -> int:
     cfg, lat, V, scheme, kset = _run_context(args, solve=True)
     bands, record = _solve_bands(cfg, lat, V, scheme, kset)
     out = _output_dir(cfg)
-    bands_to_csv(bands, out / "bands.csv")
+    _write_csv(out / "bands.csv", [f"k_frac_{i + 1}" for i in range(lat.dim)]
+               + [f"band_{n + 1}" for n in range(bands.n_bands)],
+               ([*lat.fractional(k), *row] for k, row in zip(kset.points, bands.energies)))
     _write_json(out / "summary.json", {
         "command": "bands", "n_k": len(kset), "labels": {str(i): s for i, s in kset.labels.items()},
         **record,
@@ -509,7 +530,8 @@ def cmd_potential_synth(args) -> int:
     V = _build_potential(cfg, _build_lattice(cfg))
     out = Path(_field(cfg, "out", str, "."))
     out.mkdir(parents=True, exist_ok=True)
-    save_potential(V, out / "potential.json")
+    # no NaN or Infinity literal: they are not JSON, and no reader takes them back
+    (out / "potential.json").write_text(json.dumps(V.to_dict(), indent=2, allow_nan=False) + "\n")
     print(f"wrote {out / 'potential.json'} ({len(V.coeffs)} coefficients)")
     return EXIT_OK
 
@@ -595,7 +617,7 @@ def main(argv=None) -> int:
     except SolverFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

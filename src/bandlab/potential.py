@@ -12,15 +12,13 @@ V(x) = sum_G coeffs[G] * e_G(x) with e_G(x) = |cell|^(-1/2) exp(i G.x).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
-from .lattice import GIndex, Lattice, digest_of, lattice_from_dict
+from .lattice import GIndex, Lattice, digest_of
 
 
 class BrokenHermitianSymmetry(ValueError):
@@ -85,14 +83,17 @@ class FourierPotential:
 def potential_from_coeffs(lat: Lattice, entries, real_valued: bool = True) -> FourierPotential:
     """Collect (g_index, coefficient) pairs; duplicate indices are summed.
 
+    A g_index holds lat.dim integral values (1.0 and numpy integers are
+    taken, 1.5 raises ValueError naming the entry).
     With real_valued=True every stored G must come with its conjugate partner
     at -G (a missing or mismatched partner raises BrokenHermitianSymmetry).
     """
     coeffs: dict[GIndex, complex] = {}
-    for g, c in entries:
-        g = tuple(map(int, g if isinstance(g, tuple) else np.atleast_1d(g)))
-        if len(g) != lat.dim:
-            raise ValueError(f"G-index {g} does not match lattice dimension {lat.dim}")
+    for i, (index, c) in enumerate(entries):
+        index = index if isinstance(index, tuple) else tuple(np.atleast_1d(index).tolist())
+        g = tuple(map(int, index))
+        if g != index or len(g) != lat.dim:  # int() truncates 1.5 to 1
+            raise ValueError(f"entry {i}: G-index {index} must be {lat.dim} integers")
         coeffs[g] = coeffs.get(g, 0.0 + 0.0j) + complex(c)
     if real_valued and coeffs:
         given = np.array(list(coeffs), dtype=np.int64)
@@ -131,7 +132,7 @@ def synth_power_law(lat: Lattice, t: float, gmax: int, seed: int,
     valued.  t > d/2 is required so the coefficients stay summable as the
     box grows.  The zero mode is omitted (it only shifts the spectrum).
     """
-    if t <= lat.dim / 2:
+    if not t > lat.dim / 2:  # NaN too
         raise ValueError(f"need t > d/2 = {lat.dim / 2:g} for a summable tail, got t={t:g}")
     if gmax < 0:
         raise ValueError("gmax must be >= 0")
@@ -145,28 +146,17 @@ def synth_power_law(lat: Lattice, t: float, gmax: int, seed: int,
     # |G|^2 from one matrix-vector product and one dot product per G, each
     # stacked in one matmul: the arithmetic of norm(lat.gvector(G)) to the bit
     gvecs = lat.reciprocal @ half[:, :, None].astype(float)
-    squares = (gvecs.transpose(0, 2, 1) @ gvecs).reshape(-1)
+    squares = (gvecs.transpose(0, 2, 1) @ gvecs).reshape(-1).tolist()
+    # the largest |coefficient| sits at the shortest G, as t > 0; an empty box
+    # checks the amplitude alone
+    with np.errstate(all="ignore"):
+        peak = amplitude * np.sqrt(min(squares, default=1.0)) ** -t
+    if not np.isfinite(peak):
+        raise ValueError(f"need finite amplitude * |G|^(-t), got amplitude={amplitude:g}, t={t:g}")
     entries = []
     for g, neg, sq in zip(map(tuple, half.tolist()), map(tuple, (-half).tolist()),
-                          squares.tolist()):
+                          squares):
         c = amplitude * math.sqrt(sq) ** (-t) * _phase(seed, g)
         entries += [(g, c), (neg, np.conj(c))]
     return potential_from_coeffs(lat, entries, real_valued=True)
 
-
-def potential_from_dict(payload: dict) -> FourierPotential:
-    lat = lattice_from_dict(payload["lattice"])
-    entries = [
-        (tuple(int(v) for v in item["g"]), complex(item["re"], item["im"]))
-        for item in payload["coeffs"]
-    ]
-    return potential_from_coeffs(lat, entries, real_valued=bool(payload["real_valued"]))
-
-
-def save_potential(V: FourierPotential, path) -> None:
-    # no NaN or Infinity literal: they are not JSON, and no reader takes them back
-    Path(path).write_text(json.dumps(V.to_dict(), indent=2, allow_nan=False) + "\n")
-
-
-def load_potential(path) -> FourierPotential:
-    return potential_from_dict(json.loads(Path(path).read_text()))

@@ -67,7 +67,6 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 
@@ -613,18 +612,3 @@ def _band_structures(lat: Lattice, V: FourierPotential, kset: KPointSet, Ec: flo
             solve(task)
     return [BandStructure(lattice=lat, kset=kset, energies=e, Ec=float(Ec), scheme=scheme)
             for e, scheme in zip(energies, schemes)]
-
-
-def _write_csv(path, header: list, rows) -> None:
-    """CSV of a header and rows of numbers, each cell float(v) at full double
-    precision (.17g), so a bool reads 1 or 0."""
-    lines = [",".join(header)] + [",".join(f"{float(v):.17g}" for v in row) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def bands_to_csv(bands: BandStructure, path) -> None:
-    """CSV with fractional k columns then band columns, full double precision."""
-    header = ([f"k_frac_{i + 1}" for i in range(bands.lattice.dim)]
-              + [f"band_{n + 1}" for n in range(bands.n_bands)])
-    _write_csv(path, header, ([*bands.lattice.fractional(k), *row]
-                              for k, row in zip(bands.kset.points, bands.energies)))

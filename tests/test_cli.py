@@ -9,6 +9,7 @@ from bandlab.lattice import digest_of
 
 LAT_1D = {"dim": 1, "primitive": [[1.0]]}
 COSINE = {"coeffs": [{"g": [1], "re": 1.0}, {"g": [-1], "re": 1.0}]}
+BANDS_1D = {"lattice": LAT_1D, "scheme": "kdep", "ec": 25.0, "nbands": 2, "grid": 4}
 
 
 def write_cfg(tmp_path, name, payload):
@@ -211,12 +212,60 @@ def test_cellscan_potential_file_needs_base_cell(tmp_path, capsys):
 
 
 def test_potential_synth_roundtrip(tmp_path, lat1d):
+    """`potential synth` writes a file that `bands` reads back as the same
+    potential: the run's potential digest is the library draw's."""
     out = tmp_path / "pot"
     cfg = write_cfg(tmp_path, "cfg.json", {"lattice": LAT_1D, "out": str(out)})
     assert main(["potential", "synth", "--config", cfg,
                  "--t", "2.1", "--gmax", "3", "--seed", "9"]) == 0
-    saved = bl.load_potential(out / "potential.json")
-    assert saved.digest() == bl.synth_power_law(lat1d, t=2.1, gmax=3, seed=9).digest()
+    run = tmp_path / "run"
+    cfg = write_cfg(tmp_path, "bands.json", BANDS_1D | {
+        "potential": {"file": str(out / "potential.json")}, "out": str(run)})
+    assert main(["bands", "--config", cfg]) == 0
+    digest = json.loads((run / "summary.json").read_text())["potential_digest"]
+    assert digest == bl.synth_power_law(lat1d, t=2.1, gmax=3, seed=9).digest()
+
+
+def test_potential_file_complex_roundtrip(tmp_path, lat1d):
+    """A complex, not real-valued potential file keeps every coefficient."""
+    coeffs = [((1,), 0.25 - 1.5j), ((-2,), -0.125 + 3.0j)]
+    path = tmp_path / "potential.json"
+    path.write_text(json.dumps({"lattice": LAT_1D, "real_valued": False, "coeffs": [
+        {"g": list(g), "re": c.real, "im": c.imag} for g, c in coeffs]}))
+    run = tmp_path / "run"
+    cfg = write_cfg(tmp_path, "cfg.json", BANDS_1D | {"potential": {"file": str(path)},
+                                                      "out": str(run)})
+    assert main(["bands", "--config", cfg]) == 0
+    digest = json.loads((run / "summary.json").read_text())["potential_digest"]
+    assert digest == bl.potential_from_coeffs(lat1d, coeffs, real_valued=False).digest()
+
+
+def test_bands_csv_holds_the_energies(tmp_path, lat1d, cosine):
+    """bands.csv of a grid run: fractional k columns, then the bands, each
+    at 17 significant digits, so the doubles parse back exactly."""
+    run = tmp_path / "run"
+    cfg = write_cfg(tmp_path, "cfg.json", BANDS_1D | {"potential": COSINE, "out": str(run)})
+    assert main(["bands", "--config", cfg]) == 0
+    lines = (run / "bands.csv").read_text().splitlines()
+    assert lines[0] == "k_frac_1,band_1,band_2"
+    parsed = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    grid = bl.uniform_grid(lat1d, 4)
+    bands = bl.compute_bands(lat1d, cosine, grid, 25.0, bl.kdependent_scheme(), 2)
+    assert np.array_equal(parsed[:, 0], [lat1d.fractional(k)[0] for k in grid.points])
+    assert np.array_equal(parsed[:, 1:], bands.energies)
+
+
+def test_potential_synth_refuses_non_finite_coefficients(tmp_path, capsys):
+    """An amplitude whose draw overflows exits 2 naming it, and writes no
+    file (no NaN or Infinity literal either)."""
+    out = tmp_path / "pot"
+    cfg = write_cfg(tmp_path, "cfg.json", {"lattice": {"dim": 1, "primitive": [[100.0]]},
+                                           "out": str(out)})
+    assert main(["potential", "synth", "--config", cfg, "--t", "2.1", "--gmax", "3",
+                 "--amplitude", "1e308"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "amplitude" in err
+    assert not out.exists()
 
 
 def test_blowup_check_ok(capsys):

@@ -312,7 +312,7 @@ def saved(tmp_path):
     """A potential file of the 1D lattice, as `potential synth` writes it."""
     path = tmp_path / "potential.json"
     lat = bl.lattice_from_dict(LAT_1D)
-    bl.save_potential(bl.synth_power_law(lat, t=2.1, gmax=2, seed=1), path)
+    path.write_text(json.dumps(bl.synth_power_law(lat, t=2.1, gmax=2, seed=1).to_dict()))
     return path
 
 
@@ -373,6 +373,38 @@ def test_potential_synth_flags_are_checked(tmp_path, capsys, flags, field):
     code = main(["potential", "synth", "--config", str(path)] + flags)
     assert_config_error(code, capsys.readouterr().err, field)
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("source", ["file", "synth"])
+def test_real_valued_only_beside_coeffs(tmp_path, capsys, saved, source):
+    """A file carries its own real_valued and a synth draw is real valued:
+    real_valued beside either is an error, not ignored."""
+    given = {"file": str(saved), "synth": {"t": 2.1, "gmax": 2}}
+    potential = {source: given[source], "real_valued": False}
+    code, err = run(tmp_path, "bands", BANDS | {"potential": potential}, capsys)
+    assert_config_error(code, err, "potential.real_valued")
+    assert not (tmp_path / "run").exists()
+
+
+def test_json_syntax_error_names_the_file(tmp_path, capsys):
+    """A file that is not JSON, read as --config or as a potential file,
+    exits 2 with one line naming that file."""
+    broken = tmp_path / "broken.json"
+    broken.write_text("{")
+    assert main(["bands", "--config", str(broken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config file {broken}: ") and err.count("\n") == 1
+    code, err = run(tmp_path, "bands", BANDS | {"potential": {"file": str(broken)}}, capsys)
+    assert code == 2
+    assert err.startswith(f"error: potential file {broken}: ") and err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
+
+
+def test_config_file_must_hold_an_object(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps([BANDS]))
+    assert main(["bands", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: config file {path} must hold a JSON object\n"
 
 
 @pytest.mark.parametrize("sources", [("file", "coeffs"), ("synth", "coeffs"), ("file", "synth"),

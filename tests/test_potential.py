@@ -44,31 +44,30 @@ def test_synth_needs_summable_tail(lat1d):
         bl.synth_power_law(lat1d, t=0.5, gmax=3, seed=1)
 
 
-def test_save_load_roundtrip(tmp_path, lat1d):
-    V = bl.synth_power_law(lat1d, t=1.8, gmax=5, seed=4)
-    path = tmp_path / "v.json"
-    bl.save_potential(V, path)
-    W = bl.load_potential(path)
-    assert W.coeffs == V.coeffs
-    assert W.real_valued == V.real_valued
-    assert W.digest() == V.digest()
+@pytest.mark.parametrize("kwargs, field", [
+    (dict(t=float("nan")), "t"),
+    (dict(t=2.1, amplitude=float("inf")), "amplitude"),
+    (dict(t=2.1, amplitude=float("nan")), "amplitude"),
+    (dict(t=2.1, amplitude=1e308), "amplitude"),   # |G| < 1: the draw overflows
+    (dict(t=400.0), "amplitude"),                  # |G|^(-t) overflows
+    (dict(t=2.1, gmax=0, amplitude=float("inf")), "amplitude"),
+])
+def test_synth_rejects_non_finite_coefficients(kwargs, field):
+    """A draw raises ValueError naming the argument before any coefficient
+    is built, with no RuntimeWarning (which this suite turns into an error)."""
+    lat = bl.new_lattice([[100.0]])
+    with pytest.raises(ValueError, match=f"{field}="):
+        bl.synth_power_law(lat, seed=1, **{"gmax": 2} | kwargs)
 
 
-def test_save_load_complex_roundtrip(tmp_path, lat1d):
-    V = bl.potential_from_coeffs(lat1d, [((1,), 0.25 - 1.5j)], real_valued=False)
-    path = tmp_path / "v.json"
-    bl.save_potential(V, path)
-    assert bl.load_potential(path).coeffs == V.coeffs
-
-
-def test_save_refuses_non_finite_coefficients(tmp_path, lat1d):
-    """NaN and Infinity are not JSON: saving such a potential raises and
-    writes no file."""
-    V = bl.potential_from_coeffs(lat1d, [((1,), complex(np.inf, 0.0))], real_valued=False)
-    path = tmp_path / "v.json"
-    with pytest.raises(ValueError):
-        bl.save_potential(V, path)
-    assert not path.exists()
+def test_g_index_must_be_integral(lat1d, cosine):
+    with pytest.raises(ValueError, match=r"entry 1: G-index \(-1.5,\) must be 1 integers"):
+        bl.potential_from_coeffs(lat1d, [((1,), 1.0), ((-1.5,), 1.0)])
+    with pytest.raises(ValueError, match=r"entry 0: G-index \(1.0, 0.5\) must be 2 integers"):
+        bl.potential_from_coeffs(bl.new_lattice(np.eye(2)), [([1, 0.5], 1.0)], real_valued=False)
+    # integral values of any type keep working
+    for g in ((1.0,), np.array([1]), np.int64(1), (np.int64(1),), [1.0]):
+        assert bl.potential_from_coeffs(lat1d, [(g, 1.0), ((-1,), 1.0)]).coeffs == cosine.coeffs
 
 
 def test_coefficient_arrays_cached(hex2d):

@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 
@@ -205,19 +203,6 @@ def test_galerkin_monotonicity_nested_cutoffs(lat1d, cosine):
                 if prev is not None:
                     assert np.all(vals <= prev + 1e-10)
                 prev = vals
-
-
-def test_bands_csv_roundtrip(tmp_path, lat1d, cosine):
-    bands = bl.compute_bands(lat1d, cosine, bl.uniform_grid(lat1d, 4), 25.0,
-                             bl.kdependent_scheme(), 2)
-    path = tmp_path / "bands.csv"
-    bl.bands_to_csv(bands, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["k_frac_1", "band_1", "band_2"]
-    parsed = np.array([[float(v) for v in row] for row in rows[1:]])
-    # 17 significant digits round-trip doubles exactly
-    assert np.array_equal(parsed[:, 1:], bands.energies)
 
 
 def nan_coupled(M):
