@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 import bandlab as bl
+from bandlab.cli import _build_potential, main
 
 
 def test_zero_potential(lat1d, zero):
@@ -23,6 +26,20 @@ def test_synth_deterministic(lat1d):
     b = bl.synth_power_law(lat1d, t=2.1, gmax=3, seed=9)
     assert a.coeffs == b.coeffs
     assert a.coeffs != bl.synth_power_law(lat1d, t=2.1, gmax=3, seed=10).coeffs
+
+
+def test_save_load_roundtrip(tmp_path, lat1d):
+    """A potential saved by `potential synth` reads back through the CLI's
+    potential-file reader with every coefficient bit."""
+    V = bl.synth_power_law(lat1d, t=1.8, gmax=5, seed=4)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lattice": lat1d.to_dict(), "out": str(tmp_path)}))
+    assert main(["potential", "synth", "--config", str(cfg),
+                 "--t", "1.8", "--gmax", "5", "--seed", "4"]) == 0
+    W = _build_potential({"potential": {"file": str(tmp_path / "potential.json")}}, lat1d)
+    assert W.coeffs == V.coeffs
+    assert W.real_valued == V.real_valued
+    assert W.digest() == V.digest()
 
 
 def test_synth_magnitude_law(lat1d):
