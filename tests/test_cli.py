@@ -268,6 +268,17 @@ def test_potential_synth_refuses_non_finite_coefficients(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_potential_synth_refuses_negative_seed(tmp_path, capsys):
+    out = tmp_path / "pot"
+    cfg = write_cfg(tmp_path, "cfg.json", {"lattice": {"dim": 1, "primitive": [[1.0]]},
+                                           "out": str(out)})
+    assert main(["potential", "synth", "--config", cfg, "--t", "2.1", "--gmax", "3",
+                 "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "seed=-1" in err
+    assert not out.exists()
+
+
 def test_blowup_check_ok(capsys):
     assert main(["blowup", "check", "--m", "1", "--p", "1.5"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -87,6 +87,26 @@ def test_g_index_must_be_integral(lat1d, cosine):
         assert bl.potential_from_coeffs(lat1d, [(g, 1.0), ((-1,), 1.0)]).coeffs == cosine.coeffs
 
 
+@pytest.mark.parametrize("n", [float("nan"), float("inf"), -float("inf")])
+def test_g_index_must_be_finite(lat1d, n):
+    with pytest.raises(ValueError, match=rf"entry 0: G-index \({n},\) must be 1 integers"):
+        bl.potential_from_coeffs(lat1d, [((n,), 1.0)], real_valued=False)
+
+
+@pytest.mark.parametrize("seed", [1.5, -1, np.int64(-1), float("nan"), float("inf"), "1", None])
+def test_synth_seed_must_be_a_non_negative_integer(lat1d, seed):
+    with pytest.raises(ValueError, match="seed="):
+        bl.synth_power_law(lat1d, t=2.1, gmax=2, seed=seed)
+
+
+def test_synth_integral_seeds_of_any_type(lat1d):
+    """An integral seed of any type draws the int seed's potential (seeds of
+    several 32-bit words are checked in test_synth_properties.py)."""
+    V = bl.synth_power_law(lat1d, t=2.1, gmax=2, seed=1)
+    for seed in (np.int64(1), 1.0, np.uint8(1)):
+        assert bl.synth_power_law(lat1d, t=2.1, gmax=2, seed=seed).coeffs == V.coeffs
+
+
 def test_coefficient_arrays_cached(hex2d):
     """hermitian_coeffs, the one array form of the coefficients, is built once
     per potential and read-only, also for the zero potential."""
@@ -125,8 +145,8 @@ HEX = np.array([[1.0, -0.5], [0.0, np.sqrt(3.0) / 2.0]])
 ])
 def test_synth_digest_pinned(primitive, args, digest):
     """The benchmark and test potentials keep every coefficient bit: each G's
-    phase from its own generator, |G| from the arithmetic of
-    norm(lat.gvector(G))."""
+    phase from numpy's generator for (seed, G), drawn for all G in one
+    batched pass, |G| from the arithmetic of norm(lat.gvector(G))."""
     assert bl.synth_power_law(bl.new_lattice(primitive), **args).digest() == digest
 
 
