@@ -16,7 +16,6 @@ R = 2.1 - 0.5
 
 grid = bl.uniform_grid(lat, 24)
 ladder = [125.0, 250.0, 500.0, 1000.0, 2000.0]
-reference = bl.make_reference(lat, V, grid, 32000.0, 1)
 fn = bl.build_blowup(bl.BlowupSpec(m=1, p=1.5, C=1.0))
 
 print(f"potential: |coeff| ~ |G|^-2.1 (Sobolev order r = {R:.1f}), 24-point grid")
@@ -25,7 +24,7 @@ print(f"reference: uniform scheme at Ec = 32000\n")
 studies = {}
 for scheme in (bl.kdependent_scheme(), bl.modified_scheme(fn)):
     studies[scheme.tag] = bl.convergence_study(
-        lat, V, 1, grid, ladder, scheme, reference, r_potential=R)
+        lat, V, 1, grid, ladder, scheme, 32000.0, r_potential=R)
 
 header = "      Ec" + "".join(f" {tag:>14}" for tag in studies)
 print(header)

@@ -4,14 +4,12 @@ variational spaces, plus the measurement harness built on top of them."""
 from .analysis import (
     CellScan,
     ConvergenceStudy,
-    GridMismatch,
     NoBasisChangeOnPath,
     RegularityProbe,
     TooFewPoints,
     band_derivative_trace,
     convergence_study,
     energy_vs_cell_parameter,
-    make_reference,
     periodicity_report,
     regularity_probe,
 )

@@ -20,28 +20,12 @@ from .potential import FourierPotential
 from .spectra import BandStructure, _band_structures, compute_bands
 
 
-class GridMismatch(ValueError):
-    """Reference and probe were computed on different k-point sets."""
-
-
 class NoBasisChangeOnPath(ValueError):
     """The probe path never crosses a point where the basis changes rank."""
 
 
 class TooFewPoints(ValueError):
     """Not enough path points for the finite-difference stencils."""
-
-
-def make_reference(lat: Lattice, V: FourierPotential, kset: KPointSet, Ec_ref: float,
-                   n_bands: int, threads: int = 1) -> BandStructure:
-    """Large-cutoff reference bands, computed with the uniform scheme."""
-    return compute_bands(lat, V, kset, Ec_ref, uniform_scheme(), n_bands, threads=threads)
-
-
-def _check_same_kset(reference: BandStructure, kset: KPointSet) -> None:
-    ref_pts = reference.kset.points
-    if ref_pts.shape != kset.points.shape or not np.array_equal(ref_pts, kset.points):
-        raise GridMismatch("reference bands live on a different k-point set")
 
 
 def _check_ladder(ec_ladder, ec_reference: float) -> np.ndarray:
@@ -51,7 +35,7 @@ def _check_ladder(ec_ladder, ec_reference: float) -> np.ndarray:
     if ladder.size < 2:
         raise ValueError(f"cutoff ladder 'ec_ladder' needs at least two cutoffs to fit a "
                          f"rate, got {ladder.tolist()}")
-    if ec_reference < 8.0 * ladder[-1]:
+    if not ec_reference >= 8.0 * ladder[-1]:  # a NaN reference cutoff too
         raise ValueError(f"reference cutoff 'ec_reference' {ec_reference:g} must be >= 8x "
                          f"the largest ladder cutoff {ladder[-1]:g}")
     return ladder
@@ -69,21 +53,24 @@ class ConvergenceStudy:
 
 
 def convergence_study(lat: Lattice, V: FourierPotential, band_index: int, kset: KPointSet,
-                      ec_ladder, scheme: Scheme, reference: BandStructure,
+                      ec_ladder, scheme: Scheme, ec_reference: float,
                       r_potential: float | None = None, threads: int = 1) -> ConvergenceStudy:
-    """Error of band `band_index` (1-based) against the reference, per cutoff.
+    """Error of band `band_index` (1-based) against the uniform scheme at
+    cutoff `ec_reference` on the same k-set, per cutoff of the ladder.
 
-    The fitted rate is the slope magnitude of log(error) versus log(Ec),
+    The ladder and the band index are checked before any solve; the
+    reference cutoff must be at least 8x the largest ladder cutoff.  The
+    fitted rate is the slope magnitude of log(error) versus log(Ec),
     using only the upper half of the ladder where the asymptotic regime has
     set in; the full-ladder fit is kept as a diagnostic.  A fit whose errors
     are all exact (clamped to 1e-16) measures nothing and is None.  The
     predicted rate for a potential of Sobolev order r is r + 1 - d/4.
     """
-    ladder = _check_ladder(ec_ladder, reference.Ec)
-    _check_same_kset(reference, kset)
-    if not 1 <= band_index <= reference.n_bands:
-        raise ValueError(f"band_index {band_index} outside the reference bands")
-    ref = reference.energies[:, band_index - 1]
+    ladder = _check_ladder(ec_ladder, ec_reference)
+    if band_index < 1:
+        raise ValueError(f"'band_index' must be >= 1, got {band_index}")
+    ref = compute_bands(lat, V, kset, ec_reference, uniform_scheme(), band_index,
+                        threads=threads).energies[:, band_index - 1]
     errors = np.empty(ladder.size)
     for i, ec in enumerate(ladder):
         bands = compute_bands(lat, V, kset, ec, scheme, band_index, threads=threads)

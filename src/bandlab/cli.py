@@ -24,10 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
-    _check_ladder,
     convergence_study,
     energy_vs_cell_parameter,
-    make_reference,
     periodicity_report,
     regularity_probe,
 )
@@ -233,10 +231,10 @@ def _build_potential(cfg: dict, lat: Lattice) -> FourierPotential:
         return V
     if "synth" in spec:
         s = _field(spec, "synth", dict)
-        seed = _field(s, "seed", int, None)
+        seed = _field(s, "seed", int, None, above=-1)
         return synth_power_law(
             lat, t=_field(s, "t", float), gmax=_field(s, "gmax", int, above=-1),
-            seed=_field(cfg, "seed", int, 0) if seed is None else seed,
+            seed=_field(cfg, "seed", int, 0, above=-1) if seed is None else seed,
             amplitude=_field(s, "amplitude", float, 1.0),
         )
     entries = []
@@ -404,14 +402,12 @@ def cmd_converge(args) -> int:
     cfg, lat, V, scheme, kset = _run_context(args, solve=True)
     ladder = _floats(cfg, "ec_ladder")
     ec_ref = _field(cfg, "ec_reference", float, 16.0 * max(ladder, default=0.0))
-    _check_ladder(ladder, ec_ref)  # before the reference solve
     band_index = _field(cfg, "band_index", int, 1, above=0)
     threads = _field(cfg, "threads", int, 1, above=0)
     r = None if cfg.get("sobolev_r") is None else _field(cfg, "sobolev_r", float)
     if r is None and "synth" in (cfg.get("potential") or {}):  # null: zero potential
         r = float(cfg["potential"]["synth"]["t"]) - lat.dim / 2.0
-    reference = make_reference(lat, V, kset, ec_ref, band_index, threads=threads)
-    study = convergence_study(lat, V, band_index, kset, ladder, scheme, reference,
+    study = convergence_study(lat, V, band_index, kset, ladder, scheme, ec_ref,
                               r_potential=r, threads=threads)
     out = _output_dir(cfg)
     _write_csv(out / "converge.csv", ["ec", "error", "clamped"],
@@ -457,7 +453,7 @@ def cmd_periodicity(args) -> int:
     cfg, lat, V = _run_context(args)
     names = _field(cfg, "schemes", list, ["uniform", "kdep", "modified"])
     schemes = [_build_scheme(cfg, _as(name, str, "schemes")) for name in names]
-    rng = np.random.default_rng(_field(cfg, "seed", int, 0))
+    rng = np.random.default_rng(_field(cfg, "seed", int, 0, above=-1))
     count = _field(cfg, "k_samples", int, 50)
     if count < 1:
         raise ValueError(f"config field 'k_samples' must be >= 1, got {count}: "

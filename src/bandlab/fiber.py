@@ -41,17 +41,16 @@ the dense matrix.  When the block path gives up on a member, building
 `entries` drops the table, so a fiber that eigh solves never keeps both.
 
 A (B, d) stack of k-points whose bases have one size M is assembled in one
-pass: one basis enumeration for the B bases and one vectorized diagonal
-(_diagonal); each lazy form is then built for the B members at once.  A
-single k is the B = 1 case of the same code.  compute_bands does the basis
-and diagonal work once for its whole k-set instead: its one basis pass
-also yields every kinetic value, _diagonal turns them all into diagonals
-with one blow-up evaluation, and each stack passes its slices of both.
+pass: one basis pass for the B bases and their kinetic values
+(lattice._bases) and one vectorized diagonal (_diagonal); each lazy form
+is then built for the B members at once.  A single k is the B = 1 case of
+the same code.  compute_bands does the basis and diagonal work once for its
+whole k-set instead: its one basis pass also yields every kinetic value,
+_diagonal turns them all into diagonals with one blow-up evaluation, and
+each stack passes its slices of both, in all three schemes.
 Schemes that share a basis share that set-up when solved on one k-set
 together (spectra._band_structures): one basis pass, one _diagonal call
 per scheme, and one set of stacks whose members are (scheme, k) pairs.
-The uniform basis is enumerated at k = 0, so for it each stack computes
-its kinetic values here.
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ from functools import cached_property
 import numpy as np
 
 from .blowup import BlowupFunction, BlowupSpec, build_blowup
-from .lattice import Lattice, _basis_coords, kinetic_values
+from .lattice import EmptyBasis, Lattice, _bases
 from .potential import FourierPotential
 
 
@@ -233,16 +232,19 @@ def assemble(lat: Lattice, V: FourierPotential, k, Ec: float, scheme: Scheme, *,
     (B, M, M) entries, built from one basis pass and one diagonal pass; a
     single k is the B = 1 case, and every member equals its own single-k
     matrix to the bit.  `_basis`, the (B, M, d) bases of the points, and
-    `_diag`, their (B, M) kinetic diagonal (_diagonal), skip those passes
-    when the caller has them already (compute_bands).
+    `_diag`, their (B, M) kinetic diagonal (_diagonal), given together, skip
+    those passes when the caller has them already (compute_bands).
     """
     k = np.zeros(lat.dim) if k is None else np.asarray(k, dtype=float)
     ks = k.reshape(-1, lat.dim)
     if _basis is None:
-        _basis = _basis_coords(lat, k, Ec, scheme.basis_mode)
+        box, rows, sizes, kin = _bases(lat, Ec, ks, scheme.basis_mode)
+        if not sizes.all():
+            raise EmptyBasis(f"no plane wave below Ec={Ec:g} at k={ks[np.argmin(sizes)]}")
+        if np.any(sizes != sizes[0]):
+            raise ValueError(f"the bases of a k stack differ in size: {sorted(set(sizes.tolist()))}")
+        _basis, _diag = box[rows], _diagonal(kin, Ec, scheme)
     coords = _basis.reshape(len(ks), -1, lat.dim)
-    if _diag is None:
-        _diag = _diagonal(kinetic_values(lat, ks[:, None, :], coords), Ec, scheme)
     diag = _diag.reshape(coords.shape[:2])
 
     dG, c = V.hermitian_coeffs

@@ -54,12 +54,15 @@ class Lattice:
 def new_lattice(primitive) -> Lattice:
     """Build a Lattice from a d x d primitive matrix (columns = lattice vectors).
 
-    Raises SingularLattice when |det| falls below 1e-14 times the natural
-    scale of the matrix (product of column norms).
+    Raises ValueError for a matrix that is not square or holds a NaN or
+    infinite entry, and SingularLattice when |det| falls below 1e-14 times
+    the natural scale of the matrix (product of column norms).
     """
     P = np.array(primitive, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValueError(f"primitive matrix must be square, got shape {P.shape}")
+    if not np.isfinite(P).all():
+        raise ValueError(f"primitive matrix must be finite, got {P.tolist()}")
     d = P.shape[0]
     det = np.linalg.det(P)
     scale = float(np.prod(np.linalg.norm(P, axis=0)))
@@ -99,12 +102,19 @@ class KPointSet:
         return self.points.shape[0]
 
 
-def _gbox(lat: Lattice, Ec: float, kmax: float) -> tuple[np.ndarray, np.ndarray]:
+def _gbox(lat: Lattice, Ec: float, points: np.ndarray,
+          uniform: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Integer coordinates and Cartesian vectors of a G-box that holds every
-    G with 0.5*|k+G|^2 < Ec for any |k| <= kmax."""
+    G with 0.5*|k+G|^2 < Ec for each k of the (P, d) points, or with
+    0.5*|G|^2 < Ec if `uniform`.  A ValueError names Ec and the largest |k|
+    unless both are finite."""
+    kmax = np.linalg.norm(points, axis=1).max()
+    if not np.isfinite([Ec, kmax]).all():
+        raise ValueError(f"a basis needs a finite cutoff and finite k-points, got Ec={Ec:g} "
+                         f"and largest |k| {kmax:g}")
     # Any selected G satisfies |G| <= sqrt(2 Ec) + |k|; the integer coordinate
     # n_i = row_i(B^-1) . G is then bounded by that radius times the row norm.
-    radius = np.sqrt(2.0 * Ec) + kmax
+    radius = np.sqrt(2.0 * Ec) + (0.0 if uniform else kmax)
     inv_rows = np.linalg.norm(np.linalg.inv(lat.reciprocal), axis=1)
     bound = int(np.ceil(radius * inv_rows.max()))
 
@@ -143,22 +153,27 @@ def _kinetic_chunks(gvecs: np.ndarray, points: np.ndarray):
         yield lo, 0.5 * np.sum(shifted, axis=2)
 
 
-def _bases(lat: Lattice, Ec: float, points: np.ndarray):
-    """The k-dependent basis of each of the (P, d) points, from one G-box and
-    one sort: (box, rows, sizes, kin).
+def _bases(lat: Lattice, Ec: float, points: np.ndarray, mode: str = "kdependent"):
+    """The basis of each of the (P, d) points in the basis mode of
+    enumerate_basis, from one G-box and one sort: (box, rows, sizes, kin).
 
     box holds the (N, d) int64 G-indices of the box and sizes the (P,) basis
     sizes, 0 for an empty basis.  rows holds the int32 box rows of every
     basis, point after point, each basis in enumerate_basis order: by kinetic
-    value, then by G-index, which is the order of the box rows.  kin holds
-    the kinetic value 0.5*|k+G|^2 of each entry of rows, equal to what
-    kinetic_values gives for that basis to the bit.
+    value, then by G-index, which is the order of the box rows.  The uniform
+    basis is selected and ordered once, at k = 0, and repeated for every
+    point.  kin holds the kinetic value 0.5*|k+G|^2 at the basis's own k of
+    each entry of rows, equal to what kinetic_values gives for that basis to
+    the bit, in either mode.
     """
+    if mode not in ("uniform", "kdependent"):
+        raise ValueError(f"unknown basis mode {mode!r}")
     if Ec <= 0:
         raise EmptyBasis(f"cutoff Ec={Ec:g} selects no plane wave")
-    box, gvecs = _gbox(lat, Ec, np.linalg.norm(points, axis=1).max())
+    uniform = mode == "uniform"
+    box, gvecs = _gbox(lat, Ec, points, uniform)
     member, where, kin = [], [], []
-    for lo, kinetic in _kinetic_chunks(gvecs, points):
+    for lo, kinetic in _kinetic_chunks(gvecs, np.zeros((1, lat.dim)) if uniform else points):
         m, n = np.nonzero(kinetic < Ec)
         member.append(m + lo)
         where.append(n)
@@ -167,28 +182,12 @@ def _bases(lat: Lattice, Ec: float, points: np.ndarray):
     # nonzero lists each point's rows in box order, which the stable sort
     # keeps among equal kinetic values
     order = np.lexsort((kin, member))
-    sizes = np.bincount(member, minlength=points.shape[0])
-    return box, where[order].astype(np.int32), sizes, kin[order]
-
-
-def _basis_coords(lat: Lattice, k, Ec: float, mode: str = "kdependent") -> np.ndarray:
-    """The basis of enumerate_basis as an (M, d) int64 array, in the same order.
-
-    k may also be a (B, d) stack of points whose bases all hold M plane waves;
-    the result is then (B, M, d), each member equal to its single-k basis.
-    """
-    if mode not in ("uniform", "kdependent"):
-        raise ValueError(f"unknown basis mode {mode!r}")
-    k = np.zeros(lat.dim) if k is None else np.asarray(k, dtype=float)
-    ks = k.reshape(-1, lat.dim)
-    box, rows, counts, _ = _bases(lat, Ec, ks if mode == "kdependent" else np.zeros_like(ks))
-    if not counts.all():
-        empty = k if k.ndim < 2 else k[np.argmin(counts)]
-        raise EmptyBasis(f"no plane wave below Ec={Ec:g} at k={empty}")
-    if np.any(counts != counts[0]):
-        raise ValueError(f"the bases of a k stack differ in size: {sorted(set(counts.tolist()))}")
-    coords = box[rows]
-    return coords if k.ndim < 2 else coords.reshape(ks.shape[0], counts[0], lat.dim)
+    rows = where[order].astype(np.int32)
+    if not uniform:
+        return box, rows, np.bincount(member, minlength=points.shape[0]), kin[order]
+    kin = [kinetic.ravel() for _, kinetic in _kinetic_chunks(gvecs[rows], points)]
+    return box, np.tile(rows, points.shape[0]), np.full(points.shape[0], rows.size), \
+        np.concatenate(kin)
 
 
 def enumerate_basis(lat: Lattice, k, Ec: float, mode: str = "kdependent") -> list[GIndex]:
@@ -199,7 +198,11 @@ def enumerate_basis(lat: Lattice, k, Ec: float, mode: str = "kdependent") -> lis
     value 0.5*|k+G|^2 ascending (0.5*|G|^2 in uniform mode), ties broken by
     lexicographic G-index, so equal inputs give identical lists.
     """
-    return list(map(tuple, _basis_coords(lat, k, Ec, mode).tolist()))
+    k = np.zeros(lat.dim) if k is None else np.asarray(k, dtype=float)
+    box, rows, sizes, _ = _bases(lat, Ec, k.reshape(1, lat.dim), mode)
+    if not sizes[0]:
+        raise EmptyBasis(f"no plane wave below Ec={Ec:g} at k={k}")
+    return list(map(tuple, box[rows].tolist()))
 
 
 def kinetic_values(lat: Lattice, k, basis) -> np.ndarray:
@@ -216,7 +219,7 @@ def _basis_sizes(lat: Lattice, Ec: float, points) -> np.ndarray:
     counts = np.zeros(points.shape[0], dtype=np.int64)
     if Ec <= 0 or points.shape[0] == 0:
         return counts
-    _, gvecs = _gbox(lat, Ec, np.linalg.norm(points, axis=1).max())
+    _, gvecs = _gbox(lat, Ec, points)
     for lo, kinetic in _kinetic_chunks(gvecs, points):
         counts[lo:lo + kinetic.shape[0]] = np.count_nonzero(kinetic < Ec, axis=1)
     return counts

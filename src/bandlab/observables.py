@@ -71,7 +71,7 @@ def fermi_level(bands: BandStructure, n_electrons: float) -> FermiLevel:
     filling of all bands) the level sits at the top energy.
     """
     _require_grid(bands)
-    if n_electrons <= 0:
+    if not n_electrons > 0:  # NaN too
         raise ValueError("n_electrons must be positive")
     energies = np.sort(bands.energies, axis=None)
     nk = len(bands.kset)

@@ -71,7 +71,7 @@ from functools import partial
 import numpy as np
 
 from .fiber import FiberMatrix, Scheme, _diagonal, _rows, assemble
-from .lattice import KPointSet, Lattice, _basis_coords, _bases
+from .lattice import EmptyBasis, KPointSet, Lattice, _bases
 from .potential import FourierPotential
 
 
@@ -543,8 +543,7 @@ def _band_structures(lat: Lattice, V: FourierPotential, kset: KPointSet, Ec: flo
     after scheme: the k-stack's basis repeated per scheme, each with its
     scheme's diagonal slice, and the stack budget counts every member.
     Where eigh tries the block path, each scheme solves its own +-k pairs,
-    so a warm start never crosses schemes.  The uniform basis is enumerated
-    at k = 0, so there assemble computes each stack's kinetic values.
+    so a warm start never crosses schemes.
 
     Every member is bit-identical to its own single-k solve, except the -k
     partner in a block-path pair: eigh warm-starts it from the first
@@ -571,32 +570,26 @@ def _band_structures(lat: Lattice, V: FourierPotential, kset: KPointSet, Ec: flo
         ks = np.tile(idx, members.size)  # the k of each member, scheme after scheme
         at = starts[ks, None] + np.arange(M)
         fib = assemble(lat, V, points[ks], Ec, schemes[group[members[0]]], _basis=box[rows[at]],
-                       _diag=None if diag is None else diag[members.repeat(idx.size)[:, None], at])
+                       _diag=diag[members.repeat(idx.size)[:, None], at])
         energies[group[members, None], idx] = eigh(fib, n_lowest=n_bands).values.reshape(
             members.size, idx.size, n_bands)
 
     tasks = []
     for mode in dict.fromkeys(scheme.basis_mode for scheme in schemes):
         group = np.flatnonzero([scheme.basis_mode == mode for scheme in schemes])
-        # every basis and its kinetic values from one pass; the uniform basis
-        # is the k-dependent one at k = 0, for every k
-        box, rows, sizes, kin = _bases(lat, Ec, points if mode == "kdependent"
-                                       else np.zeros_like(points))
+        box, rows, sizes, kin = _bases(lat, Ec, points, mode)  # every basis, one pass
         short = np.flatnonzero(sizes < n_bands)
         if short.size:
             k = points[short[0]]
             if sizes[short[0]] == 0:
-                _basis_coords(lat, k, Ec, mode)  # raises EmptyBasis for this k
+                raise EmptyBasis(f"no plane wave below Ec={Ec:g} at k={k}")
             raise BandCountExceedsBasis(f"{n_bands} bands requested but only {sizes[short[0]]} "
                                         f"plane waves at k={k} (Ec={Ec:g})")
         # every kinetic diagonal at once, a row per scheme of the group, each
-        # written over its own copy of kin; for the uniform basis kin holds
-        # the values at k = 0, so there each stack computes its own
-        diag = None
-        if mode == "kdependent":
-            diag = kin[None] if group.size == 1 else np.tile(kin, (group.size, 1))
-            for row, i in zip(diag, group):
-                _diagonal(row, Ec, schemes[i])
+        # written over its own copy of kin
+        diag = kin[None] if group.size == 1 else np.tile(kin, (group.size, 1))
+        for row, i in zip(diag, group):
+            _diagonal(row, Ec, schemes[i])
         setup = (group, box, rows, np.cumsum(sizes) - sizes, diag)
         members = np.arange(group.size)
         for idx in _chunks(sizes, V.hermitian_coeffs[0].shape[0], n_bands,

@@ -80,12 +80,11 @@ def test_criterion_4_operator_ordering(lat1d, cosine, blowup_std):
 def test_criterion_5_convergence_rate(lat1d, blowup_std):
     V = bl.synth_power_law(lat1d, t=2.1, gmax=12, seed=1)
     grid = bl.uniform_grid(lat1d, 24)
-    reference = bl.make_reference(lat1d, V, grid, 32000.0, 1)
     ladder = [125.0, 250.0, 500.0, 1000.0, 2000.0]
     r = 2.1 - 0.5
     rates = {}
     for scheme in (bl.kdependent_scheme(), bl.modified_scheme(blowup_std)):
-        study = bl.convergence_study(lat1d, V, 1, grid, ladder, scheme, reference,
+        study = bl.convergence_study(lat1d, V, 1, grid, ladder, scheme, 32000.0,
                                      r_potential=r)
         rates[scheme.tag] = study.fitted_rate_full
     floor = (r + 0.75) - 0.3

@@ -14,26 +14,49 @@ def rough(lat1d):
     return bl.synth_power_law(lat1d, t=1.55, gmax=8, seed=7)
 
 
-def test_make_reference_uses_uniform(lat1d, cosine):
+def test_convergence_study_reference_is_uniform(lat1d, cosine, monkeypatch):
+    """The reference is the uniform scheme at ec_reference on the study's
+    own k-set, solved first, for the band asked for; the ladder then runs
+    the study's scheme."""
     grid = bl.uniform_grid(lat1d, 4)
-    ref = bl.make_reference(lat1d, cosine, grid, 400.0, 2)
-    assert ref.scheme.tag == "uniform"
-    assert ref.Ec == 400.0
+    calls = []
+    solve = analysis.compute_bands
+
+    def recorded(lat, V, kset, Ec, scheme, n_bands, threads=1):
+        calls.append((kset, Ec, scheme.tag, n_bands))
+        return solve(lat, V, kset, Ec, scheme, n_bands, threads=threads)
+
+    monkeypatch.setattr(analysis, "compute_bands", recorded)
+    bl.convergence_study(lat1d, cosine, 2, grid, [50.0, 25.0], bl.kdependent_scheme(), 400.0)
+    assert calls == [(grid, 400.0, "uniform", 2), (grid, 25.0, "kdependent", 2),
+                     (grid, 50.0, "kdependent", 2)]
+    ref = bl.compute_bands(lat1d, cosine, grid, 400.0, bl.uniform_scheme(), 2)
+    study = bl.convergence_study(lat1d, cosine, 2, grid, [25.0, 50.0],
+                                 bl.kdependent_scheme(), 400.0)
+    bands = bl.compute_bands(lat1d, cosine, grid, 25.0, bl.kdependent_scheme(), 2)
+    assert study.errors[0] == np.mean(np.abs(bands.energies[:, 1] - ref.energies[:, 1]))
 
 
-def test_convergence_study_grid_mismatch(lat1d, cosine):
-    """A reference solved on another k-set compares different k-points."""
-    ref = bl.make_reference(lat1d, cosine, bl.uniform_grid(lat1d, 8), 800.0, 1)
-    with pytest.raises(bl.GridMismatch):
-        bl.convergence_study(lat1d, cosine, 1, bl.uniform_grid(lat1d, 16), [25.0, 50.0],
-                             bl.kdependent_scheme(), ref)
+@pytest.mark.parametrize("ladder, ec_reference, band_index, field", [
+    ([25.0], 800.0, 1, "ec_ladder"), ([], 800.0, 1, "ec_ladder"),
+    ([25.0, 100.0], 799.0, 1, "ec_reference"), ([25.0, 100.0], float("nan"), 1, "ec_reference"),
+    ([25.0, 100.0], 800.0, 0, "band_index"),
+])
+def test_convergence_study_checks_before_any_solve(lat1d, cosine, monkeypatch, ladder,
+                                                    ec_reference, band_index, field):
+    def solve(*args, **kwargs):
+        raise AssertionError("compute_bands was called")
+
+    monkeypatch.setattr(analysis, "compute_bands", solve)
+    with pytest.raises(ValueError, match=f"'{field}'"):
+        bl.convergence_study(lat1d, cosine, band_index, bl.uniform_grid(lat1d, 4), ladder,
+                             bl.kdependent_scheme(), ec_reference)
 
 
 def test_convergence_study_basic(lat1d, cosine):
     grid = bl.uniform_grid(lat1d, 8)
-    ref = bl.make_reference(lat1d, cosine, grid, 800.0, 1)
     study = bl.convergence_study(lat1d, cosine, 1, grid, [25.0, 50.0, 100.0],
-                                 bl.kdependent_scheme(), ref, r_potential=1.6)
+                                 bl.kdependent_scheme(), 800.0, r_potential=1.6)
     assert np.all(np.diff(study.ec_ladder) > 0)
     assert np.all(study.errors >= 0)
     assert np.all(np.diff(study.errors) < 0)
@@ -44,26 +67,23 @@ def test_convergence_study_basic(lat1d, cosine):
 
 def test_convergence_study_no_declared_order(lat1d, cosine):
     grid = bl.uniform_grid(lat1d, 4)
-    ref = bl.make_reference(lat1d, cosine, grid, 800.0, 1)
     study = bl.convergence_study(lat1d, cosine, 1, grid, [25.0, 100.0],
-                                 bl.kdependent_scheme(), ref)
+                                 bl.kdependent_scheme(), 800.0)
     assert study.r_potential is None and study.predicted_rate is None
 
 
 def test_convergence_study_needs_headroom(lat1d, cosine):
     grid = bl.uniform_grid(lat1d, 4)
-    ref = bl.make_reference(lat1d, cosine, grid, 400.0, 1)
     with pytest.raises(ValueError):
         bl.convergence_study(lat1d, cosine, 1, grid, [25.0, 100.0],
-                             bl.kdependent_scheme(), ref)
+                             bl.kdependent_scheme(), 400.0)
 
 
 def test_convergence_study_clamps_exact_entries(lat1d, zero):
     # free electrons are represented exactly: every error hits the floor
     grid = bl.uniform_grid(lat1d, 4)
-    ref = bl.make_reference(lat1d, zero, grid, 3200.0, 1)
     study = bl.convergence_study(lat1d, zero, 1, grid, [100.0, 200.0, 400.0],
-                                 bl.kdependent_scheme(), ref)
+                                 bl.kdependent_scheme(), 3200.0)
     assert np.all(study.clamped)
     assert np.all(study.errors == 1e-16)
 
@@ -111,6 +131,12 @@ def test_regularity_probe_validation(lat1d, rough):
     for deltas in ([1e-2, 5e-3, 0.0], [-1e-2, -5e-3, -2.5e-3], [np.inf, 1e-2, 5e-3]):
         with pytest.raises(ValueError, match="'deltas' must be > 0"):
             bl.regularity_probe(lat1d, rough, 750.0, spec, 1, 1, deltas)
+
+
+def test_regularity_probe_needs_finite_cutoff(lat1d, rough):
+    spec = bl.BlowupSpec(m=0, p=0.5, C=1.0)
+    with pytest.raises(ValueError, match="got Ec=nan and largest"):
+        bl.regularity_probe(lat1d, rough, float("nan"), spec, 1, 1, [1e-2, 5e-3, 2.5e-3])
 
 
 def test_regularity_probe_needs_rank_flip(lat1d, rough):
@@ -315,9 +341,9 @@ def test_cell_scan_enumerates_each_cell_once(blowup_std, monkeypatch):
     cells = []
     bases = spectra._bases
 
-    def recorded(lat, Ec, points):
+    def recorded(lat, Ec, points, mode):
         cells.append(lat.primitive[0, 0])
-        return bases(lat, Ec, points)
+        return bases(lat, Ec, points, mode)
 
     monkeypatch.setattr(spectra, "_bases", recorded)
     a_values = np.linspace(0.95, 1.05, 5)

@@ -17,7 +17,7 @@ import pytest
 
 import bandlab as bl
 from bandlab import spectra
-from bandlab.lattice import _bases, _basis_coords, _basis_sizes
+from bandlab.lattice import _bases, _basis_sizes
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -30,7 +30,7 @@ def oracle(lat, Ec, points):
     counts = []
     for k in points:
         try:
-            counts.append(_basis_coords(lat, k, Ec).shape[0])
+            counts.append(len(bl.enumerate_basis(lat, k, Ec)))
         except bl.EmptyBasis:
             counts.append(0)
     return np.array(counts)
@@ -127,23 +127,30 @@ def test_one_pass_bases_match_enumerate_basis(case):
     assert sum(map(len, got.values())) == len(points)
 
 
-def per_point_kinetic(lat, Ec, points):
+def per_point_kinetic(lat, Ec, points, mode="kdependent"):
     """The kinetic values of the one basis pass and kinetic_values of each
     point's basis, both as a list of per-point byte strings."""
-    box, rows, sizes, kin = _bases(lat, Ec, points)
+    box, rows, sizes, kin = _bases(lat, Ec, points, mode)
     at = np.split(np.arange(len(rows)), np.cumsum(sizes)[:-1])
     return ([kin[i].tobytes() for i in at],
             [bl.kinetic_values(lat, k, box[rows[i]]).tobytes() for k, i in zip(points, at)])
 
 
 @settings(max_examples=300, deadline=None)
-@given(cases())
+@given(ksets())
 def test_one_pass_kinetic_values_match_kinetic_values(case):
-    lat, Ec, points = case
+    """In both modes: the uniform basis is the one of k = 0 at every point,
+    but its kinetic values are those of each point's own k."""
+    lat, Ec, points, mode = case
     if Ec <= 0:
         return  # no basis, no kinetic values: _bases raises EmptyBasis
-    got, want = per_point_kinetic(lat, Ec, points)
+    got, want = per_point_kinetic(lat, Ec, points, mode)
     assert got == want
+    if mode == "uniform":
+        box, rows, sizes, _ = _bases(lat, Ec, points, mode)
+        basis = bl.enumerate_basis(lat, None, Ec, mode)
+        assert np.all(sizes == len(basis))
+        assert box[rows].tolist() == [list(g) for g in basis] * len(points)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -155,7 +162,7 @@ def test_one_plane_wave_kinetic_value(dim):
     rng = np.random.default_rng(dim)
     lat = bl.new_lattice(np.eye(dim) + rng.uniform(-0.3, 0.3, (dim, dim)))
     for k in rng.uniform(-40.0, 40.0, (40, dim)):
-        kin = np.sort(bl.kinetic_values(lat, k, _basis_coords(lat, k, 60.0)))
+        kin = np.sort(bl.kinetic_values(lat, k, bl.enumerate_basis(lat, k, 60.0)))
         Ec = 0.5 * (kin[0] + kin[1])  # between the two lowest: one plane wave
         got, want = per_point_kinetic(lat, Ec, k[None])
         assert len(got[0]) == 8 and got == want

@@ -275,7 +275,8 @@ def test_potential_synth_refuses_negative_seed(tmp_path, capsys):
     assert main(["potential", "synth", "--config", cfg, "--t", "2.1", "--gmax", "3",
                  "--seed", "-1"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1 and "seed=-1" in err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "config field 'seed' must be > -1, got -1" in err
     assert not out.exists()
 
 

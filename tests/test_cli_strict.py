@@ -135,9 +135,9 @@ def test_out_of_range_count_names_its_field(tmp_path, capsys, monkeypatch, comma
 def test_converge_checks_its_ladder_before_the_reference_solve(tmp_path, capsys, monkeypatch,
                                                               extra, field):
     def solve(*args, **kwargs):
-        raise AssertionError("make_reference was called")
+        raise AssertionError("compute_bands was called")
 
-    monkeypatch.setattr("bandlab.cli.make_reference", solve)
+    monkeypatch.setattr("bandlab.analysis.compute_bands", solve)
     code, err = run(tmp_path, "converge", BANDS | extra, capsys)
     assert_config_error(code, err, field)
     assert not (tmp_path / "run").exists()
@@ -156,6 +156,19 @@ def test_unknown_scheme_names_its_field_and_the_choices(tmp_path, capsys, comman
     code, err = run(tmp_path, command, BANDS | extra, capsys)
     assert_config_error(code, err, field)
     assert "kdep, modified, uniform" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    (["periodicity"], []), (["potential", "synth"], ["--t", "2.1", "--gmax", "3"]),
+])
+def test_negative_seed_names_the_field(tmp_path, capsys, command, flags):
+    """periodicity exited with numpy's bare 'expected non-negative integer'
+    and potential synth named only the library's seed=."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(BANDS | {"out": str(tmp_path / "run")}))
+    code = main(command + ["--config", str(path), "--seed", "-1"] + flags)
+    assert_config_error(code, capsys.readouterr().err, "seed")
     assert not (tmp_path / "run").exists()
 
 
@@ -295,6 +308,19 @@ def test_readme_config_runs_every_subcommand(tmp_path, command, flags):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(README_CONFIG))
     assert main([command, "--config", str(path), "--out", str(tmp_path / "run")] + flags) == 0
+
+
+@pytest.mark.parametrize("command, flags", [
+    (["periodicity"], []), (["potential", "synth"], ["--t", "2.1", "--gmax", "3"]),
+])
+def test_negative_seed_names_the_field(tmp_path, capsys, command, flags):
+    """periodicity exited with numpy's bare 'expected non-negative integer'
+    and potential synth named only the library's seed=."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(BANDS | {"out": str(tmp_path / "run")}))
+    code = main(command + ["--config", str(path), "--seed", "-1"] + flags)
+    assert_config_error(code, capsys.readouterr().err, "seed")
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("command", ["periodicity", "cellscan"])

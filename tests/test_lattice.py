@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import bandlab as bl
-from bandlab.lattice import digest_of
+from bandlab.lattice import _bases, _basis_sizes, digest_of
 
 TWO_PI = 2.0 * np.pi
 
@@ -33,6 +33,15 @@ def test_singular_lattice_rejected():
         bl.new_lattice([[1.0, 1.0], [1.0, 1.0]])
 
 
+@pytest.mark.parametrize("primitive", [[[np.nan]], [[np.inf]], [[1.0, 0.0], [0.0, -np.inf]]])
+def test_non_finite_lattice_rejected(primitive):
+    """Rejected before the determinant: [[nan]] gave NaN volumes (after a
+    RuntimeWarning, an error under this suite) and [[inf]] a zero reciprocal
+    basis."""
+    with pytest.raises(ValueError, match="primitive matrix must be finite"):
+        bl.new_lattice(primitive)
+
+
 def test_basis_k0_cosine_shell(lat1d):
     # |2 pi| < sqrt(50) keeps g = +-1, |4 pi| is out
     assert bl.enumerate_basis(lat1d, [0.0], 25.0) == [(0,), (-1,), (1,)]
@@ -47,6 +56,24 @@ def test_basis_degenerate_cutoff(lat1d):
     assert bl.enumerate_basis(lat1d, [0.0], 1e-9) == [(0,)]
     with pytest.raises(bl.EmptyBasis):
         bl.enumerate_basis(lat1d, [np.pi], 1e-9)
+
+
+@pytest.mark.parametrize("k, Ec, largest", [
+    ([0.5], np.nan, "3.14159"), ([0.5], np.inf, "3.14159"), ([np.nan], 25.0, "nan"),
+    ([-np.inf], 25.0, "inf"),
+])
+@pytest.mark.parametrize("mode", ["kdependent", "uniform"])
+def test_basis_needs_finite_cutoff_and_k(lat1d, k, Ec, largest, mode):
+    """One check in the G-box sizing serves every basis pass; it raised
+    'cannot convert float NaN to integer', or an OverflowError for inf."""
+    points = np.array([[np.pi], k])
+    with pytest.raises(ValueError, match=rf"finite k-points, got Ec={Ec:g} and largest \|k\|"):
+        bl.enumerate_basis(lat1d, k, Ec, mode)
+    match = rf"Ec={Ec:g} and largest \|k\| {largest}"
+    with pytest.raises(ValueError, match=match):
+        _bases(lat1d, Ec, points, mode)
+    with pytest.raises(ValueError, match=match):
+        _basis_sizes(lat1d, Ec, points)
 
 
 def test_uniform_mode_ignores_k(lat1d):

@@ -128,11 +128,16 @@ def test_fermi_level_positive_count(cosine_bands):
         bl.fermi_level(cosine_bands, 0.0)
 
 
+def test_fermi_level_nan_count(cosine_bands):
+    with pytest.raises(ValueError, match="n_electrons must be positive"):
+        bl.fermi_level(cosine_bands, float("nan"))
+
+
 def test_fermi_level_converges_with_cutoff(lat1d, cosine, blowup_std):
     """Both discrete Fermi levels approach the reference level as the
     cutoff grows."""
     grid = bl.uniform_grid(lat1d, 16)
-    ref = bl.make_reference(lat1d, cosine, grid, 1600.0, 2)
+    ref = bl.compute_bands(lat1d, cosine, grid, 1600.0, bl.uniform_scheme(), 2)
     mu_ref = bl.fermi_level(ref, 1.0).mu
     for scheme in (bl.kdependent_scheme(), bl.modified_scheme(blowup_std)):
         diffs = []

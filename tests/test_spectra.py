@@ -222,3 +222,16 @@ def test_non_finite_member_fails(M, n_lowest, in_stack):
         H = np.stack([np.diag(np.arange(1.0, M + 1.0)), H])
     with pytest.raises(bl.SolverFailure):
         bl.eigh(H, n_lowest=n_lowest)
+
+
+@pytest.mark.parametrize("scheme", ["uniform", "kdependent", "modified"])
+@pytest.mark.parametrize("Ec, node", [(np.nan, 0.5), (np.inf, 0.5), (25.0, np.nan)])
+def test_compute_bands_needs_finite_cutoff_and_k(lat1d, cosine, blowup_std, scheme, Ec, node):
+    """A NaN cutoff or path node raised 'cannot convert float NaN to integer'
+    (the uniform scheme's NaN node a SolverFailure), and an infinite cutoff
+    an OverflowError; each is now a ValueError naming both."""
+    schemes = {"uniform": bl.uniform_scheme(), "kdependent": bl.kdependent_scheme(),
+               "modified": bl.modified_scheme(blowup_std)}
+    path = bl.kpath(lat1d, [("G", [0.0]), ("X", [node])], 4)
+    with pytest.raises(ValueError, match=f"got Ec={Ec:g} and largest"):
+        bl.compute_bands(lat1d, cosine, path, Ec, schemes[scheme], 1)
