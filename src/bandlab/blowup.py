@@ -63,17 +63,25 @@ class BlowupSpec:
         }
 
     def validate(self) -> None:
+        """IllPosedSpec naming the first field out of range.  The comparisons
+        are written so that a NaN fails them."""
+        for name in ("m", "msmooth"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, (int, np.integer)):
+                raise IllPosedSpec(f"{name} must be an integer, got {value!r}")
         if self.m < 0:
             raise IllPosedSpec(f"m must be >= 0, got {self.m}")
-        if self.p <= self.m:
+        if not self.p < math.inf:
+            raise IllPosedSpec(f"p must be a finite number, got {self.p:g}")
+        if not self.p > self.m:
             raise IllPosedSpec(
                 f"p={self.p:g} <= m={self.m}: the weighted tail (1-x)^m G(x) "
                 "would not diverge"
             )
         if not 0.5 < self.a < 1.0:
             raise IllPosedSpec(f"junction a must lie in (1/2, 1), got {self.a:g}")
-        if self.C is not None and self.C <= 0:
-            raise IllPosedSpec(f"tail constant C must be positive, got {self.C:g}")
+        if self.C is not None and not 0 < self.C < math.inf:
+            raise IllPosedSpec(f"tail constant C must be positive and finite, got {self.C:g}")
         if self.msmooth is not None and self.msmooth < self.m:
             raise IllPosedSpec(
                 f"msmooth={self.msmooth} < m={self.m} cannot match enough derivatives"

@@ -49,21 +49,58 @@ EXIT_OK, EXIT_CONFIG, EXIT_SOLVER = 0, 2, 3
 _SCHEME_NAMES = {"uniform": "uniform", "kdep": "kdependent", "modified": "modified"}
 
 
-# Top-level config keys each subcommand knows: every key a common flag can set,
-# plus lattice and potential, and the subcommand's own keys.  Any other key
-# (a typo such as "nband") is a configuration error.
-_COMMON_KEYS = frozenset({"lattice", "potential", "blowup", "ec", "ec_ladder", "electrons",
-                          "grid", "nbands", "out", "path", "scheme", "seed", "threads"})
-_KNOWN_KEYS = {
-    "bands": _COMMON_KEYS,
-    "dos": _COMMON_KEYS | {"mu_points"},
-    "fermi": _COMMON_KEYS,
-    "converge": _COMMON_KEYS | {"ec_reference", "band_index", "sobolev_r"},
-    "regularity": _COMMON_KEYS | {"band_index", "deltas", "derivative_order"},
-    "periodicity": _COMMON_KEYS | {"k_samples", "shifts", "schemes"},
-    "cellscan": _COMMON_KEYS | {"a_ladder", "schemes"},
-    "potential": _COMMON_KEYS,
-}
+def _flag_numbers(text: str, key: str) -> list:
+    """The comma-separated numbers of a flag that sets the config field key;
+    argparse reports an error, naming the flag, as a usage error (exit 2)."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"config field {key!r} takes comma-separated "
+                                         f"numbers, got {text!r}") from None
+
+
+def _parse_path_flag(text: str) -> list:
+    nodes = []
+    for token in text.split():
+        label, _, coords = token.partition(":")
+        if not coords:
+            raise argparse.ArgumentTypeError(f"path node {token!r} must look like LABEL:c1,c2")
+        nodes.append([label, _flag_numbers(coords, "path.nodes")])
+    if len(nodes) < 2:
+        raise argparse.ArgumentTypeError("a path needs at least two nodes")
+    return nodes
+
+
+# One row per flag: the option, its dest (the config path it sets: a dotted
+# one such as blowup.m sets that key of the nested object) and the argparse
+# keywords.  A subcommand takes the rows whose dest starts with one of its
+# keys (see _COMMANDS), and every subcommand takes --out and --seed: a synth
+# potential without its own seed reads the run seed.
+_FLAGS = (
+    ("--ec", "ec", dict(type=float, help="plane-wave cutoff energy")),
+    ("--ec-ladder", "ec_ladder", dict(type=lambda text: _flag_numbers(text, "ec_ladder"),
+                                      help="comma-separated cutoffs")),
+    ("--scheme", "scheme", dict(choices=sorted(_SCHEME_NAMES), help="discretization scheme")),
+    ("--blowup-m", "blowup.m", dict(type=int, help="blow-up order m")),
+    ("--blowup-p", "blowup.p", dict(type=float, help="blow-up tail exponent p")),
+    ("--blowup-c", "blowup.c", dict(type=float, help="blow-up tail constant C")),
+    ("--blowup-a", "blowup.a", dict(type=float, help="blow-up junction point a")),
+    ("--nbands", "nbands", dict(type=int, help="number of bands")),
+    ("--grid", "grid", dict(type=int, help="uniform grid size per dimension")),
+    ("--path", "path.nodes", dict(type=_parse_path_flag,
+                                  help="k-path nodes, e.g. 'G:0 X:0.5' (fractional)")),
+    ("--electrons", "electrons", dict(type=float, help="electrons per unit cell")),
+    ("--out", "out", dict(help="output directory")),
+    ("--seed", "seed", dict(type=int, help="random seed")),
+    ("--threads", "threads", dict(type=int, help="worker threads for k-point solves")),
+    ("--t", "potential.synth.t", dict(type=float, required=True, help="decay exponent")),
+    ("--gmax", "potential.synth.gmax", dict(type=int, required=True, help="coefficient box radius")),
+    ("--amplitude", "potential.synth.amplitude", dict(type=float, default=1.0, help="global scale")),
+)
+# Top-level keys a config file may hold in every subcommand: lattice and every
+# key a flag sets, so one file serves them all.  A subcommand's own keys come
+# on top; any other key (a typo such as "nband") is a configuration error.
+_SHARED_KEYS = frozenset({"lattice"} | {dest.partition(".")[0] for _, dest, _ in _FLAGS})
 # Keys of the nested objects by the key that holds them ("[]": each item of a
 # list); "file" lists the keys of a saved potential file.
 _NESTED_KEYS = {
@@ -131,18 +168,6 @@ def _floats(cfg: dict, key: str, default=_REQUIRED) -> list:
     return [_as(v, float, key) for v in _field(cfg, key, list, default)]
 
 
-def _parse_path_flag(text: str) -> list:
-    nodes = []
-    for token in text.split():
-        label, _, coords = token.partition(":")
-        if not coords:
-            raise ValueError(f"path node {token!r} must look like LABEL:c1,c2")
-        nodes.append([label, [float(v) for v in coords.split(",")]])
-    if len(nodes) < 2:
-        raise ValueError("--path needs at least two nodes")
-    return nodes
-
-
 def _check_keys(obj: dict, known: frozenset, prefix: str, where: str) -> None:
     """A ValueError naming the keys of obj outside known by dotted path, with a
     close match as a hint and `where` they were read; then the same for the
@@ -176,16 +201,14 @@ def _read_object(path: str, what: str) -> dict:
 def _config(args) -> dict:
     """The JSON object of --config (empty without one), overridden by the
     flags.  A flag's dest is the config path it sets: a dotted one such as
-    blowup.m or path.nodes sets that key of the nested object."""
+    blowup.m or path.nodes sets that key of the nested object.  The flags of
+    potential synth (potential.synth.t, ...) are left to cmd_potential_synth,
+    whose synth object replaces the config's potential."""
     cfg = {} if args.config is None else _read_object(args.config, "config file")
-    _check_keys(cfg, _KNOWN_KEYS[args.command], "", f"bandlab {args.command}")
+    _check_keys(cfg, _SHARED_KEYS.union(args.keys), "", f"bandlab {args.command}")
     for dest, value in vars(args).items():
         top, _, key = dest.rpartition(".")
-        if (top or key) in _COMMON_KEYS and value is not None:
-            if key == "ec_ladder":
-                value = [float(v) for v in value.split(",")]
-            elif dest == "path.nodes":
-                value = _parse_path_flag(value)
+        if (top or key) in _SHARED_KEYS and value is not None:
             (_field(cfg, top, dict, {}) if top else cfg)[key] = value
     _field(cfg, "blowup", dict, None)  # null is an error whether a scheme reads it or not
     return cfg
@@ -522,7 +545,8 @@ def cmd_cellscan(args) -> int:
 
 def cmd_potential_synth(args) -> int:
     cfg = _config(args)
-    cfg["potential"] = {"synth": {"t": args.t, "gmax": args.gmax, "amplitude": args.amplitude}}
+    synth = {key: vars(args)["potential.synth." + key] for key in ("t", "gmax", "amplitude")}
+    cfg["potential"] = {"synth": synth}
     V = _build_potential(cfg, _build_lattice(cfg))
     out = Path(_field(cfg, "out", str, "."))
     out.mkdir(parents=True, exist_ok=True)
@@ -545,23 +569,26 @@ def cmd_blowup_check(args) -> int:
     return EXIT_OK
 
 
-def _add_common_flags(sub) -> None:
-    sub.add_argument("--config", help="JSON configuration file")
-    sub.add_argument("--ec", type=float, help="plane-wave cutoff energy")
-    sub.add_argument("--ec-ladder", dest="ec_ladder", help="comma-separated cutoffs")
-    sub.add_argument("--scheme", choices=sorted(_SCHEME_NAMES), help="discretization scheme")
-    sub.add_argument("--blowup-m", dest="blowup.m", type=int, help="blow-up order m")
-    sub.add_argument("--blowup-p", dest="blowup.p", type=float, help="blow-up tail exponent p")
-    sub.add_argument("--blowup-c", dest="blowup.c", type=float, help="blow-up tail constant C")
-    sub.add_argument("--blowup-a", dest="blowup.a", type=float, help="blow-up junction point a")
-    sub.add_argument("--nbands", type=int, help="number of bands")
-    sub.add_argument("--grid", type=int, help="uniform grid size per dimension")
-    sub.add_argument("--path", dest="path.nodes",
-                     help="k-path nodes, e.g. 'G:0 X:0.5' (fractional)")
-    sub.add_argument("--electrons", type=float, help="electrons per unit cell")
-    sub.add_argument("--out", help="output directory")
-    sub.add_argument("--seed", type=int, help="random seed")
-    sub.add_argument("--threads", type=int, help="worker threads for k-point solves")
+# Each config-reading subcommand: its function, its help and the top-level
+# config keys it reads beyond lattice, potential, out and seed.  It takes
+# --config, --out, --seed and the _FLAGS rows of those keys, and no other flag.
+_COMMANDS = {
+    "bands": (cmd_bands, "band structure along a path or grid",
+              "ec scheme blowup nbands grid path threads"),
+    "dos": (cmd_dos, "integrated density of states and energy sweep",
+            "ec scheme blowup nbands grid threads mu_points"),
+    "fermi": (cmd_fermi, "Fermi level for a given electron count",
+              "ec scheme blowup nbands grid threads electrons"),
+    "converge": (cmd_converge, "cutoff convergence study against a reference",
+                 "ec_ladder scheme blowup grid path threads ec_reference band_index sobolev_r"),
+    "regularity": (cmd_regularity, "band derivative mesh-refinement probe",
+                   "ec blowup threads band_index deltas derivative_order"),
+    "periodicity": (cmd_periodicity, "band periodicity violation report",
+                    "ec blowup nbands threads k_samples shifts schemes"),
+    "cellscan": (cmd_cellscan, "total energy along a cell parameter ladder",
+                 "ec blowup nbands grid electrons threads a_ladder schemes"),
+    "potential synth": (cmd_potential_synth, "synthesize a power-law potential", "potential"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -572,31 +599,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    for name, func, doc in (
-        ("bands", cmd_bands, "band structure along a path or grid"),
-        ("dos", cmd_dos, "integrated density of states and energy sweep"),
-        ("fermi", cmd_fermi, "Fermi level for a given electron count"),
-        ("converge", cmd_converge, "cutoff convergence study against a reference"),
-        ("regularity", cmd_regularity, "band derivative mesh-refinement probe"),
-        ("periodicity", cmd_periodicity, "band periodicity violation report"),
-        ("cellscan", cmd_cellscan, "total energy along a cell parameter ladder"),
-    ):
-        sub = subs.add_parser(name, help=doc)
-        _add_common_flags(sub)
-        sub.set_defaults(func=func)
+    # allow_abbrev=False: a prefix such as --ec must not pass for --ec-ladder
+    for name, (func, doc, keys) in _COMMANDS.items():
+        group, _, name = name.rpartition(" ")
+        parent = subs if not group else subs.add_parser(
+            group, help=f"{group} utilities", allow_abbrev=False,
+        ).add_subparsers(dest="subcommand", required=True)
+        sub = parent.add_parser(name, help=doc, allow_abbrev=False)
+        sub.add_argument("--config", help="JSON configuration file")
+        for option, dest, kwargs in _FLAGS:
+            if dest.partition(".")[0] in ("out", "seed", *keys.split()):
+                sub.add_argument(option, dest=dest, **kwargs)
+        sub.set_defaults(func=func, keys=keys.split())
 
-    pot = subs.add_parser("potential", help="potential utilities")
-    pot_subs = pot.add_subparsers(dest="subcommand", required=True)
-    synth = pot_subs.add_parser("synth", help="synthesize a power-law potential")
-    _add_common_flags(synth)
-    synth.add_argument("--t", type=float, required=True, help="decay exponent")
-    synth.add_argument("--gmax", type=int, required=True, help="coefficient box radius")
-    synth.add_argument("--amplitude", type=float, default=1.0, help="global scale")
-    synth.set_defaults(func=cmd_potential_synth)
-
-    blow = subs.add_parser("blowup", help="blow-up function utilities")
+    blow = subs.add_parser("blowup", help="blow-up function utilities", allow_abbrev=False)
     blow_subs = blow.add_subparsers(dest="subcommand", required=True)
-    check = blow_subs.add_parser("check", help="validate a blow-up specification")
+    check = blow_subs.add_parser("check", help="validate a blow-up specification",
+                                 allow_abbrev=False)
     check.add_argument("--m", type=int, required=True, help="smoothness order m")
     check.add_argument("--p", type=float, required=True, help="tail exponent p")
     check.add_argument("--c", type=float, default=None, help="tail constant C")

@@ -102,7 +102,7 @@ _LAPACK_ROUNDING = 16
 _BLOCK_MIN_ORDER = 200  # block solver from this order on (measured crossover)
 _BLOCK_MIN_RATIO = 16   # ... while its block holds at most M // 16 vectors (measured tie)
 _BLOCK_GUARD = 4        # extra vectors, so clusters at the band edge converge
-_BLOCK_MAX_ITER = 50    # beyond this the matrix goes through the dense path
+_BLOCK_MAX_ITER = 200   # beyond this the matrix goes through the dense path
 _DRIFT_ROUNDING = 2     # margin on the K eps rounding bound of a Ritz rotation
 _SKEW_TOL = 1e-12       # a stop skips the confirming product only while ||X^H X - I|| <= this
 _PAIR_TOL = 1e-9        # k and k' are partners when k + k' is 0 within this
@@ -218,7 +218,10 @@ def _eigh_block(H, take: int, diag: np.ndarray | None = None,
     which _ritz_bound also takes as its slack.  Otherwise X is
     re-orthonormalized and one more Rayleigh-Ritz step on an explicit
     H @ X confirms the stop; the first step is explicit, so a start that is
-    already converged stops after one product.  It returns the values, the
+    already converged stops after one product.  X is re-orthonormalized the
+    same way whenever ||X^H X - I|| > 1e-12, stop or not: a skew of 3e-10
+    (a nearly dependent search block) holds the residuals of a degenerate
+    pair above the tolerance for good.  It returns the values, the
     eigenvalue bound of _ritz_bound over the `take` pairs from the widened
     norms, and the whole final block of take + _BLOCK_GUARD Ritz vectors,
     from which eigh warm-starts a -k partner.
@@ -256,10 +259,12 @@ def _eigh_block(H, take: int, diag: np.ndarray | None = None,
             res = norms / (1.0 + np.abs(theta))
             if not np.all(np.isfinite(res)):
                 return None
-            if stops(theta, norms):
+            # a skew X also puts a floor of about ||X^H X - I|| max|theta|
+            # under the residuals, so it is re-orthonormalized as for a stop
+            skew = np.linalg.norm(X.conj().T @ X - np.eye(nb))
+            if skew > _SKEW_TOL or stops(theta, norms):
                 # ||H X_j - theta_j X_j|| <= norms_j + drift_j, and a skew X
                 # moves each Ritz value by at most ||X^H X - I|| max|theta|
-                skew = np.linalg.norm(X.conj().T @ X - np.eye(nb))
                 slack = drift + skew * np.max(np.abs(theta))
                 wide, most = norms + slack, np.max(slack[:take + 1])
                 if skew <= _SKEW_TOL and stops(theta, wide, most):

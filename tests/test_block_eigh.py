@@ -281,9 +281,22 @@ def sublattice_pairs(draw):
             draw(st.integers(1, 8)))
 
 
+def modified_on_2z3(amplitudes, frac, take):
+    """A sublattice_pairs case: V(+-2 e_i) = amplitudes[i], the modified
+    scheme, k = frac in reciprocal coordinates."""
+    lat = bl.new_lattice(np.eye(3))
+    V = bl.potential_from_coeffs(lat, [(tuple(s * g), c) for g, c in
+                                       zip(2 * np.eye(3, dtype=int), amplitudes) for s in (1, -1)])
+    scheme = bl.modified_scheme(bl.build_blowup(bl.BlowupSpec(m=1, p=1.5)))
+    return lat, V, lat.reciprocal @ np.array(frac), scheme, take
+
+
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[hypothesis.HealthCheck.function_scoped_fixture])
 @given(case=sublattice_pairs())
+# a deep coset's column converges by a factor of about 0.8 per iteration,
+# so the +k solve takes 56 iterations
+@hypothesis.example(case=modified_on_2z3([-4.0, -38.5, -15.0], [0.0, 0.25, 0.0], 7))
 def test_block_start_reaches_every_coset(case, block_calls):
     """The cold start of +k and the time-reversed start of -k must both reach
     every coset the potential leaves uncoupled: the lowest values of each
@@ -296,6 +309,22 @@ def test_block_start_reaches_every_coset(case, block_calls):
         H = bl.assemble(lat, V, kb, 300.0, scheme).entries
         values, lapack = spectra._eigh_dense(H[None], take)
         assert np.all(np.abs(pair.values[b] - values[0]) <= pair.bounds[b] + lapack[0])
+
+
+def test_block_path_reorthonormalizes_a_skewed_block():
+    """A sublattice case whose lowest value is a degenerate pair: with a
+    multithreaded BLAS the dense solve's block loses orthogonality to
+    3e-10, which holds one column at residual 3.5e-10, above the 1e-10
+    tolerance, unless the solver re-orthonormalizes on any skew above
+    1e-12; with one BLAS thread it converges either way.  The block path
+    must serve it, within its bound of the dense route."""
+    lat, V, k, scheme, take = modified_on_2z3([-40.0, -1.0, -40.0],
+                                              [-0.5, 0.25, 0.1178912993974981], 1)
+    H = bl.assemble(lat, V, k, 300.0, scheme).entries
+    block = spectra._eigh_block(H, take)
+    assert block is not None
+    values, lapack = spectra._eigh_dense(H[None], take)
+    assert np.all(np.abs(block[0] - values[0]) <= block[1] + lapack[0])
 
 
 def fixed_point_reference(H, steep, take):

@@ -27,6 +27,19 @@ def test_spec_validation():
         BlowupSpec(m=2, p=2.5, msmooth=1).validate()
 
 
+@pytest.mark.parametrize("spec, field", [
+    (dict(m=1, p=float("nan")), "p"), (dict(m=1, p=float("inf")), "p"),
+    (dict(m=1, p=1.5, C=float("nan")), "C"), (dict(m=1, p=1.5, C=float("inf")), "C"),
+    (dict(m=1.5, p=2.5), "m"), (dict(m=1, p=2.5, msmooth=1.5), "msmooth"),
+])
+def test_non_finite_or_fractional_spec_names_its_field(spec, field):
+    """A NaN or infinite p or C, or a fractional m or msmooth, is an
+    IllPosedSpec naming the field, not a DominationViolated about the
+    samples or a TypeError from the bridge."""
+    with pytest.raises(bl.IllPosedSpec, match=rf"^(tail constant )?{field}\b"):
+        build_blowup(BlowupSpec(**spec))
+
+
 def test_build_rejects_ill_posed():
     with pytest.raises(bl.IllPosedSpec):
         build_blowup(BlowupSpec(m=1, p=0.5, C=1.0))

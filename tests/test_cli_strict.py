@@ -1,12 +1,14 @@
 """Strict config reading in the CLI: JSON types are never converted silently,
-and a top-level key the subcommand does not know is an error."""
+a top-level key the subcommand does not know is an error, and so is a flag
+it does not read."""
 
 import json
+import re
 
 import pytest
 
 import bandlab as bl
-from bandlab.cli import main
+from bandlab.cli import _FLAGS, main
 
 LAT_1D = {"dim": 1, "primitive": [[1.0]]}
 BANDS = {"lattice": LAT_1D, "scheme": "kdep", "ec": 25.0, "nbands": 2,
@@ -462,3 +464,69 @@ def test_nested_flags_set_their_config_path(tmp_path):
     resolved = json.loads((tmp_path / "run" / "resolved_config.json").read_text())
     assert resolved["path"] == {"nodes": [["G", [0.0]], ["X", [0.25]]], "samples": 4}
     assert {k: resolved["blowup"][k] for k in ("m", "p", "a")} == {"m": 2, "p": 2.5, "a": 0.8}
+
+
+BLOWUP_FLAGS = ("--blowup-m", "--blowup-p", "--blowup-c", "--blowup-a")
+# The flags of each subcommand beyond --config, --out and --seed: those of
+# the config keys it reads, 87 options in all.
+EXPECTED_FLAGS = {
+    "bands": {"--ec", "--scheme", *BLOWUP_FLAGS, "--nbands", "--grid", "--path", "--threads"},
+    "dos": {"--ec", "--scheme", *BLOWUP_FLAGS, "--nbands", "--grid", "--threads"},
+    "fermi": {"--ec", "--scheme", *BLOWUP_FLAGS, "--nbands", "--grid", "--threads",
+              "--electrons"},
+    "converge": {"--ec-ladder", "--scheme", *BLOWUP_FLAGS, "--grid", "--path", "--threads"},
+    "regularity": {"--ec", *BLOWUP_FLAGS, "--threads"},
+    "periodicity": {"--ec", *BLOWUP_FLAGS, "--nbands", "--threads"},
+    "cellscan": {"--ec", *BLOWUP_FLAGS, "--nbands", "--grid", "--electrons", "--threads"},
+    "potential synth": {"--t", "--gmax", "--amplitude"},
+}
+
+
+@pytest.mark.parametrize("command", list(EXPECTED_FLAGS))
+def test_help_lists_exactly_the_flags_a_subcommand_reads(capsys, command):
+    with pytest.raises(SystemExit) as exit_:
+        main(command.split() + ["--help"])
+    assert exit_.value.code == 0
+    listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    expected = {"--help", "--config", "--out", "--seed"} | EXPECTED_FLAGS[command]
+    for option, _, _ in _FLAGS:
+        assert (option in listed) == (option in expected), option
+    assert listed == expected
+
+
+@pytest.mark.parametrize("command, flags, unread", [
+    (["converge"], ["--ec-ladder", "25,50"], ["--ec", "1"]),
+    (["regularity"], [], ["--grid", "3"]),
+    (["dos"], ["--grid", "2"], ["--path", "G:0 X:0.3"]),
+    (["potential", "synth"], ["--t", "2.1", "--gmax", "3"], ["--nbands", "2"]),
+    (["bands"], [], ["--thr", "2"]),  # a prefix of --threads
+])
+def test_flag_the_subcommand_does_not_read_exits_2(tmp_path, capsys, command, flags, unread):
+    """A flag the subcommand does not read, or a prefix of one it reads, is a
+    usage error: exit 2 and no output directory.  Without it the run works."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(BANDS | {"blowup": {"m": 1, "p": 1.5}}))
+    args = command + ["--config", str(path), "--out", str(tmp_path / "run")] + flags
+    with pytest.raises(SystemExit) as exit_:
+        main(args + unread)
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {' '.join(unread)}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+    assert main(args) == 0
+
+
+@pytest.mark.parametrize("command, flags, field", [
+    ("bands", ["--path", "G:a X:0.5"], "path.nodes"),
+    ("converge", ["--ec-ladder", "125,x"], "ec_ladder"),
+])
+def test_unparsable_flag_names_its_field(tmp_path, capsys, command, flags, field):
+    """A flag value that does not parse exits 2 naming the flag and the config
+    field it sets, not only float()'s "could not convert string to float"."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(BANDS | {"out": str(tmp_path / "run")}))
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--config", str(path)] + flags)
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flags[0]}: config field {field!r} takes comma-separated numbers" in err
+    assert not (tmp_path / "run").exists()
