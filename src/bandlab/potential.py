@@ -25,19 +25,6 @@ class BrokenHermitianSymmetry(ValueError):
     """Coefficients violate conj-symmetry of a real-valued potential."""
 
 
-def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.unique(rows, axis=0, return_inverse=True) of an (n, d) int array,
-    from one lexsort: the distinct rows in lexicographic order, and the
-    position of each row among them."""
-    order = np.lexsort(rows.T[::-1])
-    ranked = rows[order]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-    inverse = np.empty(len(rows), dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    return ranked[first], inverse
-
-
 @dataclass(frozen=True)
 class FourierPotential:
     lattice: Lattice
@@ -54,11 +41,10 @@ class FourierPotential:
         (i, j) of 0.5 * (H + H^H) for the plain coefficient block H is thus
         the value at G_i - G_j, to the bit.
         """
-        given = np.array(list(self.coeffs), dtype=np.int64).reshape(-1, self.lattice.dim)
-        indices, where = _unique_rows(np.concatenate([given, -given]))
-        plain = np.zeros(indices.shape[0], dtype=complex)
-        where = where[: len(given)]
-        plain[where] += np.array(list(self.coeffs.values()), dtype=complex)
+        # the stored G and their negatives, in lexicographic order
+        union = sorted({*self.coeffs, *(tuple(-n for n in g) for g in self.coeffs)})
+        plain = np.array([0j + self.coeffs.get(g, 0j) for g in union], dtype=complex)
+        indices = np.array(union or np.zeros((0, self.lattice.dim)), dtype=np.int64)
         # negation reverses the lexicographic order of a set closed under it
         values = 0.5 * (plain + plain[::-1].conj())
         indices.flags.writeable = values.flags.writeable = False
@@ -105,25 +91,15 @@ def potential_from_coeffs(lat: Lattice, entries, real_valued: bool = True) -> Fo
         if None in g or len(g) != lat.dim:
             raise ValueError(f"entry {i}: G-index {index} must be {lat.dim} integers")
         coeffs[g] = coeffs.get(g, 0.0 + 0.0j) + complex(c)
-    if real_valued and coeffs:
-        given = np.array(list(coeffs), dtype=np.int64)
-        values = np.array(list(coeffs.values()), dtype=complex)
-        # row of -G among the given G, -1 if absent: both sets' positions in
-        # their sorted union
-        _, where = _unique_rows(np.concatenate([given, -given]))
-        row = np.full(len(where), -1)
-        row[where[: len(given)]] = np.arange(len(given))
-        partner = row[where[len(given):]]
-        # np.hypot is the scalar abs of a complex number to the bit; the
-        # vectorized np.abs of a complex array is not
-        gap = values[partner] - values.conj()
-        bad = (partner < 0) | (np.hypot(gap.real, gap.imag)
-                               > 1e-12 * np.maximum(1.0, np.hypot(values.real, values.imag)))
-        if bad.any():
+    if real_valued:
+        # max(|c|, 1.0) keeps a NaN |c|, so a NaN bound, like a NaN gap,
+        # never offends
+        bad = [g for g, c in coeffs.items()
+               if (partner := coeffs.get(tuple(-n for n in g))) is None
+               or abs(partner - c.conjugate()) > 1e-12 * max(abs(c), 1.0)]
+        if bad:
             raise BrokenHermitianSymmetry(
-                "real-valued potential needs conjugate partners; offending G: "
-                f"{sorted(map(tuple, given[bad].tolist()))}"
-            )
+                f"real-valued potential needs conjugate partners; offending G: {sorted(bad)}")
     return FourierPotential(lattice=lat, coeffs=coeffs, real_valued=real_valued)
 
 

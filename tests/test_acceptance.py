@@ -159,3 +159,24 @@ def test_criterion_8_cell_parameter_smoothness(hex2d):
     kd = scan.second_differences["kdependent"]
     mod = scan.second_differences["modified"]
     _criterion(8, "cell-parameter energy smoothness", kd >= 5.0 * mod)
+
+
+def test_criterion_9_brillouin_zone_quadrature(lat1d):
+    """The mean of band 1 over an n-point grid converges in n faster, the
+    smoother the bands: the k-dependent scheme's band jumps where its basis
+    changes, and a C^m blow-up (m = 1, 2, 3) makes it C^m."""
+    V = bl.potential_from_coeffs(lat1d, [((1,), 1.0), ((-1,), 1.0), ((2,), 0.5), ((-2,), 0.5)])
+    ns = [64, 128, 256, 512, 1024]
+    grids = {n: bl.uniform_grid(lat1d, n) for n in ns + [16384]}
+    errors = []
+    for scheme in [bl.kdependent_scheme()] + [
+            bl.modified_scheme(bl.build_blowup(bl.BlowupSpec(m=m, p=m + 0.5, C=1.0)))
+            for m in (1, 2, 3)]:
+        mean = {n: bl.compute_bands(lat1d, V, grid, 30.0, scheme, 1).energies[:, 0].mean()
+                for n, grid in grids.items()}
+        errors.append([abs(mean[n] - mean[16384]) for n in ns])
+    rates = [-np.polyfit(np.log(ns), np.log(e), 1)[0] for e in errors]
+    at_256 = [e[ns.index(256)] for e in errors]
+    ok = (max(at_256[2:]) < 1e-3 * at_256[0]
+          and all(lo < hi for lo, hi in zip(rates, rates[1:])))
+    _criterion(9, "Brillouin-zone quadrature of smooth bands", ok)

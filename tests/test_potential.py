@@ -159,3 +159,96 @@ def test_broken_partner_check_names_each_offender(hex2d):
     assert "[(-1, 0), (0, 0), (0, 2), (1, 0)]" in str(info.value)
     # a mismatch within 1e-12 of max(1, |c|) passes
     bl.potential_from_coeffs(hex2d, [((0, 1), 1e3), ((0, -1), 1e3 + 1e-10j)])
+
+
+def _unique_rows(rows):
+    """np.unique(rows, axis=0, return_inverse=True) from one lexsort."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ranked[first], inverse
+
+
+def _array_construction(coeffs, dim):
+    """The Hermitian part and the sorted offenders of the partner check, from
+    index arrays: a lexsort of the G and their negatives, the plain values
+    summed into zeros, and the partner gap measured with np.hypot."""
+    rows = np.array(list(coeffs), dtype=np.int64).reshape(-1, dim)
+    indices, where = _unique_rows(np.concatenate([rows, -rows]))
+    stored = np.array(list(coeffs.values()), dtype=complex)
+    plain = np.zeros(indices.shape[0], dtype=complex)
+    plain[where[: len(rows)]] += stored
+    values = 0.5 * (plain + plain[::-1].conj())
+    row = np.full(len(where), -1)
+    row[where[: len(rows)]] = np.arange(len(rows))
+    partner = row[where[len(rows):]]
+    gap = stored[partner] - stored.conj()
+    bad = (partner < 0) | (np.hypot(gap.real, gap.imag)
+                           > 1e-12 * np.maximum(1.0, np.hypot(stored.real, stored.imag)))
+    return indices, values, sorted(map(tuple, rows[bad].tolist()))
+
+
+try:
+    from hypothesis import example, given, settings, strategies as st
+except ImportError:
+    pass
+else:
+    # ±0.0, the tolerance itself and the non-finite parts are where a sum
+    # into zeros, a strict comparison and a NaN-keeping max show
+    _PART = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-12, 1e3,
+                                       float("nan"), float("inf"), -float("inf")]),
+                      st.floats(-1e3, 1e3))
+
+    @st.composite
+    def _coefficient_maps(draw):
+        dim = draw(st.integers(1, 3))
+        value = st.builds(complex, _PART, _PART)
+        entries = draw(st.lists(st.tuples(st.tuples(*[st.integers(-6, 6)] * dim), value),
+                                max_size=8))
+        # conjugate partners for every entry or for some, a few of them off by
+        # about the tolerance
+        picks = draw(st.one_of(st.just(range(len(entries))),
+                               st.lists(st.sampled_from(range(len(entries))), max_size=8)
+                               if entries else st.just([])))
+        for j in picks:
+            g, c = entries[j]
+            off = draw(st.sampled_from([0.0, 0.0, 0.0, 1e-12, 1e-12j, 1e-9, 1.0]))
+            entries.append((tuple(-n for n in g), c.conjugate() + off))
+        return bl.new_lattice(np.eye(dim)), entries, draw(st.booleans())
+
+    _LINE = bl.new_lattice(np.eye(1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_coefficient_maps())
+    # a gap exactly at the tolerance; an infinite gap beside a NaN |c|
+    @example((_LINE, [((1,), 0j), ((-1,), 1e-12 + 0j)], True))
+    @example((_LINE, [((1,), complex(float("nan"), 1.0)), ((-1,), complex(0.0, float("inf")))], True))
+    def test_coefficient_map_matches_array_construction(case):
+        """hermitian_coeffs and the partner check of potential_from_coeffs,
+        read from the coefficient dict, agree to the bit with the same
+        quantities built from sorted index arrays: the same indices, value
+        bytes and read-only flags, and the same offending G."""
+        lat, entries, real_valued = case
+        # a map built directly keeps -0.0 parts; potential_from_coeffs sums
+        # duplicates into an empty map, which turns them into 0.0
+        direct = dict(entries)
+        summed = bl.potential_from_coeffs(lat, entries, real_valued=False).coeffs
+        with np.errstate(all="ignore"):  # inf - inf is fine here
+            indices, values, _ = _array_construction(direct, lat.dim)
+            idx, vals = bl.FourierPotential(lat, direct, real_valued).hermitian_coeffs
+            assert idx.dtype == indices.dtype and idx.shape == indices.shape
+            assert idx.tobytes() == indices.tobytes()
+            assert vals.dtype == values.dtype and vals.tobytes() == values.tobytes()
+            # read-only arrays that own their data, so no writeable base is left
+            assert not idx.flags.writeable and not vals.flags.writeable
+            assert idx.flags.owndata and vals.flags.owndata
+            bad = _array_construction(summed, lat.dim)[2]
+            if real_valued and bad:
+                with pytest.raises(bl.BrokenHermitianSymmetry) as info:
+                    bl.potential_from_coeffs(lat, entries, real_valued=True)
+                assert str(info.value).endswith(f"offending G: {bad}")
+            else:
+                bl.potential_from_coeffs(lat, entries, real_valued)
