@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 
 class IllPosedSpec(ValueError):
@@ -94,8 +93,27 @@ def _tail_derivative(C: float, p: float, x, order: int):
     return factor * (1.0 - x) ** (-p - order)
 
 
-def _bridge_polynomial(spec: BlowupSpec, C: float) -> Polynomial:
-    """Hermite interpolant on [1/2, a] in the scaled variable u=(x-1/2)/(a-1/2)."""
+def _horner(coef, u):
+    """sum_i coef[i] u^i by Horner's rule, in the operation order of numpy's
+    polyval, so a value equals Polynomial(coef)(u) to the bit for u >= 0."""
+    value = coef[-1] + u * 0
+    for c in coef[-2::-1]:
+        value = c + value * u
+    return value
+
+
+def _derivative(coef, order: int) -> np.ndarray:
+    """Coefficients of the order-th derivative, as numpy's polyder computes
+    them (order below len(coef))."""
+    c = np.asarray(coef, dtype=float)
+    for _ in range(order):
+        c = c[1:] * np.arange(1, len(c))
+    return c
+
+
+def _bridge_polynomial(spec: BlowupSpec, C: float) -> tuple:
+    """Hermite interpolant on [1/2, a] in the scaled variable u=(x-1/2)/(a-1/2),
+    as its coefficients, lowest degree first."""
     M = spec.m if spec.msmooth is None else spec.msmooth
     s = spec.a - 0.5
     degree = 2 * M + 1
@@ -108,14 +126,13 @@ def _bridge_polynomial(spec: BlowupSpec, C: float) -> Polynomial:
         A[M + 1 + j] = [math.perm(i, j) for i in range(degree + 1)]
         rhs[j] = s**j * quad.get(j, 0.0)
         rhs[M + 1 + j] = s**j * _tail_derivative(C, spec.p, spec.a, j)
-    coeffs = np.linalg.solve(A, rhs)
-    return Polynomial(coeffs)
+    return tuple(np.linalg.solve(A, rhs).tolist())
 
 
 @dataclass(frozen=True)
 class BlowupFunction:
     spec: BlowupSpec          # with the resolved tail constant
-    bridge: Polynomial        # in u = (x - 1/2)/(a - 1/2)
+    bridge: tuple             # coefficients in u = (x - 1/2)/(a - 1/2)
 
     @property
     def m(self) -> int:
@@ -152,7 +169,7 @@ class BlowupFunction:
         if mid.any():
             s = self.spec.a - 0.5
             u = (y[mid] - 0.5) / s
-            out[mid] = self.bridge.deriv(order)(u) / s**order if order else self.bridge(u)
+            out[mid] = _horner(_derivative(self.bridge, order), u) / s**order
         tail = (y >= self.spec.a) & (y < 1.0)
         if tail.any():
             out[tail] = _tail_derivative(self.spec.C, self.spec.p, y[tail], order)
@@ -174,7 +191,7 @@ class BlowupFunction:
         junctions = np.array([0.5, self.spec.a])
         worst = 0.0
         for j in range(self.spec.m + 1):
-            ends = self.bridge.deriv(j)(np.array([0.0, 1.0])) / s**j
+            ends = _horner(_derivative(self.bridge, j), np.array([0.0, 1.0])) / s**j
             want = self.eval_derivative(junctions, j)
             worst = max(worst, float(np.max(np.abs(ends - want) / np.maximum(1.0, np.abs(want)))))
         return worst

@@ -13,9 +13,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,6 +86,9 @@ def lattice_from_dict(payload: dict) -> Lattice:
 
 def digest_of(payload: dict) -> str:
     """Short stable digest of a JSON-serializable payload, used in run records."""
+    import hashlib  # imported here: a solve never digests
+    import json
+
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 

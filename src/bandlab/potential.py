@@ -80,7 +80,8 @@ def potential_from_coeffs(lat: Lattice, entries, real_valued: bool = True) -> Fo
     """Collect (g_index, coefficient) pairs; duplicate indices are summed.
 
     A g_index holds lat.dim integral values (1.0 and numpy integers are
-    taken; 1.5, NaN or inf raises ValueError naming the entry).
+    taken) and its coefficient is finite: an index part 1.5, NaN or inf, or
+    a NaN or infinite coefficient, raises ValueError naming the entry.
     With real_valued=True every stored G must come with its conjugate partner
     at -G (a missing or mismatched partner raises BrokenHermitianSymmetry).
     """
@@ -90,10 +91,10 @@ def potential_from_coeffs(lat: Lattice, entries, real_valued: bool = True) -> Fo
         g = tuple(map(_integral, index))
         if None in g or len(g) != lat.dim:
             raise ValueError(f"entry {i}: G-index {index} must be {lat.dim} integers")
-        coeffs[g] = coeffs.get(g, 0.0 + 0.0j) + complex(c)
+        c = coeffs[g] = coeffs.get(g, 0.0 + 0.0j) + complex(c)
+        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+            raise ValueError(f"entry {i}: coefficient at G-index {index} is not finite ({c})")
     if real_valued:
-        # max(|c|, 1.0) keeps a NaN |c|, so a NaN bound, like a NaN gap,
-        # never offends
         bad = [g for g, c in coeffs.items()
                if (partner := coeffs.get(tuple(-n for n in g))) is None
                or abs(partner - c.conjugate()) > 1e-12 * max(abs(c), 1.0)]

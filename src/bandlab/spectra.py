@@ -64,7 +64,6 @@ product: the first Rayleigh-Ritz step already meets the stop rule.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -603,6 +602,9 @@ def _band_structures(lat: Lattice, V: FourierPotential, kset: KPointSet, Ec: flo
             tasks += [(setup, m, idx, M) for m in
                       (members[:, None] if _tries_block(M, n_bands) else [members])]
     if threads > 1:
+        # imported here: it loads logging and queue, which threads=1 never needs
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(solve, tasks))
     else:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import bandlab as bl
+import bandlab.blowup as blowup_module
 from bandlab import BlowupSpec, build_blowup
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -40,3 +41,30 @@ def test_p_within_rounding_of_m_is_ill_posed(m, p):
     BlowupSpec(m=m, p=p).validate()  # p > m holds exactly
     with pytest.raises(bl.IllPosedSpec, match="within rounding"):
         build_blowup(BlowupSpec(m=m, p=p))
+
+
+@st.composite
+def _bridge_cases(draw):
+    coef = draw(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=8))
+    u = draw(st.one_of(st.floats(0.0, 1.0),
+                       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6).map(np.array)))
+    return coef, u
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(_bridge_cases())
+@hypothesis.example(([0.25, 0.125, 3.0, -7.5], 0.0))
+@hypothesis.example(([1.0, -0.0, 0.0, -2.0], np.array([0.0, 1.0])))
+def test_bridge_arithmetic_matches_numpy_polynomial(case):
+    """The blow-up bridge's own Horner and derivative steps repeat numpy's
+    Polynomial to the bit, for every derivative order up to the degree, at
+    scalar and array points of [0, 1]."""
+    from numpy.polynomial import Polynomial
+
+    coef, u = case
+    reference = Polynomial(coef)
+    for order in range(len(coef)):
+        want = reference.deriv(order)(u)
+        got = blowup_module._horner(blowup_module._derivative(tuple(coef), order), u)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), order

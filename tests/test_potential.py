@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -91,6 +92,19 @@ def test_g_index_must_be_integral(lat1d, cosine):
 def test_g_index_must_be_finite(lat1d, n):
     with pytest.raises(ValueError, match=rf"entry 0: G-index \({n},\) must be 1 integers"):
         bl.potential_from_coeffs(lat1d, [((n,), 1.0)], real_valued=False)
+
+
+@pytest.mark.parametrize("real_valued", [True, False])
+@pytest.mark.parametrize("c", [complex(x, 0.0) for x in (float("nan"), float("inf"), -float("inf"))]
+                         + [complex(0.0, x) for x in (float("nan"), float("inf"), -float("inf"))])
+def test_coefficient_must_be_finite(lat1d, c, real_valued):
+    """A NaN or infinite part is a plain ValueError naming the entry, raised
+    before the partner check, which a NaN gap would pass."""
+    entries = [((1,), 1.0), ((-1,), c), ((1,), 0.5)]
+    message = r"^entry 1: coefficient at G-index \(-1,\) is not finite"
+    with pytest.raises(ValueError, match=message) as info:
+        bl.potential_from_coeffs(lat1d, entries, real_valued=real_valued)
+    assert type(info.value) is ValueError
 
 
 @pytest.mark.parametrize("seed", [1.5, -1, np.int64(-1), float("nan"), float("inf"), "1", None])
@@ -223,19 +237,20 @@ else:
 
     @settings(max_examples=200, deadline=None)
     @given(_coefficient_maps())
-    # a gap exactly at the tolerance; an infinite gap beside a NaN |c|
+    # a gap exactly at the tolerance; a NaN and an infinite part, refused
+    # before the partner check
     @example((_LINE, [((1,), 0j), ((-1,), 1e-12 + 0j)], True))
     @example((_LINE, [((1,), complex(float("nan"), 1.0)), ((-1,), complex(0.0, float("inf")))], True))
     def test_coefficient_map_matches_array_construction(case):
         """hermitian_coeffs and the partner check of potential_from_coeffs,
         read from the coefficient dict, agree to the bit with the same
         quantities built from sorted index arrays: the same indices, value
-        bytes and read-only flags, and the same offending G."""
+        bytes and read-only flags, and the same offending G among the finite
+        entries."""
         lat, entries, real_valued = case
         # a map built directly keeps -0.0 parts; potential_from_coeffs sums
         # duplicates into an empty map, which turns them into 0.0
         direct = dict(entries)
-        summed = bl.potential_from_coeffs(lat, entries, real_valued=False).coeffs
         with np.errstate(all="ignore"):  # inf - inf is fine here
             indices, values, _ = _array_construction(direct, lat.dim)
             idx, vals = bl.FourierPotential(lat, direct, real_valued).hermitian_coeffs
@@ -245,6 +260,16 @@ else:
             # read-only arrays that own their data, so no writeable base is left
             assert not idx.flags.writeable and not vals.flags.writeable
             assert idx.flags.owndata and vals.flags.owndata
+            finite = [(g, c) for g, c in entries
+                      if math.isfinite(c.real) and math.isfinite(c.imag)]
+            if len(finite) < len(entries):
+                # a non-finite coefficient never reaches the partner check,
+                # which then runs on the finite entries
+                with pytest.raises(ValueError, match="is not finite") as info:
+                    bl.potential_from_coeffs(lat, entries, real_valued)
+                assert type(info.value) is ValueError
+                entries = finite
+            summed = bl.potential_from_coeffs(lat, entries, real_valued=False).coeffs
             bad = _array_construction(summed, lat.dim)[2]
             if real_valued and bad:
                 with pytest.raises(bl.BrokenHermitianSymmetry) as info:
