@@ -87,6 +87,11 @@ class BlowupSpec:
             )
 
 
+def _square_derivative(x, order: int):
+    """order-th derivative of x^2; order 0 is the value."""
+    return math.perm(2, order) * x ** (2 - order) if order <= 2 else 0.0
+
+
 def _tail_derivative(C: float, p: float, x, order: int):
     """order-th derivative of C*(1-x)^(-p); order 0 is the value."""
     factor = C * float(np.prod(p + np.arange(order)))
@@ -119,12 +124,11 @@ def _bridge_polynomial(spec: BlowupSpec, C: float) -> tuple:
     degree = 2 * M + 1
     A = np.zeros((degree + 1, degree + 1))
     rhs = np.zeros(degree + 1)
-    quad = {0: 0.25, 1: 1.0, 2: 2.0}  # derivatives of x^2 at x = 1/2
     for j in range(M + 1):
         # q^(j)(0) = j! c_j   and   q^(j)(1) = sum_i i!/(i-j)! c_i
         A[j, j] = math.factorial(j)
         A[M + 1 + j] = [math.perm(i, j) for i in range(degree + 1)]
-        rhs[j] = s**j * quad.get(j, 0.0)
+        rhs[j] = s**j * _square_derivative(0.5, j)
         rhs[M + 1 + j] = s**j * _tail_derivative(C, spec.p, spec.a, j)
     return tuple(np.linalg.solve(A, rhs).tolist())
 
@@ -133,10 +137,6 @@ def _bridge_polynomial(spec: BlowupSpec, C: float) -> tuple:
 class BlowupFunction:
     spec: BlowupSpec          # with the resolved tail constant
     bridge: tuple             # coefficients in u = (x - 1/2)/(a - 1/2)
-
-    @property
-    def m(self) -> int:
-        return self.spec.m
 
     def eval(self, x):
         """G(x) for scalar or array input; even in x."""
@@ -155,24 +155,14 @@ class BlowupFunction:
         if np.any(y == 1.0):
             raise SingularArgument("G is singular at |x| = 1")
         sign = np.where(arr < 0, (-1.0) ** order, 1.0)
-        out = np.empty_like(y)
+        out = np.full_like(y, np.nan)  # NaN input matches no piece
         quad = (y <= 0.5) | (y > 1.0)
-        if order == 0:
-            out[quad] = y[quad] ** 2
-        elif order == 1:
-            out[quad] = 2.0 * y[quad]
-        elif order == 2:
-            out[quad] = 2.0
-        else:
-            out[quad] = 0.0
+        out[quad] = _square_derivative(y[quad], order)
         mid = (y > 0.5) & (y < self.spec.a)
-        if mid.any():
-            s = self.spec.a - 0.5
-            u = (y[mid] - 0.5) / s
-            out[mid] = _horner(_derivative(self.bridge, order), u) / s**order
+        s = self.spec.a - 0.5
+        out[mid] = _horner(_derivative(self.bridge, order), (y[mid] - 0.5) / s) / s**order
         tail = (y >= self.spec.a) & (y < 1.0)
-        if tail.any():
-            out[tail] = _tail_derivative(self.spec.C, self.spec.p, y[tail], order)
+        out[tail] = _tail_derivative(self.spec.C, self.spec.p, y[tail], order)
         out = sign * out
         return float(out) if arr.ndim == 0 else out
 

@@ -218,8 +218,7 @@ def _diagonal(kin: np.ndarray, Ec: float, scheme: Scheme) -> np.ndarray:
     if scheme.tag == "modified":
         x = np.sqrt(kin / Ec)  # |k+G| / sqrt(2 Ec)
         steep = x > 0.5
-        if steep.any():
-            kin[steep] = Ec * scheme.blowup.eval(x[steep])
+        kin[steep] = Ec * scheme.blowup.eval(x[steep])
     return kin
 
 

@@ -77,6 +77,41 @@ def test_order_too_high(blowup_std):
         blowup_std.eval_derivative(0.3, 2)
 
 
+def _prime_allocator(shape) -> None:
+    """Allocate and free a few arrays of a sentinel value and this shape, so
+    that memory numpy hands out next holds the sentinel, not NaN by chance."""
+    blocks = [np.full(shape, 7.0) for _ in range(8)]
+    del blocks
+
+
+@pytest.fixture(scope="module")
+def blowup_m3():
+    return build_blowup(BlowupSpec(m=3, p=3.5))
+
+
+@pytest.mark.parametrize("x", [
+    float("nan"), np.float64("nan"), np.array(float("nan")), np.full(4, np.nan),
+    np.full(64, -np.nan),
+])
+def test_nan_input_gives_nan(blowup_m3, x):
+    """NaN matches no piece of G, so every order returns NaN, not the stale
+    contents of an uninitialized output."""
+    for order in range(blowup_m3.spec.m + 1):
+        _prime_allocator(np.shape(x))
+        assert np.all(np.isnan(blowup_m3.eval_derivative(x, order)))
+
+
+def test_nan_entries_leave_the_finite_ones_alone(blowup_m3):
+    finite = np.array([0.3, -0.6, 0.7, 0.9, -2.0, 0.0])
+    mixed = np.full(2 * finite.size, np.nan)
+    mixed[::2] = finite
+    for order in range(blowup_m3.spec.m + 1):
+        _prime_allocator(mixed.shape)
+        got = blowup_m3.eval_derivative(mixed, order)
+        assert np.all(np.isnan(got[1::2]))
+        assert got[::2].tobytes() == blowup_m3.eval_derivative(finite, order).tobytes()
+
+
 @pytest.mark.parametrize("m,p", [(0, 0.5), (1, 1.5), (2, 2.5)])
 def test_domination_random_sampling(m, p):
     fn = build_blowup(BlowupSpec(m=m, p=p, C=1.0))

@@ -487,3 +487,40 @@ def test_converge_without_rate_reports_null(tmp_path, capsys):
     payload = json.loads((out / "converge.json").read_text())
     assert payload["fitted_rate"] is None and payload["fitted_rate_full"] is None
     assert "no rate" in capsys.readouterr().out
+
+
+def test_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise bl.SolverFailure("matrix norm bound is not finite")
+
+    monkeypatch.setattr("bandlab.cli.compute_bands", fail)
+    out = tmp_path / "run"
+    cfg = write_cfg(tmp_path, "cfg.json", BANDS_1D | {"out": str(out)})
+    assert main(["bands", "--config", cfg]) == 3
+    assert capsys.readouterr().err == "solver failure: matrix norm bound is not finite\n"
+    assert not (out / "bands.csv").exists()
+
+
+@pytest.mark.parametrize("path, message", [
+    ("G0 X:0.5", "path node 'G0' must look like LABEL:c1,c2"),
+    ("G:0", "a path needs at least two nodes"),
+])
+def test_malformed_path_flag_exits_2(tmp_path, capsys, path, message):
+    cfg = write_cfg(tmp_path, "cfg.json", BANDS_1D | {"out": str(tmp_path / "run")})
+    with pytest.raises(SystemExit) as exit_:
+        main(["bands", "--config", cfg, "--path", path])
+    assert exit_.value.code == 2
+    assert f"argument --path: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("kset", [
+    {"grid": 4, "path": {"nodes": [["G", [0.0]], ["X", [0.5]]]}},
+    {},
+])
+def test_bands_needs_exactly_one_kset(tmp_path, capsys, kset):
+    cfg = {key: value for key, value in BANDS_1D.items() if key != "grid"} | kset
+    out = tmp_path / "run"
+    assert main(["bands", "--config", write_cfg(tmp_path, "cfg.json", cfg | {"out": str(out)})]) == 2
+    assert capsys.readouterr().err == "error: exactly one of 'path' and 'grid' must be configured\n"
+    assert not (out / "bands.csv").exists()
