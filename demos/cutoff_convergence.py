@@ -21,10 +21,9 @@ fn = bl.build_blowup(bl.BlowupSpec(m=1, p=1.5, C=1.0))
 print(f"potential: |coeff| ~ |G|^-2.1 (Sobolev order r = {R:.1f}), 24-point grid")
 print(f"reference: uniform scheme at Ec = 32000\n")
 
-studies = {}
-for scheme in (bl.kdependent_scheme(), bl.modified_scheme(fn)):
-    studies[scheme.tag] = bl.convergence_study(
-        lat, V, 1, grid, ladder, scheme, 32000.0, r_potential=R)
+studies = bl.convergence_study(lat, V, 1, grid, ladder,
+                               [bl.kdependent_scheme(), bl.modified_scheme(fn)], 32000.0,
+                               r_potential=R)
 
 header = "      Ec" + "".join(f" {tag:>14}" for tag in studies)
 print(header)

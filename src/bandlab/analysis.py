@@ -13,9 +13,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .blowup import BlowupSpec, build_blowup
-from .fiber import Scheme, modified_scheme, uniform_scheme
+from .fiber import modified_scheme, uniform_scheme
 from .lattice import KPointSet, Lattice, _basis_sizes, uniform_grid
-from .observables import fermi_level, idoe
+from .observables import _check_filling, fermi_level, idoe
 from .potential import FourierPotential
 from .spectra import BandStructure, _band_structures, compute_bands
 
@@ -53,48 +53,54 @@ class ConvergenceStudy:
 
 
 def convergence_study(lat: Lattice, V: FourierPotential, band_index: int, kset: KPointSet,
-                      ec_ladder, scheme: Scheme, ec_reference: float,
-                      r_potential: float | None = None, threads: int = 1) -> ConvergenceStudy:
+                      ec_ladder, schemes, ec_reference: float,
+                      r_potential: float | None = None, threads: int = 1) -> dict:
     """Error of band `band_index` (1-based) against the uniform scheme at
-    cutoff `ec_reference` on the same k-set, per cutoff of the ladder.
+    cutoff `ec_reference` on the same k-set, per cutoff of the ladder, for
+    each of `schemes`: a ConvergenceStudy per scheme tag, in the order of
+    `schemes`.
 
-    The ladder and the band index are checked before any solve; the
-    reference cutoff must be at least 8x the largest ladder cutoff.  The
-    fitted rate is the slope magnitude of log(error) versus log(Ec),
-    using only the upper half of the ladder where the asymptotic regime has
-    set in; the full-ladder fit is kept as a diagnostic.  A fit whose errors
-    are all exact (clamped to 1e-16) measures nothing and is None.  The
-    predicted rate for a potential of Sobolev order r is r + 1 - d/4.
+    The ladder, the band index and the schemes (no empty list, no repeated
+    tag) are checked before any solve; the reference cutoff must be at
+    least 8x the largest ladder cutoff.  The reference is solved once, and
+    each cutoff once for every scheme (spectra._band_structures), so each
+    study is bit for bit the study of its scheme alone.  The fitted rate is
+    the slope magnitude of log(error) versus log(Ec), using only the upper
+    half of the ladder where the asymptotic regime has set in; the
+    full-ladder fit is kept as a diagnostic.  A fit whose errors are all
+    exact (clamped to 1e-16) measures nothing and is None.  The predicted
+    rate for a potential of Sobolev order r is r + 1 - d/4.
     """
     ladder = _check_ladder(ec_ladder, ec_reference)
     if band_index < 1:
         raise ValueError(f"'band_index' must be >= 1, got {band_index}")
-    ref = compute_bands(lat, V, kset, ec_reference, uniform_scheme(), band_index,
-                        threads=threads).energies[:, band_index - 1]
-    errors = np.empty(ladder.size)
+    schemes = _distinct_tags(schemes)
+    ref = _band_structures(lat, V, kset, ec_reference, [uniform_scheme()], band_index,
+                           threads)[0].energies[:, band_index - 1]
+    errors = np.empty((len(schemes), ladder.size))
     for i, ec in enumerate(ladder):
-        bands = compute_bands(lat, V, kset, ec, scheme, band_index, threads=threads)
-        errors[i] = np.mean(np.abs(bands.energies[:, band_index - 1] - ref))
+        solved = _band_structures(lat, V, kset, ec, schemes, band_index, threads)
+        errors[:, i] = [np.mean(np.abs(b.energies[:, band_index - 1] - ref)) for b in solved]
     clamped = errors <= 0.0
     errors = np.where(clamped, 1e-16, errors)
 
-    def fit(idx) -> float | None:
-        if np.all(clamped[idx]):
+    def fit(j: int, idx) -> float | None:
+        if np.all(clamped[j, idx]):
             return None
-        slope = np.polyfit(np.log(ladder[idx]), np.log(errors[idx]), 1)[0]
+        slope = np.polyfit(np.log(ladder[idx]), np.log(errors[j, idx]), 1)[0]
         return float(-slope)
 
     half = min(ladder.size // 2, ladder.size - 2)  # keep >= 2 points in the fit
     predicted = None if r_potential is None else float(r_potential + 1.0 - lat.dim / 4.0)
-    return ConvergenceStudy(
+    return {scheme.tag: ConvergenceStudy(
         ec_ladder=ladder,
-        errors=errors,
-        clamped=clamped,
-        fitted_rate=fit(slice(half, None)),
-        fitted_rate_full=fit(slice(None)),
+        errors=errors[j],
+        clamped=clamped[j],
+        fitted_rate=fit(j, slice(half, None)),
+        fitted_rate_full=fit(j, slice(None)),
         r_potential=None if r_potential is None else float(r_potential),
         predicted_rate=predicted,
-    )
+    ) for j, scheme in enumerate(schemes)}
 
 
 def _uniform_spacing(kset: KPointSet) -> float:
@@ -241,27 +247,24 @@ def periodicity_report(lat: Lattice, V: FourierPotential, Ec: float, schemes,
 
     The k-dependent and modified schemes are exactly periodic up to floating
     point noise; the uniform scheme is not, which this report quantifies.
-    The samples and each shifted copy are one k-set each, solved for every
-    scheme at once: the schemes that share a basis share one basis pass and
-    one set of stacks (spectra._band_structures).  Raises ValueError for an
-    empty scheme list, a repeated tag, or no shift or a zero one among
-    `shifts` (a zero shift compares each k with itself).
+    The samples (an (n, d) array) and every shifted copy are stacked into
+    one k-set, solved for every scheme at once: one basis pass per basis
+    mode and one set of stacks (spectra._band_structures).  Each copy's
+    deviation is read from its slice of that one result.  Raises ValueError
+    for an empty scheme list, a repeated tag, or no shift or a zero one
+    among `shifts` (a zero shift compares each k with itself).
     """
     schemes = _distinct_tags(schemes)
     shifts = list(shifts)
     if not shifts or not all(np.any(shift) for shift in shifts):
         raise ValueError(f"'shifts' must hold at least one G-shift and no zero one, got "
                          f"{[list(map(int, shift)) for shift in shifts]}")
-    pts = k_samples.points if isinstance(k_samples, KPointSet) else np.asarray(k_samples, float)
-    base = _band_structures(lat, V, KPointSet(points=pts, kind="path"), Ec, schemes, n_bands,
-                            threads)
-    report = dict.fromkeys((scheme.tag for scheme in schemes), 0.0)
-    for shift in shifts:
-        moved = KPointSet(points=pts + lat.gvector(shift), kind="path")
-        for b0, b1 in zip(base, _band_structures(lat, V, moved, Ec, schemes, n_bands, threads)):
-            deviation = float(np.max(np.abs(b1.energies - b0.energies)))
-            report[b0.scheme.tag] = max(report[b0.scheme.tag], deviation)
-    return report
+    pts = np.asarray(k_samples, float)
+    copies = np.concatenate([pts] + [pts + lat.gvector(shift) for shift in shifts])
+    solved = _band_structures(lat, V, KPointSet(points=copies, kind="path"), Ec, schemes,
+                              n_bands, threads)
+    blocks = {b.scheme.tag: b.energies.reshape(1 + len(shifts), len(pts), n_bands) for b in solved}
+    return {tag: float(np.max(np.abs(e[1:] - e[0]))) for tag, e in blocks.items()}
 
 
 @dataclass(frozen=True)
@@ -283,7 +286,9 @@ def energy_vs_cell_parameter(make_lattice, make_potential, Ec: float, schemes,
     every scheme at once: the schemes that share a basis share one basis
     pass and one set of stacks (spectra._band_structures).  The results are
     keyed by tag in the order of `schemes`.  Raises ValueError for an empty
-    scheme list or a repeated tag.
+    scheme list or a repeated tag, and before each cell's solve, fermi_level's
+    error for an electron count that is not positive or that n_bands bands
+    cannot hold.
     """
     schemes = _distinct_tags(schemes)
     a_values = np.asarray([float(a) for a in a_values])
@@ -296,8 +301,9 @@ def energy_vs_cell_parameter(make_lattice, make_potential, Ec: float, schemes,
     for i, a in enumerate(a_values):
         lat = make_lattice(a)
         V = make_potential(lat)
-        for bands in _band_structures(lat, V, uniform_grid(lat, grid_n), Ec, schemes, n_bands,
-                                      threads):
+        grid = uniform_grid(lat, grid_n)
+        _check_filling(n_electrons, n_bands, len(grid))  # before the cell's solve
+        for bands in _band_structures(lat, V, grid, Ec, schemes, n_bands, threads):
             mu = fermi_level(bands, n_electrons).mu
             energies[bands.scheme.tag][i] = idoe(bands, mu) / lat.cell_volume
     second = {

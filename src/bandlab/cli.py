@@ -40,7 +40,7 @@ from .lattice import (
     new_lattice,
     uniform_grid,
 )
-from .observables import TruncationWarning, fermi_level, idoe, idos
+from .observables import TruncationWarning, _check_filling, fermi_level, idoe, idos
 from .potential import FourierPotential, potential_from_coeffs, synth_power_law
 from .spectra import BandStructure, SolverFailure, compute_bands
 
@@ -408,6 +408,7 @@ def cmd_dos(args) -> int:
 def cmd_fermi(args) -> int:
     cfg, lat, V, scheme, kset = _run_context(args, solve=True, require="grid")
     electrons = _field(cfg, "electrons", float, 1.0, above=0)
+    _check_filling(electrons, _field(cfg, "nbands", int, 4, above=0), len(kset))
     bands, record = _solve_bands(cfg, lat, V, scheme, kset)
     level = fermi_level(bands, electrons)
     out = _output_dir(cfg)
@@ -430,8 +431,8 @@ def cmd_converge(args) -> int:
     r = None if cfg.get("sobolev_r") is None else _field(cfg, "sobolev_r", float)
     if r is None and "synth" in (cfg.get("potential") or {}):  # null: zero potential
         r = float(cfg["potential"]["synth"]["t"]) - lat.dim / 2.0
-    study = convergence_study(lat, V, band_index, kset, ladder, scheme, ec_ref,
-                              r_potential=r, threads=threads)
+    study = convergence_study(lat, V, band_index, kset, ladder, [scheme], ec_ref,
+                              r_potential=r, threads=threads)[scheme.tag]
     out = _output_dir(cfg)
     _write_csv(out / "converge.csv", ["ec", "error", "clamped"],
                zip(study.ec_ladder, study.errors, study.clamped))

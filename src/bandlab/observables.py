@@ -35,7 +35,27 @@ def _require_grid(bands: BandStructure) -> None:
         raise ValueError("spectral averages need a uniform-grid k-point set")
 
 
-def _warn_if_truncated(bands: BandStructure, mu: float) -> None:
+def _check_filling(n_electrons: float, n_bands: int, nk: int) -> float:
+    """n_electrons * nk, the states the count fills on a grid of nk points; a
+    ValueError unless the count is positive, and UnreachableFilling unless
+    n_bands bands hold it.  fermi_level's rule, which callers can run before
+    a solve."""
+    if not n_electrons > 0:  # NaN too
+        raise ValueError("n_electrons must be positive")
+    target = n_electrons * nk
+    if target > n_bands * nk + 1e-9:
+        raise UnreachableFilling(f"n_electrons={n_electrons:g} needs {target:g} states per grid "
+                                 f"but only {n_bands * nk} were computed ({n_bands} bands)")
+    return target
+
+
+def _check_level(bands: BandStructure, mu: float) -> None:
+    """The checks of idos and idoe: a ValueError unless the bands lie on a
+    uniform grid and mu is not NaN (+-inf is a valid level), and a
+    TruncationWarning when the top computed band reaches mu."""
+    _require_grid(bands)
+    if np.isnan(mu):
+        raise ValueError(f"mu must be a number or +-inf, got {mu}")
     if np.any(bands.energies[:, -1] <= mu):
         warnings.warn(
             f"top computed band dips below mu={mu:g}; higher bands may contribute",
@@ -46,15 +66,13 @@ def _warn_if_truncated(bands: BandStructure, mu: float) -> None:
 
 def idos(bands: BandStructure, mu: float) -> float:
     """States per unit cell at or below mu: mean_k sum_n 1(e_n(k) <= mu)."""
-    _require_grid(bands)
-    _warn_if_truncated(bands, mu)
+    _check_level(bands, mu)
     return float(np.mean(np.sum(bands.energies <= mu, axis=1)))
 
 
 def idoe(bands: BandStructure, mu: float) -> float:
     """Energy per unit cell of states at or below mu."""
-    _require_grid(bands)
-    _warn_if_truncated(bands, mu)
+    _check_level(bands, mu)
     occupied = np.where(bands.energies <= mu, bands.energies, 0.0)
     return float(np.mean(np.sum(occupied, axis=1)))
 
@@ -71,17 +89,9 @@ def fermi_level(bands: BandStructure, n_electrons: float) -> FermiLevel:
     filling of all bands) the level sits at the top energy.
     """
     _require_grid(bands)
-    if not n_electrons > 0:  # NaN too
-        raise ValueError("n_electrons must be positive")
+    target = _check_filling(n_electrons, bands.n_bands, len(bands.kset))
     energies = np.sort(bands.energies, axis=None)
-    nk = len(bands.kset)
     total = energies.size
-    target = n_electrons * nk
-    if target > total + 1e-9:
-        raise UnreachableFilling(
-            f"n_electrons={n_electrons:g} needs {target:g} states per grid "
-            f"but only {total} were computed ({bands.n_bands} bands)"
-        )
     need = max(1, int(np.ceil(target - 1e-9)))
     e_need = float(energies[need - 1])
     count_at = int(np.searchsorted(energies, e_need, side="right"))

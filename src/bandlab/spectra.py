@@ -168,6 +168,11 @@ def _ritz_bound(theta: np.ndarray, norms: np.ndarray, take: int, slack: float = 
     return float(min(beta, np.max(norms[:take]))) + rounding
 
 
+def _whole(value) -> bool:
+    """Whether value is an int or a numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _tries_block(n: int, take: int) -> bool:
     """Whether eigh tries the block solver for the lowest `take` pairs of a
     matrix of order n."""
@@ -408,10 +413,9 @@ def _eigh_dense(stack: np.ndarray, take: int):
     try:
         if plain.size:
             values[plain] = np.linalg.eigvalsh(stack if plain.size == B else stack[plain])[:, :take]
-        if graded.any():
-            for c in np.unique(count[graded]):
-                idx = np.flatnonzero(graded & (count == c))
-                values[idx], bounds[idx] = _eigh_schur(stack[idx], steep[idx], take)
+        for c in np.unique(count[graded]):
+            idx = np.flatnonzero(graded & (count == c))
+            values[idx], bounds[idx] = _eigh_schur(stack[idx], steep[idx], take)
     except np.linalg.LinAlgError as exc:
         raise SolverFailure(f"eigensolver failed: {exc}") from exc
     return values, bounds
@@ -453,7 +457,8 @@ def eigh(H, n_lowest: int | None = None) -> EigenSolution:
     (see _time_reversed) when the block path served it; every other member
     gets what it gets alone, bit for bit.  The solution then holds (B, n)
     values and the (B,) bounds.  A single matrix is the B = 1 case, with
-    (n,) values and a 0-d bound.
+    (n,) values and a 0-d bound.  n_lowest must be None or an integer (not
+    a bool) in [1, n], a ValueError otherwise.
     """
     if isinstance(H, FiberMatrix):
         dims = H.diagonal.shape  # (M,) or (B, M)
@@ -462,9 +467,9 @@ def eigh(H, n_lowest: int | None = None) -> EigenSolution:
         H = H.astype(np.result_type(H, float), copy=False)  # integers and float32 in double
         dims = H.shape[:-1]
     B, n = math.prod(dims[:-1]), dims[-1]
-    take = n if n_lowest is None else int(n_lowest)
-    if not 1 <= take <= n:
-        raise ValueError(f"n_lowest must be in [1, {n}], got {n_lowest}")
+    take = n if n_lowest is None else n_lowest
+    if not (_whole(take) and 1 <= take <= n):
+        raise ValueError(f"n_lowest must be an integer in [1, {n}], got {n_lowest}")
     values, bounds, served = np.empty((B, take)), np.empty(B), np.zeros(B, dtype=bool)
     if _tries_block(n, take):
         last = None  # final Ritz block of member b - 1, when the block path served it
@@ -500,17 +505,20 @@ class BandStructure:
 
 
 def _chunks(sizes: np.ndarray, n_coef: int, take: int, frac: np.ndarray,
-            schemes: int = 1) -> list[np.ndarray]:
-    """k indices grouped by basis size M, in ascending M and in k order
-    within a size.  Where eigh tries the block path for `take` bands
-    (_tries_block), each k forms a 2-member stack with its partner: the first
-    later k of the same size whose fractional coordinates `frac` sum with its
-    own to 0 within _PAIR_TOL.  A k without one, such as Gamma or a point
-    whose partner lies only across a reciprocal vector, is alone.  Elsewhere
-    a size is cut into stacks of at most _STACK_BUDGET // (M * (M + n_coef))
-    members (one at least), each k counting once per scheme solved on it."""
-    order = np.argsort(sizes, kind="stable")
-    chunks = []
+            schemes: int = 1) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The solve tasks of _band_structures as (members, k indices) pairs: the
+    members are positions among `schemes` schemes, the k-points share one
+    basis size M, and the tasks run in ascending M and in k order within a
+    size.  Where eigh tries the block path for `take` bands (_tries_block),
+    a task is one scheme at a k and its partner, the first later k of the
+    same size whose fractional coordinates `frac` sum with its own to 0
+    within _PAIR_TOL, so a warm start never crosses schemes; a k without
+    one, such as Gamma or a point whose partner lies only across a
+    reciprocal vector, is alone.  Elsewhere a task is every scheme on a
+    stack of at most _STACK_BUDGET // (M * (M + n_coef) * schemes) k-points
+    (one at least): the budget counts each (scheme, k) member."""
+    order, every = np.argsort(sizes, kind="stable"), np.arange(schemes)
+    tasks = []
     for run in np.split(order, np.flatnonzero(np.diff(sizes[order])) + 1):
         M = int(sizes[run[0]])
         if _tries_block(M, take):
@@ -521,11 +529,11 @@ def _chunks(sizes: np.ndarray, n_coef: int, take: int, frac: np.ndarray,
                     partner = np.flatnonzero(free & (np.max(np.abs(f + f[i]), axis=1)
                                                      <= _PAIR_TOL))[:1]
                     free[partner] = False
-                    chunks.append(run[np.r_[i, partner]])
+                    tasks += [(every[m:m + 1], run[np.r_[i, partner]]) for m in every]
         else:
             cap = max(1, _STACK_BUDGET // (M * (M + n_coef) * schemes))
-            chunks += np.split(run, range(cap, run.size, cap))
-    return chunks
+            tasks += [(every, idx) for idx in np.split(run, range(cap, run.size, cap))]
+    return tasks
 
 
 def compute_bands(lat: Lattice, V: FourierPotential, kset: KPointSet, Ec: float,
@@ -542,12 +550,12 @@ def _band_structures(lat: Lattice, V: FourierPotential, kset: KPointSet, Ec: flo
     The schemes of one basis mode share the set-up.  One pass over the k-set
     enumerates every basis with its kinetic values (lattice._bases), one
     _diagonal call per scheme turns those into all its kinetic diagonals,
-    blow-up included, and one _chunks groups the k-points by basis size.  A
-    dense-route stack holds the (scheme, k) members of its k-points, scheme
-    after scheme: the k-stack's basis repeated per scheme, each with its
-    scheme's diagonal slice, and the stack budget counts every member.
-    Where eigh tries the block path, each scheme solves its own +-k pairs,
-    so a warm start never crosses schemes.
+    blow-up included, and one _chunks call forms the solve tasks.  A
+    task is one assemble and one eigh call on the (scheme, k) members of its
+    k-points, scheme after scheme: the k-stack's basis repeated per scheme,
+    each with its scheme's diagonal slice.  Where eigh tries the block
+    path, a task holds one scheme on a +-k pair, so a warm start never
+    crosses schemes.
 
     Every member is bit-identical to its own single-k solve, except the -k
     partner in a block-path pair: eigh warm-starts it from the first
@@ -557,13 +565,14 @@ def _band_structures(lat: Lattice, V: FourierPotential, kset: KPointSet, Ec: flo
     BandCountExceedsBasis naming the first offending k, in k order (for the
     basis mode of the first scheme that has one), when the requested band
     count cannot be represented there, and ValueError for an empty k-set or
-    threads < 1; both before any solve.  Rows are written by k index and the
-    stacks do not depend on `threads`, so threading never changes the result.
+    an n_bands or threads that is not an integer >= 1; all before any
+    solve.  Rows are written by k index and the stacks do not depend on
+    `threads`, so threading never changes the result.
     """
-    if n_bands < 1:
-        raise ValueError("n_bands must be >= 1")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    if not (_whole(n_bands) and n_bands >= 1):
+        raise ValueError(f"n_bands must be >= 1 and an integer, got {n_bands}")
+    if not (_whole(threads) and threads >= 1):
+        raise ValueError(f"threads must be >= 1 and an integer, got {threads}")
     if not len(kset):
         raise ValueError("the k-point set is empty")
     points = kset.points
@@ -595,12 +604,9 @@ def _band_structures(lat: Lattice, V: FourierPotential, kset: KPointSet, Ec: flo
         for row, i in zip(diag, group):
             _diagonal(row, Ec, schemes[i])
         setup = (group, box, rows, np.cumsum(sizes) - sizes, diag)
-        members = np.arange(group.size)
-        for idx in _chunks(sizes, V.hermitian_coeffs[0].shape[0], n_bands,
-                           lat.fractional(points.T).T, group.size):
-            M = int(sizes[idx[0]])
-            tasks += [(setup, m, idx, M) for m in
-                      (members[:, None] if _tries_block(M, n_bands) else [members])]
+        tasks += [(setup, members, idx, int(sizes[idx[0]])) for members, idx in
+                  _chunks(sizes, V.hermitian_coeffs[0].shape[0], n_bands,
+                          lat.fractional(points.T).T, group.size)]
     if threads > 1:
         # imported here: it loads logging and queue, which threads=1 never needs
         from concurrent.futures import ThreadPoolExecutor

@@ -82,11 +82,10 @@ def test_criterion_5_convergence_rate(lat1d, blowup_std):
     grid = bl.uniform_grid(lat1d, 24)
     ladder = [125.0, 250.0, 500.0, 1000.0, 2000.0]
     r = 2.1 - 0.5
-    rates = {}
-    for scheme in (bl.kdependent_scheme(), bl.modified_scheme(blowup_std)):
-        study = bl.convergence_study(lat1d, V, 1, grid, ladder, scheme, 32000.0,
-                                     r_potential=r)
-        rates[scheme.tag] = study.fitted_rate_full
+    studies = bl.convergence_study(lat1d, V, 1, grid, ladder,
+                                   [bl.kdependent_scheme(), bl.modified_scheme(blowup_std)],
+                                   32000.0, r_potential=r)
+    rates = {tag: study.fitted_rate_full for tag, study in studies.items()}
     floor = (r + 0.75) - 0.3
     ok = (rates["kdependent"] >= floor and rates["modified"] >= floor
           and abs(rates["kdependent"] - rates["modified"]) <= 0.3)

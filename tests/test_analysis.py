@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -20,19 +22,19 @@ def test_convergence_study_reference_is_uniform(lat1d, cosine, monkeypatch):
     the study's scheme."""
     grid = bl.uniform_grid(lat1d, 4)
     calls = []
-    solve = analysis.compute_bands
+    solve = analysis._band_structures
 
-    def recorded(lat, V, kset, Ec, scheme, n_bands, threads=1):
-        calls.append((kset, Ec, scheme.tag, n_bands))
-        return solve(lat, V, kset, Ec, scheme, n_bands, threads=threads)
+    def recorded(lat, V, kset, Ec, schemes, n_bands, threads=1):
+        calls.append((kset, Ec, [scheme.tag for scheme in schemes], n_bands))
+        return solve(lat, V, kset, Ec, schemes, n_bands, threads)
 
-    monkeypatch.setattr(analysis, "compute_bands", recorded)
-    bl.convergence_study(lat1d, cosine, 2, grid, [50.0, 25.0], bl.kdependent_scheme(), 400.0)
-    assert calls == [(grid, 400.0, "uniform", 2), (grid, 25.0, "kdependent", 2),
-                     (grid, 50.0, "kdependent", 2)]
+    monkeypatch.setattr(analysis, "_band_structures", recorded)
+    bl.convergence_study(lat1d, cosine, 2, grid, [50.0, 25.0], [bl.kdependent_scheme()], 400.0)
+    assert calls == [(grid, 400.0, ["uniform"], 2), (grid, 25.0, ["kdependent"], 2),
+                     (grid, 50.0, ["kdependent"], 2)]
     ref = bl.compute_bands(lat1d, cosine, grid, 400.0, bl.uniform_scheme(), 2)
     study = bl.convergence_study(lat1d, cosine, 2, grid, [25.0, 50.0],
-                                 bl.kdependent_scheme(), 400.0)
+                                 [bl.kdependent_scheme()], 400.0)["kdependent"]
     bands = bl.compute_bands(lat1d, cosine, grid, 25.0, bl.kdependent_scheme(), 2)
     assert study.errors[0] == np.mean(np.abs(bands.energies[:, 1] - ref.energies[:, 1]))
 
@@ -48,15 +50,16 @@ def test_convergence_study_checks_before_any_solve(lat1d, cosine, monkeypatch, l
         raise AssertionError("compute_bands was called")
 
     monkeypatch.setattr(analysis, "compute_bands", solve)
+    monkeypatch.setattr(analysis, "_band_structures", solve)
     with pytest.raises(ValueError, match=f"'{field}'"):
         bl.convergence_study(lat1d, cosine, band_index, bl.uniform_grid(lat1d, 4), ladder,
-                             bl.kdependent_scheme(), ec_reference)
+                             [bl.kdependent_scheme()], ec_reference)
 
 
 def test_convergence_study_basic(lat1d, cosine):
     grid = bl.uniform_grid(lat1d, 8)
     study = bl.convergence_study(lat1d, cosine, 1, grid, [25.0, 50.0, 100.0],
-                                 bl.kdependent_scheme(), 800.0, r_potential=1.6)
+                                 [bl.kdependent_scheme()], 800.0, r_potential=1.6)["kdependent"]
     assert np.all(np.diff(study.ec_ladder) > 0)
     assert np.all(study.errors >= 0)
     assert np.all(np.diff(study.errors) < 0)
@@ -68,7 +71,7 @@ def test_convergence_study_basic(lat1d, cosine):
 def test_convergence_study_no_declared_order(lat1d, cosine):
     grid = bl.uniform_grid(lat1d, 4)
     study = bl.convergence_study(lat1d, cosine, 1, grid, [25.0, 100.0],
-                                 bl.kdependent_scheme(), 800.0)
+                                 [bl.kdependent_scheme()], 800.0)["kdependent"]
     assert study.r_potential is None and study.predicted_rate is None
 
 
@@ -76,14 +79,14 @@ def test_convergence_study_needs_headroom(lat1d, cosine):
     grid = bl.uniform_grid(lat1d, 4)
     with pytest.raises(ValueError):
         bl.convergence_study(lat1d, cosine, 1, grid, [25.0, 100.0],
-                             bl.kdependent_scheme(), 400.0)
+                             [bl.kdependent_scheme()], 400.0)
 
 
 def test_convergence_study_clamps_exact_entries(lat1d, zero):
     # free electrons are represented exactly: every error hits the floor
     grid = bl.uniform_grid(lat1d, 4)
     study = bl.convergence_study(lat1d, zero, 1, grid, [100.0, 200.0, 400.0],
-                                 bl.kdependent_scheme(), 3200.0)
+                                 [bl.kdependent_scheme()], 3200.0)["kdependent"]
     assert np.all(study.clamped)
     assert np.all(study.errors == 1e-16)
 
@@ -353,3 +356,118 @@ def test_cell_scan_enumerates_each_cell_once(blowup_std, monkeypatch):
         50.0, [bl.kdependent_scheme(), bl.modified_scheme(blowup_std)], a_values,
         n_electrons=1.0, grid_n=8, n_bands=3)
     assert cells == pytest.approx(a_values)
+
+
+def written_out_study(lat, V, band_index, kset, ladder, scheme, ec_reference):
+    """convergence_study for one scheme as a plain loop: (errors, clamped,
+    upper-half rate, full-ladder rate)."""
+    col = band_index - 1
+    ref = bl.compute_bands(lat, V, kset, ec_reference, bl.uniform_scheme(),
+                           band_index).energies[:, col]
+    ladder = np.sort(ladder)
+    errors = np.array([np.mean(np.abs(bl.compute_bands(lat, V, kset, ec, scheme,
+                                                       band_index).energies[:, col] - ref))
+                       for ec in ladder])
+    clamped = errors <= 0.0
+    errors = np.where(clamped, 1e-16, errors)
+    rates = []
+    for idx in (slice(min(ladder.size // 2, ladder.size - 2), None), slice(None)):
+        rates.append(None if np.all(clamped[idx]) else
+                     float(-np.polyfit(np.log(ladder[idx]), np.log(errors[idx]), 1)[0]))
+    return errors.tobytes(), clamped.tolist(), rates[0], rates[1]
+
+
+@pytest.mark.parametrize("potential", ["rough", "zero"])
+def test_convergence_study_of_two_schemes(lat1d, blowup_std, potential, monkeypatch):
+    """Two schemes in one study: each study is bit for bit the per-scheme
+    loop, and the uniform reference is solved once for both."""
+    V = (bl.synth_power_law(lat1d, t=2.1, gmax=12, seed=1) if potential == "rough"
+         else bl.potential_from_coeffs(lat1d, []))
+    grid = bl.uniform_grid(lat1d, 8)
+    ladder = [500.0, 125.0, 250.0]
+    schemes = [bl.kdependent_scheme(), bl.modified_scheme(blowup_std)]
+    want = {s.tag: written_out_study(lat1d, V, 1, grid, ladder, s, 4000.0) for s in schemes}
+    calls = []
+    solve = analysis._band_structures
+
+    def recorded(lat, V, kset, Ec, schemes, n_bands, threads=1):
+        calls.append((Ec, [scheme.tag for scheme in schemes]))
+        return solve(lat, V, kset, Ec, schemes, n_bands, threads)
+
+    monkeypatch.setattr(analysis, "_band_structures", recorded)
+    studies = bl.convergence_study(lat1d, V, 1, grid, ladder, schemes, 4000.0)
+    assert list(studies) == ["kdependent", "modified"]
+    got = {tag: (s.errors.tobytes(), s.clamped.tolist(), s.fitted_rate, s.fitted_rate_full)
+           for tag, s in studies.items()}
+    assert got == want
+    assert calls == [(4000.0, ["uniform"])] + [(ec, ["kdependent", "modified"])
+                                               for ec in (125.0, 250.0, 500.0)]
+
+
+def test_convergence_study_checks_schemes_before_any_solve(lat1d, cosine, monkeypatch):
+    def solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(analysis, "_band_structures", solve)
+    grid = bl.uniform_grid(lat1d, 4)
+    for schemes, message in (([], "empty"),
+                             ([bl.kdependent_scheme()] * 2, "repeat the tag kdependent")):
+        with pytest.raises(ValueError, match=message):
+            bl.convergence_study(lat1d, cosine, 1, grid, [25.0, 50.0], schemes, 800.0)
+
+
+def per_shift_report(lat, V, Ec, schemes, samples, shifts, n_bands):
+    """periodicity_report as a loop over schemes and shifts, one k-set each."""
+    def energies(points, scheme):
+        kset = bl.KPointSet(points=points, kind="path")
+        return bl.compute_bands(lat, V, kset, Ec, scheme, n_bands).energies
+
+    report = {}
+    for scheme in schemes:
+        base = energies(samples, scheme)
+        report[scheme.tag] = max(
+            float(np.max(np.abs(energies(samples + lat.gvector(shift), scheme) - base)))
+            for shift in shifts)
+    return report
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_periodicity_report_is_one_solve(lat1d, hex2d, blowup_std, dim, monkeypatch):
+    """The samples and every shifted copy are one k-set: one grouped solve,
+    and the report of the per-shift loop, bit for bit (dense sizes only)."""
+    lat = lat1d if dim == 1 else hex2d
+    V = bl.synth_power_law(lat, t=2.1, gmax=4, seed=2)
+    Ec, shifts = (100.0, [(1,), (-2,)]) if dim == 1 else (60.0, [(1, 0), (0, 1), (1, -1)])
+    fracs = np.random.default_rng(5).uniform(-0.5, 0.5, size=(12, dim))
+    samples = fracs @ lat.reciprocal.T
+    schemes = [bl.uniform_scheme(), bl.kdependent_scheme(), bl.modified_scheme(blowup_std)]
+    want = per_shift_report(lat, V, Ec, schemes, samples, shifts, 3)
+    calls = []
+    solve = analysis._band_structures
+
+    def recorded(*args):
+        calls.append(len(args[2]))
+        return solve(*args)
+
+    monkeypatch.setattr(analysis, "_band_structures", recorded)
+    got = bl.periodicity_report(lat, V, Ec, schemes, samples, shifts, n_bands=3)
+    assert calls == [12 * (1 + len(shifts))]
+    assert list(got) == list(want)
+    assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]
+    assert got["uniform"] > 1e-6
+
+
+@pytest.mark.parametrize("n_electrons, error", [
+    (float("nan"), "n_electrons must be positive"), (0.0, "n_electrons must be positive"),
+    (3.5, "n_electrons=3.5 needs 28 states per grid but only 24 were computed (3 bands)"),
+])
+def test_cell_scan_checks_the_electron_count_before_any_solve(monkeypatch, n_electrons, error):
+    def solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(analysis, "_band_structures", solve)
+    with pytest.raises(ValueError, match=re.escape(error)):
+        bl.energy_vs_cell_parameter(
+            lambda a: bl.new_lattice([[a]]), lambda lat: bl.potential_from_coeffs(lat, []),
+            50.0, [bl.kdependent_scheme()], [0.95, 1.0, 1.05], n_electrons=n_electrons,
+            grid_n=8, n_bands=3)

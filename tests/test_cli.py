@@ -501,6 +501,32 @@ def test_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert not (out / "bands.csv").exists()
 
 
+@pytest.mark.parametrize("electrons, code", [(3.0, 2), (2.0, 0)])
+def test_fermi_checks_the_electron_count_before_the_solve(tmp_path, capsys, monkeypatch,
+                                                          electrons, code):
+    """3 electrons need 12 states on the 4-point grid, and 2 bands hold 8: the
+    run exits 2 before any k is solved.  2 electrons fill both bands, which
+    fermi_level accepts, so the check passes them."""
+    solve = bl.compute_bands
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(args[2])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr("bandlab.cli.compute_bands", recorded)
+    out = tmp_path / "run"
+    cfg = write_cfg(tmp_path, "cfg.json", BANDS_1D | {"out": str(out)})
+    assert main(["fermi", "--config", cfg, "--electrons", str(electrons)]) == code
+    if code:
+        assert calls == []
+        assert ("n_electrons=3 needs 12 states per grid but only 8 were computed (2 bands)"
+                in capsys.readouterr().err)
+        assert not out.exists()
+    else:
+        assert len(calls) == 1 and (out / "fermi.json").exists()
+
+
 @pytest.mark.parametrize("path, message", [
     ("G0 X:0.5", "path node 'G0' must look like LABEL:c1,c2"),
     ("G:0", "a path needs at least two nodes"),

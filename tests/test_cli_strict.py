@@ -140,6 +140,7 @@ def test_converge_checks_its_ladder_before_the_reference_solve(tmp_path, capsys,
         raise AssertionError("compute_bands was called")
 
     monkeypatch.setattr("bandlab.analysis.compute_bands", solve)
+    monkeypatch.setattr("bandlab.analysis._band_structures", solve)
     code, err = run(tmp_path, "converge", BANDS | extra, capsys)
     assert_config_error(code, err, field)
     assert not (tmp_path / "run").exists()

@@ -5,6 +5,7 @@ import pytest
 
 import bandlab as bl
 from bandlab.fiber import kdependent_scheme
+from bandlab.observables import _check_filling
 from bandlab.spectra import BandStructure
 
 PI_SQ_HALF = 0.5 * np.pi**2
@@ -146,3 +147,44 @@ def test_fermi_level_converges_with_cutoff(lat1d, cosine, blowup_std):
             diffs.append(abs(bl.fermi_level(bands, 1.0).mu - mu_ref))
         assert all(d2 <= d1 + 1e-15 for d1, d2 in zip(diffs, diffs[1:]))
         assert diffs[-1] < 1e-4 < diffs[0]
+
+
+@pytest.mark.parametrize("mu", [float("nan"), np.float64("nan")])
+@pytest.mark.parametrize("average", [bl.idos, bl.idoe])
+def test_nan_level_raises(cosine_bands, average, mu):
+    """A NaN level compared false everywhere and read 0.0."""
+    with pytest.raises(ValueError, match="mu must be a number or [+]-inf, got nan"):
+        average(cosine_bands, mu)
+
+
+def test_infinite_levels_stay_valid(cosine_bands):
+    assert bl.idos(cosine_bands, -np.inf) == 0.0 and bl.idoe(cosine_bands, -np.inf) == 0.0
+    with pytest.warns(bl.TruncationWarning):
+        assert bl.idos(cosine_bands, np.inf) == 2.0
+
+
+def test_filling_check_is_the_fermi_level_rule():
+    """_check_filling, which callers run before a solve, rejects exactly the
+    counts fermi_level rejects, with the same error, on every grid of 1-9
+    points and 1-4 bands, at the edges of the rule and beyond."""
+    lat = bl.new_lattice([[1.0]])
+
+    def error(fn):
+        try:
+            fn()
+        except ValueError as exc:
+            return type(exc), str(exc)
+        return None
+
+    for nk in range(1, 10):
+        for n_bands in range(1, 5):
+            energies = np.sort(np.random.default_rng(nk).standard_normal((nk, n_bands)), axis=1)
+            bands = BandStructure(lattice=lat, kset=bl.uniform_grid(lat, nk), energies=energies,
+                                  Ec=10.0, scheme=kdependent_scheme())
+            for n_electrons in (np.nan, -np.inf, -1.0, 0.0, 5e-324, 0.5, 1.0, n_bands - 0.5,
+                                n_bands, n_bands + 0.5e-9 / nk, n_bands + 2e-9 / nk,
+                                n_bands + 0.5, np.inf):
+                want = error(lambda: bl.fermi_level(bands, n_electrons))
+                assert error(lambda: _check_filling(n_electrons, n_bands, nk)) == want
+                assert (want is None) == bool(n_electrons > 0 and
+                                              n_electrons * nk <= n_bands * nk + 1e-9)

@@ -312,8 +312,8 @@ def test_compute_bands_over_rank_flips_in_stacks(lat1d):
     kset = bl.KPointSet(points=ts[:, None], kind="path")
     sizes = _basis_sizes(lat1d, 750.0, kset.points)
     assert np.count_nonzero(np.diff(sizes)) >= 2  # several rank flips
-    chunks = spectra._chunks(sizes, V.hermitian_coeffs[0].shape[0], 2,
-                             lat1d.fractional(kset.points.T).T)
+    chunks = [idx for _, idx in spectra._chunks(sizes, V.hermitian_coeffs[0].shape[0], 2,
+                                                lat1d.fractional(kset.points.T).T)]
     assert max(map(len, chunks)) > 1
     assert sorted(np.concatenate(chunks).tolist()) == list(range(len(kset)))
     for idx in chunks:
@@ -415,3 +415,60 @@ def test_grouped_solve_matches_compute_bands_per_scheme(case, budget):
         for threads in (1, 2):
             assert tagged_energies(lambda: spectra._band_structures(
                 lat, V, kset, Ec, schemes, n_bands, threads)) == want
+
+
+# ------------------------------------------------ the solve tasks of _chunks
+
+
+@st.composite
+def chunk_cases(draw):
+    """(sizes, n_coef, take, frac, schemes): basis sizes on both sides of the
+    block-path switch, and fractional coordinates of which some are the
+    exact negatives of earlier ones (partners), some negatives across a
+    reciprocal vector (no partners) and some repeats."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 24))
+    frac = np.array(draw(st.lists(st.lists(st.floats(-0.5, 0.5), min_size=d, max_size=d),
+                                  min_size=n, max_size=n)))
+    for i in range(1, n):
+        kind = draw(st.sampled_from(["free", "partner", "across", "repeat"]))
+        j = draw(st.integers(0, i - 1))
+        if kind == "partner":
+            frac[i] = -frac[j]
+        elif kind == "across":
+            frac[i] = -frac[j] + np.eye(d)[0]
+        elif kind == "repeat":
+            frac[i] = frac[j]
+    sizes = np.array(draw(st.lists(st.sampled_from([1, 4, 12, 40, 199, 200, 260, 700]),
+                                   min_size=n, max_size=n)), dtype=np.int64)
+    return sizes, draw(st.integers(0, 200)), draw(st.integers(1, 8)), frac, \
+        draw(st.integers(1, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(chunk_cases())
+def test_chunks_form_the_solve_tasks(case):
+    """Every (scheme, k) is in exactly one task, and each task has one basis
+    size.  On a block-path size a task is one scheme at a +-k pair or at one
+    k; elsewhere it is every scheme on a stack within _STACK_BUDGET.  The
+    tasks run in ascending size and in k order within a size."""
+    sizes, n_coef, take, frac, schemes = case
+    tasks = spectra._chunks(sizes, n_coef, take, frac, schemes)
+    seen = [(int(m), int(k)) for members, idx in tasks for m in members for k in idx]
+    assert sorted(seen) == [(m, k) for m in range(schemes) for k in range(sizes.size)]
+    firsts = []
+    for members, idx in tasks:
+        M = int(sizes[idx[0]])
+        assert np.all(sizes[idx] == M)
+        firsts.append((M, int(idx[0])))
+        if spectra._tries_block(M, take):
+            assert members.size == 1 and idx.size in (1, 2)
+            if idx.size == 2:
+                assert idx[1] > idx[0]
+                assert np.max(np.abs(frac[idx[0]] + frac[idx[1]])) <= spectra._PAIR_TOL
+        else:
+            assert members.tolist() == list(range(schemes))
+            assert np.all(np.diff(idx) > 0)
+            assert idx.size == 1 or (idx.size * schemes * M * (M + n_coef)
+                                     <= spectra._STACK_BUDGET)
+    assert firsts == sorted(firsts)

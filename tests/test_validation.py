@@ -3,9 +3,11 @@ says what is wrong: one case per check."""
 
 import re
 
+import numpy as np
 import pytest
 
 import bandlab as bl
+from bandlab import spectra
 
 LAT = bl.new_lattice([[1.0]])
 COSINE = bl.potential_from_coeffs(LAT, [((1,), 1.0), ((-1,), 1.0)])
@@ -83,3 +85,48 @@ def test_bad_input_raises_value_error(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
 
+
+
+DIAG = np.diag([1.0, 2.0, 3.0])
+GRID_BANDS = bands_on(bl.uniform_grid(LAT, 4))
+
+# counts that were silently reinterpreted (int() truncation, a bool as 0 or
+# 1) or failed with a bare TypeError; each must fail before any solve
+COUNT_CASES = {
+    "fractional n_lowest": (lambda: bl.eigh(DIAG, n_lowest=2.7),
+                            "n_lowest must be an integer in [1, 3], got 2.7"),
+    "bool n_lowest": (lambda: bl.eigh(DIAG, n_lowest=True),
+                      "n_lowest must be an integer in [1, 3], got True"),
+    "fractional n_bands": (
+        lambda: bl.compute_bands(LAT, COSINE, even_path(), 25.0, bl.kdependent_scheme(), 2.5),
+        "n_bands must be >= 1 and an integer, got 2.5"),
+    "bool n_bands": (
+        lambda: bl.compute_bands(LAT, COSINE, even_path(), 25.0, bl.kdependent_scheme(), True),
+        "n_bands must be >= 1 and an integer, got True"),
+    "fractional threads": (
+        lambda: bl.compute_bands(LAT, COSINE, even_path(), 25.0, bl.kdependent_scheme(), 2,
+                                 threads=1.5),
+        "threads must be >= 1 and an integer, got 1.5"),
+    "bool threads": (
+        lambda: bl.compute_bands(LAT, COSINE, even_path(), 25.0, bl.kdependent_scheme(), 2,
+                                 threads=True),
+        "threads must be >= 1 and an integer, got True"),
+}
+
+
+@pytest.mark.parametrize("call, message", list(COUNT_CASES.values()), ids=list(COUNT_CASES))
+def test_counts_must_be_integers(call, message, monkeypatch):
+    def solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    for name in ("_eigh_block", "_eigh_dense", "eigh"):
+        monkeypatch.setattr(spectra, name, solve)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_numpy_integer_counts_are_accepted():
+    assert bl.eigh(DIAG, n_lowest=np.int64(2)).values.tolist() == [1.0, 2.0]
+    got = bl.compute_bands(LAT, COSINE, bl.uniform_grid(LAT, 4), 25.0, bl.kdependent_scheme(),
+                           np.int32(2), threads=np.int64(2))
+    assert got.energies.tobytes() == GRID_BANDS.energies.tobytes()
