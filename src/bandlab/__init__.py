@@ -36,11 +36,8 @@ from .lattice import (
     KPointSet,
     Lattice,
     SingularLattice,
-    basis_cardinality_bounds,
-    enumerate_basis,
     kinetic_values,
     kpath,
-    lattice_from_dict,
     new_lattice,
     uniform_grid,
 )

@@ -14,7 +14,7 @@ import numpy as np
 
 from .blowup import BlowupSpec, build_blowup
 from .fiber import modified_scheme, uniform_scheme
-from .lattice import KPointSet, Lattice, _basis_sizes, uniform_grid
+from .lattice import KPointSet, Lattice, _basis_sizes, _whole, uniform_grid
 from .observables import _check_filling, fermi_level, idoe
 from .potential import FourierPotential
 from .spectra import BandStructure, _band_structures, compute_bands
@@ -72,8 +72,8 @@ def convergence_study(lat: Lattice, V: FourierPotential, band_index: int, kset: 
     rate for a potential of Sobolev order r is r + 1 - d/4.
     """
     ladder = _check_ladder(ec_ladder, ec_reference)
-    if band_index < 1:
-        raise ValueError(f"'band_index' must be >= 1, got {band_index}")
+    if not (_whole(band_index) and band_index >= 1):
+        raise ValueError(f"'band_index' must be >= 1 and an integer, got {band_index}")
     schemes = _distinct_tags(schemes)
     ref = _band_structures(lat, V, kset, ec_reference, [uniform_scheme()], band_index,
                            threads)[0].energies[:, band_index - 1]
@@ -115,9 +115,9 @@ def band_derivative_trace(bands: BandStructure, band_index: int, order: int) -> 
     """Second-order finite-difference derivative of one band along a path."""
     if bands.kset.kind != "path":
         raise ValueError("derivative traces are defined along paths")
-    if order not in (1, 2):
-        raise ValueError("derivative order must be 1 or 2")
-    if not 1 <= band_index <= bands.n_bands:
+    if not (_whole(order) and order in (1, 2)):
+        raise ValueError(f"derivative order must be 1 or 2, got {order}")
+    if not (_whole(band_index) and 1 <= band_index <= bands.n_bands):
         raise ValueError(f"band_index {band_index} outside the computed bands")
     f = bands.energies[:, band_index - 1]
     if f.size < 5:
@@ -168,8 +168,10 @@ def regularity_probe(lat: Lattice, V: FourierPotential, Ec: float, blowup_spec: 
         raise ValueError(f"mesh widths 'deltas' must be > 0 and finite, got {deltas.tolist()}")
     if np.any(deltas[:-1] / deltas[1:] < 2.0 - 1e-12):
         raise ValueError("mesh widths must descend by factors >= 2")
-    if order not in (1, 2):
-        raise ValueError("derivative order must be 1 or 2")
+    if not (_whole(order) and order in (1, 2)):
+        raise ValueError(f"derivative order must be 1 or 2, got {order}")
+    if not (_whole(band_index) and band_index >= 1):
+        raise ValueError(f"'band_index' must be >= 1 and an integer, got {band_index}")
 
     # the path runs along the first reciprocal vector
     period = float(np.linalg.norm(lat.reciprocal[:, 0]))
@@ -294,6 +296,8 @@ def energy_vs_cell_parameter(make_lattice, make_potential, Ec: float, schemes,
     a_values = np.asarray([float(a) for a in a_values])
     if a_values.size < 3:
         raise ValueError("need at least three cell parameters")
+    if not (_whole(grid_n) and grid_n >= 1):
+        raise ValueError(f"'grid_n' must be >= 1 and an integer, got {grid_n}")
     da = np.diff(a_values)
     if da[0] == 0.0 or np.max(np.abs(da - da[0])) > 1e-9 * abs(da[0]):
         raise ValueError("cell parameter ladder must be uniform with a nonzero step")

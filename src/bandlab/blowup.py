@@ -23,6 +23,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .lattice import _whole
+
 
 class IllPosedSpec(ValueError):
     """Blow-up parameters violate the construction's preconditions."""
@@ -66,7 +68,7 @@ class BlowupSpec:
         are written so that a NaN fails them."""
         for name in ("m", "msmooth"):
             value = getattr(self, name)
-            if value is not None and not isinstance(value, (int, np.integer)):
+            if value is not None and not _whole(value):
                 raise IllPosedSpec(f"{name} must be an integer, got {value!r}")
         if self.m < 0:
             raise IllPosedSpec(f"m must be >= 0, got {self.m}")

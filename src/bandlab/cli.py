@@ -36,7 +36,6 @@ from .lattice import (
     Lattice,
     digest_of,
     kpath,
-    lattice_from_dict,
     new_lattice,
     uniform_grid,
 )
@@ -218,7 +217,10 @@ def _build_lattice(cfg: dict) -> Lattice:
     lattice = _field(cfg, "lattice", dict)
     primitive = [[_as(v, float, "primitive") for v in _as(row, list, "primitive")]
                  for row in _field(lattice, "primitive", list)]
-    return lattice_from_dict({"dim": _field(lattice, "dim", int), "primitive": primitive})
+    dim, lat = _field(lattice, "dim", int), new_lattice(primitive)
+    if lat.dim != dim:
+        raise ValueError("dim field does not match the primitive matrix")
+    return lat
 
 
 def _build_potential(cfg: dict, lat: Lattice) -> FourierPotential:
@@ -271,11 +273,12 @@ def _build_potential(cfg: dict, lat: Lattice) -> FourierPotential:
 
 def _blowup_spec(blow: dict) -> BlowupSpec:
     """The blow-up spec of a config or flag dict: m and p are required, c and
-    msmooth may be absent or null (auto C, msmooth = m), a defaults to 0.75."""
+    msmooth may be absent or null (auto C, msmooth = m), a defaults to
+    BlowupSpec's a."""
     return BlowupSpec(
         m=_field(blow, "m", int), p=_field(blow, "p", float),
         C=None if blow.get("c") is None else _field(blow, "c", float),
-        a=_field(blow, "a", float, 0.75),
+        a=_field(blow, "a", float, BlowupSpec.a),
         msmooth=None if blow.get("msmooth") is None else _field(blow, "msmooth", int),
     )
 
@@ -620,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--m", type=int, required=True, help="smoothness order m")
     check.add_argument("--p", type=float, required=True, help="tail exponent p")
     check.add_argument("--c", type=float, default=None, help="tail constant C")
-    check.add_argument("--a", type=float, default=0.75, help="junction point a")
+    check.add_argument("--a", type=float, default=BlowupSpec.a, help="junction point a")
     check.add_argument("--msmooth", type=int, default=None, help="junction smoothness order")
     check.set_defaults(func=cmd_blowup_check)
     return parser

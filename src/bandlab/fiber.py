@@ -107,7 +107,7 @@ class FiberMatrix:
 
     @property
     def basis(self) -> list:
-        """The G-indices as a list of int tuples, as enumerate_basis returns them.
+        """The G-indices as a list of int tuples, in basis order.
 
         For a stack, entry j holds the j-th G-index of every member, as a
         tuple of B tuples, so the list has M entries either way.

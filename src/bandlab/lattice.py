@@ -18,7 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-GIndex = tuple  # integer coordinate tuple of a reciprocal lattice vector
+
+def _whole(value) -> bool:
+    """Whether value is an int or a numpy integer, and not a bool: the test of
+    every count argument, such as a grid size or a band count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 class SingularLattice(ValueError):
@@ -35,9 +39,8 @@ class Lattice:
     primitive: np.ndarray   # (d, d), columns a_i
     reciprocal: np.ndarray  # (d, d), columns b_j
     cell_volume: float
-    bz_volume: float
 
-    def gvector(self, g: GIndex) -> np.ndarray:
+    def gvector(self, g) -> np.ndarray:
         """Cartesian reciprocal vector of an integer G-index."""
         return self.reciprocal @ np.asarray(g, dtype=float)
 
@@ -61,27 +64,12 @@ def new_lattice(primitive) -> Lattice:
         raise ValueError(f"primitive matrix must be square, got shape {P.shape}")
     if not np.isfinite(P).all():
         raise ValueError(f"primitive matrix must be finite, got {P.tolist()}")
-    d = P.shape[0]
     det = np.linalg.det(P)
     scale = float(np.prod(np.linalg.norm(P, axis=0)))
     if scale == 0.0 or abs(det) < 1e-14 * scale:
         raise SingularLattice(f"primitive matrix is singular (det={det:g})")
     B = 2.0 * np.pi * np.linalg.inv(P.T)
-    vol = abs(det)
-    return Lattice(
-        dim=d,
-        primitive=P,
-        reciprocal=B,
-        cell_volume=vol,
-        bz_volume=(2.0 * np.pi) ** d / vol,
-    )
-
-
-def lattice_from_dict(payload: dict) -> Lattice:
-    lat = new_lattice(payload["primitive"])
-    if lat.dim != int(payload["dim"]):
-        raise ValueError("dim field does not match the primitive matrix")
-    return lat
+    return Lattice(dim=P.shape[0], primitive=P, reciprocal=B, cell_volume=abs(det))
 
 
 def digest_of(payload: dict) -> str:
@@ -155,13 +143,15 @@ def _kinetic_chunks(gvecs: np.ndarray, points: np.ndarray):
 
 
 def _bases(lat: Lattice, Ec: float, points: np.ndarray, mode: str = "kdependent"):
-    """The basis of each of the (P, d) points in the basis mode of
-    enumerate_basis, from one G-box and one sort: (box, rows, sizes, kin).
+    """The basis of each of the (P, d) points, from one G-box and one sort:
+    (box, rows, sizes, kin).
 
-    box holds the (N, d) int64 G-indices of the box and sizes the (P,) basis
-    sizes, 0 for an empty basis.  rows holds the int32 box rows of every
-    basis, point after point, each basis in enumerate_basis order: by kinetic
-    value, then by G-index, which is the order of the box rows.  The uniform
+    Mode "kdependent" keeps the G with 0.5*|k+G|^2 < Ec at each k, mode
+    "uniform" the G with 0.5*|G|^2 < Ec.  box holds the (N, d) int64
+    G-indices of the box and sizes the (P,) basis sizes, 0 for an empty
+    basis.  rows holds the int32 box rows of every basis, point after point,
+    each basis sorted by kinetic value, then by G-index, which is the order
+    of the box rows, so equal inputs give identical bases.  The uniform
     basis is selected and ordered once, at k = 0, and repeated for every
     point.  kin holds the kinetic value 0.5*|k+G|^2 at the basis's own k of
     each entry of rows, equal to what kinetic_values gives for that basis to
@@ -191,21 +181,6 @@ def _bases(lat: Lattice, Ec: float, points: np.ndarray, mode: str = "kdependent"
         np.concatenate(kin)
 
 
-def enumerate_basis(lat: Lattice, k, Ec: float, mode: str = "kdependent") -> list[GIndex]:
-    """List the G-indices selected by the cutoff, deterministically ordered.
-
-    mode "kdependent" keeps G with 0.5*|k+G|^2 < Ec, mode "uniform" keeps G
-    with 0.5*|G|^2 < Ec.  The result is sorted by the k-dependent kinetic
-    value 0.5*|k+G|^2 ascending (0.5*|G|^2 in uniform mode), ties broken by
-    lexicographic G-index, so equal inputs give identical lists.
-    """
-    k = np.zeros(lat.dim) if k is None else np.asarray(k, dtype=float)
-    box, rows, sizes, _ = _bases(lat, Ec, k.reshape(1, lat.dim), mode)
-    if not sizes[0]:
-        raise EmptyBasis(f"no plane wave below Ec={Ec:g} at k={k}")
-    return list(map(tuple, box[rows].tolist()))
-
-
 def kinetic_values(lat: Lattice, k, basis) -> np.ndarray:
     """0.5*|k+G|^2 for each G-index of a basis (list or (M, d) array), in basis order;
     a (B, 1, d) stack of k with a (B, M, d) stack of bases gives (B, M)."""
@@ -226,12 +201,6 @@ def _basis_sizes(lat: Lattice, Ec: float, points) -> np.ndarray:
     return counts
 
 
-def basis_cardinality_bounds(lat: Lattice, Ec: float, probe_grid: KPointSet) -> tuple[int, int]:
-    """(min, max) of the k-dependent basis size over the probe points."""
-    counts = _basis_sizes(lat, Ec, probe_grid.points)
-    return int(counts.min()), int(counts.max())
-
-
 def kpath(lat: Lattice, nodes, samples_per_segment: int) -> KPointSet:
     """Piecewise-linear path through Cartesian nodes [(label, vector), ...].
 
@@ -240,8 +209,9 @@ def kpath(lat: Lattice, nodes, samples_per_segment: int) -> KPointSet:
     """
     if len(nodes) < 2:
         raise ValueError("a path needs at least two nodes")
-    if samples_per_segment < 1:
-        raise ValueError("samples_per_segment must be >= 1")
+    if not (_whole(samples_per_segment) and samples_per_segment >= 1):
+        raise ValueError(f"samples_per_segment must be >= 1 and an integer, "
+                         f"got {samples_per_segment}")
     pts = [np.atleast_1d(np.asarray(v, dtype=float)) for _, v in nodes]
     if any(p.shape != (lat.dim,) for p in pts):
         raise ValueError("node vectors must have the lattice dimension")
@@ -257,8 +227,8 @@ def kpath(lat: Lattice, nodes, samples_per_segment: int) -> KPointSet:
 
 def uniform_grid(lat: Lattice, n: int) -> KPointSet:
     """Gamma-centered n^d grid, fractional coordinates in [-1/2, 1/2)."""
-    if n < 1:
-        raise ValueError("grid size must be >= 1")
+    if not (_whole(n) and n >= 1):
+        raise ValueError(f"grid size must be >= 1 and an integer, got n={n}")
     frac_1d = [(m / n if 2 * m < n else m / n - 1.0) for m in range(n)]
     fracs = np.array(list(itertools.product(frac_1d, repeat=lat.dim)))
     return KPointSet(points=fracs @ lat.reciprocal.T, kind="grid")

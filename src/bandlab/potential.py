@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattice import GIndex, Lattice, digest_of
+from .lattice import Lattice, _whole, digest_of
 
 
 class BrokenHermitianSymmetry(ValueError):
@@ -28,7 +28,7 @@ class BrokenHermitianSymmetry(ValueError):
 @dataclass(frozen=True)
 class FourierPotential:
     lattice: Lattice
-    coeffs: dict  # GIndex -> complex
+    coeffs: dict  # G-index tuple -> complex
     real_valued: bool
 
     @cached_property
@@ -85,7 +85,7 @@ def potential_from_coeffs(lat: Lattice, entries, real_valued: bool = True) -> Fo
     With real_valued=True every stored G must come with its conjugate partner
     at -G (a missing or mismatched partner raises BrokenHermitianSymmetry).
     """
-    coeffs: dict[GIndex, complex] = {}
+    coeffs: dict[tuple, complex] = {}
     for i, (index, c) in enumerate(entries):
         index = index if isinstance(index, tuple) else tuple(np.atleast_1d(index).tolist())
         g = tuple(map(_integral, index))
@@ -187,8 +187,8 @@ def synth_power_law(lat: Lattice, t: float, gmax: int, seed: int,
     """
     if not t > lat.dim / 2:  # NaN too
         raise ValueError(f"need t > d/2 = {lat.dim / 2:g} for a summable tail, got t={t:g}")
-    if gmax < 0:
-        raise ValueError("gmax must be >= 0")
+    if not (_whole(gmax) and gmax >= 0):
+        raise ValueError(f"gmax must be >= 0 and an integer, got {gmax}")
     key = _integral(seed)
     if key is None or key < 0:
         raise ValueError(f"need an integer seed >= 0, got seed={seed!r}")

@@ -70,7 +70,7 @@ from functools import partial
 import numpy as np
 
 from .fiber import FiberMatrix, Scheme, _diagonal, _rows, assemble
-from .lattice import EmptyBasis, KPointSet, Lattice, _bases
+from .lattice import EmptyBasis, KPointSet, Lattice, _bases, _whole
 from .potential import FourierPotential
 
 
@@ -166,11 +166,6 @@ def _ritz_bound(theta: np.ndarray, norms: np.ndarray, take: int, slack: float = 
     eta = theta[take] - norms[take] - theta[take - 1] - slack
     beta = np.sum(norms[:take] ** 2) / eta + slack if eta > 0 else np.inf
     return float(min(beta, np.max(norms[:take]))) + rounding
-
-
-def _whole(value) -> bool:
-    """Whether value is an int or a numpy integer, and not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _tries_block(n: int, take: int) -> bool:

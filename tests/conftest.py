@@ -3,6 +3,7 @@ import pytest
 
 import bandlab as bl
 from bandlab import spectra
+from bandlab.lattice import _bases
 
 try:
     from hypothesis import settings
@@ -12,6 +13,17 @@ else:
     # CI runs with --hypothesis-profile=ci: the same examples on every run,
     # and a failure prints the blob that reproduces it; local runs stay random
     settings.register_profile("ci", derandomize=True, print_blob=True)
+
+
+def basis_at(lat, k, Ec, mode="kdependent"):
+    """The basis at one k (k = 0 for None) as a list of G-index tuples, in
+    basis order: the one basis pass of compute_bands on that k alone.
+    Raises EmptyBasis when no plane wave clears the cutoff."""
+    k = np.zeros(lat.dim) if k is None else np.asarray(k, dtype=float)
+    box, rows, sizes, _ = _bases(lat, Ec, k.reshape(1, lat.dim), mode)
+    if not sizes[0]:
+        raise bl.EmptyBasis(f"no plane wave below Ec={Ec:g} at k={k}")
+    return list(map(tuple, box[rows].tolist()))
 
 
 @pytest.fixture(scope="session")

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import bandlab as bl
+from bandlab.lattice import _basis_sizes
 
 TWO_PI = 2.0 * np.pi
 
@@ -145,9 +146,11 @@ def test_criterion_8_cell_parameter_smoothness(hex2d):
         return bl.synth_power_law(lat, t=2.2, gmax=3, seed=5, amplitude=400.0)
 
     # the cutoff must sit where the basis rank actually flips along the ladder
-    grid_counts = {bl.basis_cardinality_bounds(make_lattice(a), 100.0,
-                                               bl.uniform_grid(make_lattice(a), 6))
-                   for a in a_values}
+    grid_counts = set()
+    for a in a_values:
+        lat = make_lattice(a)
+        sizes = _basis_sizes(lat, 100.0, bl.uniform_grid(lat, 6).points)
+        grid_counts.add((sizes.min(), sizes.max()))
     assert len(grid_counts) > 1
 
     fn = bl.build_blowup(bl.BlowupSpec(m=2, p=2.5, C=1.0))

@@ -142,6 +142,16 @@ def test_regularity_probe_needs_finite_cutoff(lat1d, rough):
         bl.regularity_probe(lat1d, rough, float("nan"), spec, 1, 1, [1e-2, 5e-3, 2.5e-3])
 
 
+def test_regularity_probe_scan_needs_a_rank_flip(lat1d, rough):
+    """Without a center the probe scans one reciprocal period for a flip.
+    Every scan passes k = 0, where G = 0 clears any positive cutoff, so only
+    a cutoff that selects no plane wave leaves the whole period flat."""
+    spec = bl.BlowupSpec(m=0, p=0.5, C=1.0)
+    for Ec in (0.0, -1.0):
+        with pytest.raises(bl.NoBasisChangeOnPath, match="no basis rank change within one period"):
+            bl.regularity_probe(lat1d, rough, Ec, spec, 1, 1, [1e-2, 5e-3, 2.5e-3])
+
+
 def test_regularity_probe_needs_rank_flip(lat1d, rough):
     spec = bl.BlowupSpec(m=0, p=0.5, C=1.0)
     with pytest.raises(bl.NoBasisChangeOnPath):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import bandlab as bl
+from conftest import basis_at
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -22,7 +23,7 @@ G_RANGE = 12                            # wider than every basis box above
 
 def oracle(lat, V, k, Ec, scheme):
     """Entry-by-entry potential block, then the same Hermitian part and diagonal."""
-    basis = bl.enumerate_basis(lat, k, Ec, scheme.basis_mode)
+    basis = basis_at(lat, k, Ec, scheme.basis_mode)
     M = len(basis)
     H = np.zeros((M, M), dtype=complex)
     pos = {g: i for i, g in enumerate(basis)}

@@ -2,12 +2,12 @@
 against one enumeration per k.
 
 The oracle of lattice._basis_sizes is the per-point loop that the rank-flip
-scans, the regularity probe and basis_cardinality_bounds used before the
-vectorized counter; an empty basis counts 0.  The bases that compute_bands
-slices from its one pass over the k-set must equal enumerate_basis at each
-k, element for element, although that pass reads every k from one G-box
-sized for the whole set, and its kinetic values, from which compute_bands
-builds every diagonal, must equal kinetic_values of each basis to the bit.
+scans and the regularity probe used before the vectorized counter; an empty
+basis counts 0.  The bases that compute_bands slices from its one pass over
+the k-set must equal the pass on each k alone (basis_at), element for
+element, although that pass reads every k from one G-box sized for the
+whole set, and its kinetic values, from which compute_bands builds every
+diagonal, must equal kinetic_values of each basis to the bit.
 Cutoffs are drawn at random and also exactly at a kinetic value
 0.5*|k+G|^2, where the strict cutoff inequality decides.
 """
@@ -18,6 +18,7 @@ import pytest
 import bandlab as bl
 from bandlab import spectra
 from bandlab.lattice import _bases, _basis_sizes
+from conftest import basis_at
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -30,7 +31,7 @@ def oracle(lat, Ec, points):
     counts = []
     for k in points:
         try:
-            counts.append(len(bl.enumerate_basis(lat, k, Ec)))
+            counts.append(len(basis_at(lat, k, Ec)))
         except bl.EmptyBasis:
             counts.append(0)
     return np.array(counts)
@@ -96,12 +97,12 @@ def ksets(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(ksets())
-def test_one_pass_bases_match_enumerate_basis(case):
+def test_one_pass_bases_match_single_point_passes(case):
     lat, Ec, points, mode = case
     want = []
     for k in points:
         try:
-            want.append(bl.enumerate_basis(lat, k, Ec, mode))
+            want.append(basis_at(lat, k, Ec, mode))
         except bl.EmptyBasis:
             want.append(None)
     got = {}
@@ -148,7 +149,7 @@ def test_one_pass_kinetic_values_match_kinetic_values(case):
     assert got == want
     if mode == "uniform":
         box, rows, sizes, _ = _bases(lat, Ec, points, mode)
-        basis = bl.enumerate_basis(lat, None, Ec, mode)
+        basis = basis_at(lat, None, Ec, mode)
         assert np.all(sizes == len(basis))
         assert box[rows].tolist() == [list(g) for g in basis] * len(points)
 
@@ -162,7 +163,7 @@ def test_one_plane_wave_kinetic_value(dim):
     rng = np.random.default_rng(dim)
     lat = bl.new_lattice(np.eye(dim) + rng.uniform(-0.3, 0.3, (dim, dim)))
     for k in rng.uniform(-40.0, 40.0, (40, dim)):
-        kin = np.sort(bl.kinetic_values(lat, k, bl.enumerate_basis(lat, k, 60.0)))
+        kin = np.sort(bl.kinetic_values(lat, k, basis_at(lat, k, 60.0)))
         Ec = 0.5 * (kin[0] + kin[1])  # between the two lowest: one plane wave
         got, want = per_point_kinetic(lat, Ec, k[None])
         assert len(got[0]) == 8 and got == want

@@ -340,7 +340,7 @@ def test_schemes_must_name_each_scheme_once(tmp_path, capsys, command, schemes):
 def saved(tmp_path):
     """A potential file of the 1D lattice, as `potential synth` writes it."""
     path = tmp_path / "potential.json"
-    lat = bl.lattice_from_dict(LAT_1D)
+    lat = bl.new_lattice(LAT_1D["primitive"])
     path.write_text(json.dumps(bl.synth_power_law(lat, t=2.1, gmax=2, seed=1).to_dict()))
     return path
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import bandlab as bl
+from conftest import basis_at
 
 TWO_PI = 2.0 * np.pi
 PI2_TWICE = 19.739208802178717238   # 2 pi^2
@@ -34,7 +35,7 @@ def test_modified_equals_kdependent_in_quadratic_region(lat1d, zero, blowup_std)
     """With every |k+G| below half the cutoff radius the blow-up acts as
     x^2 and the modified matrix is the k-dependent one, bit for bit."""
     k, ec = [0.11], 1000.0
-    basis = bl.enumerate_basis(lat1d, k, ec)
+    basis = basis_at(lat1d, k, ec)
     kin = bl.kinetic_values(lat1d, k, basis)
     inner = kin <= ec / 4.0
     a = bl.assemble(lat1d, zero, k, ec, bl.kdependent_scheme())
@@ -71,7 +72,7 @@ def test_uniform_scheme_not_periodic(lat1d, cosine):
 def test_dimension_matches_basis(lat1d, cosine):
     for k, ec in ((0.0, 25.0), (0.7, 100.0), (np.pi, 25.0)):
         fib = bl.assemble(lat1d, cosine, [k], ec, bl.kdependent_scheme())
-        assert len(fib) == len(bl.enumerate_basis(lat1d, [k], ec))
+        assert len(fib) == len(basis_at(lat1d, [k], ec))
 
 
 def test_empty_basis_propagates(lat1d, cosine):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import bandlab as bl
+from bandlab import spectra
 from bandlab.cli import _solve_bands as solve_bands
 
 PI2_TWICE = 19.739208802178717238
@@ -222,6 +223,42 @@ def test_non_finite_member_fails(M, n_lowest, in_stack):
         H = np.stack([np.diag(np.arange(1.0, M + 1.0)), H])
     with pytest.raises(bl.SolverFailure):
         bl.eigh(H, n_lowest=n_lowest)
+
+
+def test_overflowing_residual_goes_to_the_dense_route(block_calls):
+    """A finite coupling of 1e300 overflows the block solver's residual
+    norms, so the block path gives the member up and the dense route, which
+    LAPACK scales, solves it as it solves it alone."""
+    H = nan_coupled(256)
+    H[0, 1] = H[1, 0] = 1e300
+    with np.errstate(over="ignore"):
+        sol = bl.eigh(H, n_lowest=1)
+    assert block_calls == [False]
+    assert sol.values.tobytes() == np.linalg.eigvalsh(H)[:1].tobytes()
+
+
+def test_schur_route_fails_when_its_bound_cannot_close():
+    """Couplings of 1e160 overflow ||B||_F^2, so no step of the Schur fixed
+    point bounds its error, and the solve fails after 40 steps instead of
+    returning an unchecked value.  Without an overflow the graded split
+    keeps the contraction factor below about M^2 1e-16, so the bound closes
+    in a few steps."""
+    c = 1e160
+    H = np.array([[0.0, c], [c, 1e10 * c]])
+    assert spectra._graded_mask(H[None])[0].tolist() == [[False, True]]
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(bl.SolverFailure, match="Schur fixed point bound inf exceeds 1e-10 "
+                                                  "after 40 steps"):
+        bl.eigh(H, n_lowest=1)
+
+
+def test_lapack_failure_is_a_solver_failure(monkeypatch):
+    def fails(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fails)
+    with pytest.raises(bl.SolverFailure, match="eigensolver failed: Eigenvalues did not converge"):
+        bl.eigh(np.diag([1.0, 2.0, 3.0]))
 
 
 @pytest.mark.parametrize("scheme", ["uniform", "kdependent", "modified"])
