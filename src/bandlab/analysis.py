@@ -142,14 +142,18 @@ class RegularityProbe:
     order: int
 
 
+_PROBE_HALFWIDTH = 0.15  # each mesh spans this far on either side of the probe center
+
+
 def regularity_probe(lat: Lattice, V: FourierPotential, Ec: float, blowup_spec: BlowupSpec,
-                     band_index: int, order: int, deltas, center=None,
-                     halfwidth: float = 0.15, threads: int = 1) -> RegularityProbe:
+                     band_index: int, order: int, deltas, threads: int = 1) -> RegularityProbe:
     """Mesh-refinement study of a finite-difference band derivative.
 
-    For each mesh width a straight path through a basis-rank flip is solved
-    with the modified scheme, and the largest |derivative| within a few
-    stencils of any flip is recorded.  The derivative is declared unbounded
+    The probe center is the first basis-rank flip of a scan over one period
+    of the first reciprocal vector.  For each mesh width a straight path
+    along that vector, within _PROBE_HALFWIDTH of the center, is solved with
+    the modified scheme, and the largest |derivative| within a few stencils
+    of any flip is recorded.  The derivative is declared unbounded
     exactly when the peaks of the three finest meshes strictly increase and
     grow by a factor of at least 1.5 overall; a bounded derivative settles
     to the smooth background level instead.
@@ -176,18 +180,15 @@ def regularity_probe(lat: Lattice, V: FourierPotential, Ec: float, blowup_spec: 
     # the path runs along the first reciprocal vector
     period = float(np.linalg.norm(lat.reciprocal[:, 0]))
     direction = lat.reciprocal[:, 0] / period
-    if center is None:
-        # scan one reciprocal period for the first rank flip and center there
-        ts = np.linspace(-period / 2.0, period / 2.0, 2001)
-        found = np.flatnonzero(np.diff(_basis_sizes(lat, Ec, ts[:, None] * direction)))
-        if found.size == 0:
-            raise NoBasisChangeOnPath("no basis rank change within one period")
-        # 0 + x turns a -0.0 component into 0.0, which change_points would print
-        center = np.zeros(lat.dim) + 0.5 * (ts[found[0]] + ts[found[0] + 1]) * direction
-    else:
-        center = np.asarray(center, dtype=float)
+    # scan one reciprocal period for the first rank flip and center there
+    ts = np.linspace(-period / 2.0, period / 2.0, 2001)
+    found = np.flatnonzero(np.diff(_basis_sizes(lat, Ec, ts[:, None] * direction)))
+    if found.size == 0:
+        raise NoBasisChangeOnPath("no basis rank change within one period")
+    # 0 + x turns a -0.0 component into 0.0, which change_points would print
+    center = np.zeros(lat.dim) + 0.5 * (ts[found[0]] + ts[found[0] + 1]) * direction
 
-    counts = np.rint(halfwidth / deltas).astype(int)  # mesh points on each side
+    counts = np.rint(_PROBE_HALFWIDTH / deltas).astype(int)  # mesh points on each side
     meshes = [(np.arange(2 * n + 1) - n) * delta for n, delta in zip(counts, deltas)]
     offsets, inverse = np.unique(np.concatenate(meshes), return_inverse=True)
     points = center + offsets[:, None] * direction
@@ -196,12 +197,12 @@ def regularity_probe(lat: Lattice, V: FourierPotential, Ec: float, blowup_spec: 
     flips = [np.flatnonzero(np.diff(sizes[idx])) for idx in rows]
     if any(f.size == 0 for f in flips):
         raise NoBasisChangeOnPath(
-            f"no basis rank change within {halfwidth:g} of the probe center"
+            f"no basis rank change within {_PROBE_HALFWIDTH:g} of the probe center"
         )
     if counts.min() < 2:
         raise TooFewPoints(f"mesh width {deltas[counts.argmin()]:g} leaves "
-                           f"{2 * counts.min() + 1} points within {halfwidth:g} of the probe "
-                           f"center; the stencils need at least 5")
+                           f"{2 * counts.min() + 1} points within {_PROBE_HALFWIDTH:g} of the "
+                           f"probe center; the stencils need at least 5")
     union = compute_bands(lat, V, KPointSet(points=points, kind="path"), Ec,
                           modified_scheme(build_blowup(blowup_spec)), band_index,
                           threads=threads)

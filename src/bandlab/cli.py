@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import hashlib
 import json
 import sys
 import warnings
@@ -34,7 +35,6 @@ from .fiber import Scheme
 from .lattice import (
     KPointSet,
     Lattice,
-    digest_of,
     kpath,
     new_lattice,
     uniform_grid,
@@ -339,18 +339,24 @@ def _run_context(args, solve: bool = False, require: str | None = None) -> tuple
     return cfg, lat, V, _build_scheme(cfg), _build_kset(cfg, lat, require)
 
 
+def _digest(payload: dict) -> str:
+    """Short stable digest of a JSON-serializable payload, used in run records."""
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()[:12]
+
+
 def _solve_bands(cfg: dict, lat: Lattice, V: FourierPotential, scheme: Scheme,
                  kset: KPointSet) -> tuple[BandStructure, dict]:
     """The shared solve of bands, dos and fermi on a run context (see
     _run_context), which the caller builds first so that it can check its
     own fields before any k is solved: nbands (default 4) bands at each k,
     and the run record that their outputs carry, with the lattice and
-    potential digests and a modified run's resolved blow-up spec."""
-    bands = compute_bands(lat, V, kset, _field(cfg, "ec", float), scheme,
-                          _field(cfg, "nbands", int, 4, above=0),
+    potential digests (_digest) and a modified run's resolved blow-up spec."""
+    ec = _field(cfg, "ec", float)
+    bands = compute_bands(lat, V, kset, ec, scheme, _field(cfg, "nbands", int, 4, above=0),
                           threads=_field(cfg, "threads", int, 1, above=0))
-    record = {"lattice_digest": digest_of(lat.to_dict()), "potential_digest": V.digest(),
-              "Ec": bands.Ec, "scheme": scheme.tag, "n_bands": bands.n_bands}
+    record = {"lattice_digest": _digest(lat.to_dict()), "potential_digest": _digest(V.to_dict()),
+              "Ec": ec, "scheme": scheme.tag, "n_bands": bands.n_bands}
     if scheme.blowup is not None:
         record["blowup"] = scheme.blowup.spec.to_dict()
     return bands, record
@@ -375,7 +381,7 @@ def _write_csv(path, header: list, rows) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def cmd_bands(args) -> int:
+def cmd_bands(args) -> None:
     cfg, lat, V, scheme, kset = _run_context(args, solve=True)
     bands, record = _solve_bands(cfg, lat, V, scheme, kset)
     out = _output_dir(cfg)
@@ -387,10 +393,9 @@ def cmd_bands(args) -> int:
         **record,
     })
     print(f"wrote {out / 'bands.csv'} ({len(kset)} k-points, {bands.n_bands} bands)")
-    return EXIT_OK
 
 
-def cmd_dos(args) -> int:
+def cmd_dos(args) -> None:
     cfg, lat, V, scheme, kset = _run_context(args, solve=True, require="grid")
     count = _field(cfg, "mu_points", int, 200, above=0)
     bands, record = _solve_bands(cfg, lat, V, scheme, kset)
@@ -405,10 +410,9 @@ def cmd_dos(args) -> int:
     _write_csv(out / "dos.csv", ["mu", "idos", "idoe"], rows)
     _write_json(out / "summary.json", {"command": "dos", "truncated_top_band": truncated, **record})
     print(f"wrote {out / 'dos.csv'} ({len(mus)} levels)")
-    return EXIT_OK
 
 
-def cmd_fermi(args) -> int:
+def cmd_fermi(args) -> None:
     cfg, lat, V, scheme, kset = _run_context(args, solve=True, require="grid")
     electrons = _field(cfg, "electrons", float, 1.0, above=0)
     _check_filling(electrons, _field(cfg, "nbands", int, 4, above=0), len(kset))
@@ -422,10 +426,9 @@ def cmd_fermi(args) -> int:
         **record,
     })
     print(f"fermi level mu = {level.mu:.12g} (plateau [{level.lower:.12g}, {level.upper:.12g}])")
-    return EXIT_OK
 
 
-def cmd_converge(args) -> int:
+def cmd_converge(args) -> None:
     cfg, lat, V, scheme, kset = _run_context(args, solve=True)
     ladder = _floats(cfg, "ec_ladder")
     ec_ref = _field(cfg, "ec_reference", float, 16.0 * max(ladder, default=0.0))
@@ -452,10 +455,9 @@ def cmd_converge(args) -> int:
         print(f"fitted rate {study.fitted_rate:.3f}"
               + ("" if study.predicted_rate is None
                  else f" (predicted {study.predicted_rate:.3f})"))
-    return EXIT_OK
 
 
-def cmd_regularity(args) -> int:
+def cmd_regularity(args) -> None:
     cfg, lat, V = _run_context(args)
     spec = _build_blowup(_field(cfg, "blowup", dict, {})).spec
     deltas = _floats(cfg, "deltas", [1e-2, 5e-3, 2.5e-3, 1.25e-3])
@@ -473,10 +475,9 @@ def cmd_regularity(args) -> int:
         "change_points": [list(map(float, k)) for k in probe.change_points],
     })
     print(f"order-{probe.order} derivative of band {probe.band_index}: {probe.verdict}")
-    return EXIT_OK
 
 
-def cmd_periodicity(args) -> int:
+def cmd_periodicity(args) -> None:
     cfg, lat, V = _run_context(args)
     names = _field(cfg, "schemes", list, ["uniform", "kdep", "modified"])
     schemes = [_build_scheme(cfg, _as(name, str, "schemes")) for name in names]
@@ -496,10 +497,9 @@ def cmd_periodicity(args) -> int:
     _write_json(out / "periodicity.json", {"command": "periodicity", **report})
     for tag, worst in report.items():
         print(f"{tag:>10}: max |e(k) - e(k+G)| = {worst:.3e}")
-    return EXIT_OK
 
 
-def cmd_cellscan(args) -> int:
+def cmd_cellscan(args) -> None:
     cfg, base, saved = _run_context(args)
     ladder = _field(cfg, "a_ladder", dict, {})
     center = _field(ladder, "a_ladder.center", float, 1.0)
@@ -513,14 +513,12 @@ def cmd_cellscan(args) -> int:
                          f"the ladder scales the cell by 1 - |span| to 1 + |span|")
     a_values = np.linspace(center * (1.0 - span), center * (1.0 + span), count)
     unit = base.primitive / center
-    if "file" in (cfg.get("potential") or {}):
-        # a saved potential belongs to the base cell; its integer-indexed
-        # coefficients are reused unchanged on every scaled cell
-        def make_potential(lat):
-            return replace(saved, lattice=lat)
-    else:
-        def make_potential(lat):
-            return _build_potential(cfg, lat)
+    # a synth draw depends on |G| and is drawn anew on each scaled cell; any
+    # other potential's integer-indexed coefficients carry over unchanged
+    synth = "synth" in (cfg.get("potential") or {})
+
+    def make_potential(lat):
+        return _build_potential(cfg, lat) if synth else replace(saved, lattice=lat)
 
     names = _field(cfg, "schemes", list, ["kdep", "modified"])
     schemes = [_build_scheme(cfg, _as(name, str, "schemes")) for name in names]
@@ -544,10 +542,9 @@ def cmd_cellscan(args) -> int:
     })
     for tag in tags:
         print(f"{tag:>10}: max |second difference| = {scan.second_differences[tag]:.6g}")
-    return EXIT_OK
 
 
-def cmd_potential_synth(args) -> int:
+def cmd_potential_synth(args) -> None:
     cfg = _config(args)
     synth = {key: vars(args)["potential.synth." + key] for key in ("t", "gmax", "amplitude")}
     cfg["potential"] = {"synth": synth}
@@ -557,10 +554,9 @@ def cmd_potential_synth(args) -> int:
     # no NaN or Infinity literal: they are not JSON, and no reader takes them back
     (out / "potential.json").write_text(json.dumps(V.to_dict(), indent=2, allow_nan=False) + "\n")
     print(f"wrote {out / 'potential.json'} ({len(V.coeffs)} coefficients)")
-    return EXIT_OK
 
 
-def cmd_blowup_check(args) -> int:
+def cmd_blowup_check(args) -> None:
     fn = build_blowup(_blowup_spec(vars(args)))  # --m, --p, --c, --a, --msmooth
     payload = {
         **fn.spec.to_dict(),
@@ -570,7 +566,6 @@ def cmd_blowup_check(args) -> int:
         "junction_mismatch": fn.junction_mismatch,
     }
     print(json.dumps(payload, indent=2, sort_keys=True))
-    return EXIT_OK
 
 
 # Each config-reading subcommand: its function, its help and the top-level
@@ -632,13 +627,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except SolverFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -234,7 +234,7 @@ def assemble(lat: Lattice, V: FourierPotential, k, Ec: float, scheme: Scheme, *,
     `_diag`, their (B, M) kinetic diagonal (_diagonal), given together, skip
     those passes when the caller has them already (compute_bands).
     """
-    k = np.zeros(lat.dim) if k is None else np.asarray(k, dtype=float)
+    k = np.asarray(k, dtype=float)
     ks = k.reshape(-1, lat.dim)
     if _basis is None:
         box, rows, sizes, kin = _bases(lat, Ec, ks, scheme.basis_mode)

@@ -72,15 +72,6 @@ def new_lattice(primitive) -> Lattice:
     return Lattice(dim=P.shape[0], primitive=P, reciprocal=B, cell_volume=abs(det))
 
 
-def digest_of(payload: dict) -> str:
-    """Short stable digest of a JSON-serializable payload, used in run records."""
-    import hashlib  # imported here: a solve never digests
-    import json
-
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:12]
-
-
 @dataclass(frozen=True)
 class KPointSet:
     points: np.ndarray               # (nk, d) Cartesian reciprocal coordinates
@@ -184,8 +175,7 @@ def _bases(lat: Lattice, Ec: float, points: np.ndarray, mode: str = "kdependent"
 def kinetic_values(lat: Lattice, k, basis) -> np.ndarray:
     """0.5*|k+G|^2 for each G-index of a basis (list or (M, d) array), in basis order;
     a (B, 1, d) stack of k with a (B, M, d) stack of bases gives (B, M)."""
-    k = np.zeros(lat.dim) if k is None else np.asarray(k, dtype=float)
-    return 0.5 * np.sum((_cartesian(lat, basis) + k) ** 2, axis=-1)
+    return 0.5 * np.sum((_cartesian(lat, basis) + np.asarray(k, dtype=float)) ** 2, axis=-1)
 
 
 def _basis_sizes(lat: Lattice, Ec: float, points) -> np.ndarray:

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattice import Lattice, _whole, digest_of
+from .lattice import Lattice, _whole
 
 
 class BrokenHermitianSymmetry(ValueError):
@@ -61,14 +61,12 @@ class FourierPotential:
             ],
         }
 
-    def digest(self) -> str:
-        """Short stable digest of to_dict()."""
-        return digest_of(self.to_dict())
-
 
 def _integral(x) -> int | None:
     """int(x) if x holds an integral value (1, 1.0, np.int64(1)), else None
-    (1.5, NaN, inf, "1"); int() alone truncates 1.5 to 1."""
+    (1.5, NaN, inf, "1", True, np.True_); int() alone truncates 1.5 to 1."""
+    if isinstance(x, (bool, np.bool_)):
+        return None
     try:
         n = int(x)
     except (TypeError, ValueError, OverflowError):

@@ -459,7 +459,9 @@ def eigh(H, n_lowest: int | None = None) -> EigenSolution:
         dims = H.diagonal.shape  # (M,) or (B, M)
     else:
         H = np.asarray(H)
-        H = H.astype(np.result_type(H, float), copy=False)  # integers and float32 in double
+        # integers and float32 in double, and C order, which _graded_mask's
+        # strided write to the diagonal needs
+        H = np.ascontiguousarray(H, dtype=np.result_type(H, float))
         dims = H.shape[:-1]
     B, n = math.prod(dims[:-1]), dims[-1]
     take = n if n_lowest is None else n_lowest
@@ -488,10 +490,8 @@ def eigh(H, n_lowest: int | None = None) -> EigenSolution:
 
 @dataclass(frozen=True)
 class BandStructure:
-    lattice: Lattice
     kset: KPointSet
     energies: np.ndarray  # (nk, n_bands), each row ascending
-    Ec: float
     scheme: Scheme
 
     @property
@@ -611,5 +611,5 @@ def _band_structures(lat: Lattice, V: FourierPotential, kset: KPointSet, Ec: flo
     else:
         for task in tasks:
             solve(task)
-    return [BandStructure(lattice=lat, kset=kset, energies=e, Ec=float(Ec), scheme=scheme)
+    return [BandStructure(kset=kset, energies=e, scheme=scheme)
             for e, scheme in zip(energies, schemes)]

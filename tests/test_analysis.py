@@ -93,9 +93,7 @@ def test_convergence_study_clamps_exact_entries(lat1d, zero):
 
 def test_band_derivative_trace_flat(lat1d):
     grid = bl.kpath(lat1d, [("A", [0.0]), ("B", [1.0])], 10)
-    bands = BandStructure(lattice=lat1d, kset=grid,
-                          energies=np.full((11, 1), 2.5), Ec=10.0,
-                          scheme=kdependent_scheme())
+    bands = BandStructure(kset=grid, energies=np.full((11, 1), 2.5), scheme=kdependent_scheme())
     assert np.allclose(bl.band_derivative_trace(bands, 1, 1), 0.0)
     assert np.allclose(bl.band_derivative_trace(bands, 1, 2), 0.0)
 
@@ -152,11 +150,16 @@ def test_regularity_probe_scan_needs_a_rank_flip(lat1d, rough):
             bl.regularity_probe(lat1d, rough, Ec, spec, 1, 1, [1e-2, 5e-3, 2.5e-3])
 
 
-def test_regularity_probe_needs_rank_flip(lat1d, rough):
+def test_regularity_probe_needs_rank_flip(lat1d, rough, monkeypatch):
+    """Mesh widths above twice the 0.15 halfwidth leave each mesh the probe
+    center alone, so no mesh sees the flip the scan found there."""
+    def solve(*args, **kwargs):
+        raise AssertionError("compute_bands was called")
+
+    monkeypatch.setattr(analysis, "compute_bands", solve)
     spec = bl.BlowupSpec(m=0, p=0.5, C=1.0)
-    with pytest.raises(bl.NoBasisChangeOnPath):
-        bl.regularity_probe(lat1d, rough, 25.0, spec, 1, 1,
-                            [1e-3, 5e-4, 2.5e-4], center=[0.0], halfwidth=0.01)
+    with pytest.raises(bl.NoBasisChangeOnPath, match="within 0.15 of the probe center"):
+        bl.regularity_probe(lat1d, rough, 25.0, spec, 1, 1, [4.0, 2.0, 1.0])
 
 
 LADDER = [1e-2, 5e-3, 2.5e-3, 1.25e-3]
@@ -237,31 +240,29 @@ def test_regularity_probe_matches_a_solve_per_mesh(lat1d, wells, solves, deltas,
 
 
 def test_regularity_probe_checks_every_mesh_before_solving(lat1d, wells, monkeypatch):
-    """A finer mesh that misses the rank flip fails the probe before any k
-    is solved.  The free-electron basis of cutoff 750 changes rank where
-    |k + G| = sqrt(1500); here that flip sits 7e-3 below the center, inside
-    the 1e-2 mesh (offsets 0, +-1e-2) but beyond the two finer meshes, which
-    reach only +-5e-3 for a halfwidth of 6e-3."""
+    """A coarse mesh that misses the rank flip fails the probe before any k
+    is solved, though a finer one sees it: within the 0.15 halfwidth the
+    meshes of width 1 and 0.5 hold only the probe center, while the 0.25
+    mesh (offsets 0, +-0.25) straddles the flip at the center."""
     def solve(*args, **kwargs):
         raise AssertionError("compute_bands was called")
 
     monkeypatch.setattr(analysis, "compute_bands", solve)
-    flip = np.sqrt(1500.0) - 12.0 * np.pi
-    with pytest.raises(bl.NoBasisChangeOnPath):
+    with pytest.raises(bl.NoBasisChangeOnPath, match="within 0.15 of the probe center"):
         bl.regularity_probe(lat1d, wells, 750.0, bl.BlowupSpec(m=1, p=1.5, C=1.0), 1, 1,
-                            [1e-2, 5e-3, 2.5e-3], center=[flip + 7e-3], halfwidth=6e-3)
+                            [1.0, 0.5, 0.25])
 
 
 def test_regularity_probe_counts_mesh_points_before_solving(lat1d, wells, monkeypatch):
-    """A halfwidth of 0.012 leaves the 1e-2 mesh 3 points, too few for the
+    """The 0.15 halfwidth leaves the 0.12 mesh 3 points, too few for the
     5-point stencils: the probe fails before any k is solved."""
     def solve(*args, **kwargs):
         raise AssertionError("compute_bands was called")
 
     monkeypatch.setattr(analysis, "compute_bands", solve)
-    with pytest.raises(bl.TooFewPoints, match="mesh width 0.01 leaves 3 points"):
+    with pytest.raises(bl.TooFewPoints, match="mesh width 0.12 leaves 3 points"):
         bl.regularity_probe(lat1d, wells, 750.0, bl.BlowupSpec(m=1, p=1.5, C=1.0), 1, 1,
-                            [1e-2, 5e-3, 2.5e-3], halfwidth=0.012)
+                            [0.12, 0.06, 0.03])
 
 
 def test_periodicity_report(lat1d, cosine, blowup_std):

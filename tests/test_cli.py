@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 import bandlab as bl
-from bandlab.cli import main
-from bandlab.lattice import digest_of
+from bandlab.cli import _digest, main
 
 LAT_1D = {"dim": 1, "primitive": [[1.0]]}
 COSINE = {"coeffs": [{"g": [1], "re": 1.0}, {"g": [-1], "re": 1.0}]}
@@ -60,8 +59,8 @@ def test_modified_runs_record_their_blowup_spec(tmp_path, cosine):
         "lattice": LAT_1D, "potential": {"coeffs": COSINE["coeffs"]},
         "ec": 150.0, "nbands": 2, "grid": 6,
     }
-    common = {"lattice_digest": digest_of(cosine.lattice.to_dict()),
-              "potential_digest": cosine.digest(), "Ec": 150.0, "n_bands": 2}
+    common = {"lattice_digest": _digest(cosine.lattice.to_dict()),
+              "potential_digest": _digest(cosine.to_dict()), "Ec": 150.0, "n_bands": 2}
     records = []
     for name, blowup, C in (("a", {"m": 1, "p": 1.5, "c": 1.0}, 1.0),
                             ("b", {"m": 2, "p": 2.5, "c": 2.0}, 2.0),
@@ -223,7 +222,7 @@ def test_potential_synth_roundtrip(tmp_path, lat1d):
         "potential": {"file": str(out / "potential.json")}, "out": str(run)})
     assert main(["bands", "--config", cfg]) == 0
     digest = json.loads((run / "summary.json").read_text())["potential_digest"]
-    assert digest == bl.synth_power_law(lat1d, t=2.1, gmax=3, seed=9).digest()
+    assert digest == _digest(bl.synth_power_law(lat1d, t=2.1, gmax=3, seed=9).to_dict())
 
 
 def test_potential_file_complex_roundtrip(tmp_path, lat1d):
@@ -237,7 +236,7 @@ def test_potential_file_complex_roundtrip(tmp_path, lat1d):
                                                       "out": str(run)})
     assert main(["bands", "--config", cfg]) == 0
     digest = json.loads((run / "summary.json").read_text())["potential_digest"]
-    assert digest == bl.potential_from_coeffs(lat1d, coeffs, real_valued=False).digest()
+    assert digest == _digest(bl.potential_from_coeffs(lat1d, coeffs, real_valued=False).to_dict())
 
 
 def test_bands_csv_holds_the_energies(tmp_path, lat1d, cosine):

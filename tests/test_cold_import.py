@@ -1,9 +1,10 @@
 """The cold import: `import bandlab` loads only what a solve runs.
 
 Each CLI subcommand, demo and benchmark set-up starts a fresh interpreter,
-so a module loaded at import is paid on every run.  hashlib and json load on
-the first digest, concurrent.futures only for threads > 1, and the blow-up
-bridge evaluates its polynomial without numpy.polynomial.
+so a module loaded at import is paid on every run.  The library imports
+neither hashlib nor json: only the CLI, which digests and writes run
+records, loads them.  concurrent.futures loads only for threads > 1, and the
+blow-up bridge evaluates its polynomial without numpy.polynomial.
 """
 
 import os

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import bandlab as bl
-from bandlab.lattice import _bases, _basis_sizes, digest_of
+from bandlab.cli import _digest
+from bandlab.lattice import _bases, _basis_sizes
 from conftest import basis_at
 
 TWO_PI = 2.0 * np.pi
@@ -173,5 +174,5 @@ def test_uniform_grid_2d_unique(hex2d):
 def test_lattice_dict_roundtrip(hex2d):
     again = bl.new_lattice(hex2d.to_dict()["primitive"])
     assert np.array_equal(again.primitive, hex2d.primitive)
-    d = digest_of(hex2d.to_dict())
-    assert d == digest_of(again.to_dict()) and len(d) == 12
+    d = _digest(hex2d.to_dict())
+    assert d == _digest(again.to_dict()) and len(d) == 12

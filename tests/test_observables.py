@@ -14,8 +14,7 @@ PI_SQ_HALF = 0.5 * np.pi**2
 def _flat_bands(lat, value, nk=8, n_bands=1):
     grid = bl.uniform_grid(lat, nk)
     energies = np.full((nk, n_bands), value, dtype=float)
-    return BandStructure(lattice=lat, kset=grid, energies=energies,
-                         Ec=10.0, scheme=kdependent_scheme())
+    return BandStructure(kset=grid, energies=energies, scheme=kdependent_scheme())
 
 
 @pytest.fixture(scope="module")
@@ -78,9 +77,8 @@ def test_idos_nondecreasing(cosine_bands):
     assert np.all(np.diff(vals) >= 0)
     # idoe is monotone once the spectrum is nonnegative
     shift = cosine_bands.energies.min()
-    shifted = BandStructure(lattice=cosine_bands.lattice, kset=cosine_bands.kset,
-                            energies=cosine_bands.energies - shift,
-                            Ec=cosine_bands.Ec, scheme=cosine_bands.scheme)
+    shifted = BandStructure(kset=cosine_bands.kset, energies=cosine_bands.energies - shift,
+                            scheme=cosine_bands.scheme)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", bl.TruncationWarning)
         evals = [bl.idoe(shifted, mu) for mu in mus - shift]
@@ -179,8 +177,8 @@ def test_filling_check_is_the_fermi_level_rule():
     for nk in range(1, 10):
         for n_bands in range(1, 5):
             energies = np.sort(np.random.default_rng(nk).standard_normal((nk, n_bands)), axis=1)
-            bands = BandStructure(lattice=lat, kset=bl.uniform_grid(lat, nk), energies=energies,
-                                  Ec=10.0, scheme=kdependent_scheme())
+            bands = BandStructure(kset=bl.uniform_grid(lat, nk), energies=energies,
+                                  scheme=kdependent_scheme())
             for n_electrons in (np.nan, -np.inf, -1.0, 0.0, 5e-324, 0.5, 1.0, n_bands - 0.5,
                                 n_bands, n_bands + 0.5e-9 / nk, n_bands + 2e-9 / nk,
                                 n_bands + 0.5, np.inf):

@@ -1,11 +1,12 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 import bandlab as bl
-from bandlab.cli import _build_potential, main
+from bandlab.cli import _build_potential, _digest, main
 
 
 def test_zero_potential(lat1d, zero):
@@ -40,7 +41,7 @@ def test_save_load_roundtrip(tmp_path, lat1d):
     W = _build_potential({"potential": {"file": str(tmp_path / "potential.json")}}, lat1d)
     assert W.coeffs == V.coeffs
     assert W.real_valued == V.real_valued
-    assert W.digest() == V.digest()
+    assert _digest(W.to_dict()) == _digest(V.to_dict())
 
 
 def test_synth_magnitude_law(lat1d):
@@ -121,6 +122,16 @@ def test_synth_integral_seeds_of_any_type(lat1d):
         assert bl.synth_power_law(lat1d, t=2.1, gmax=2, seed=seed).coeffs == V.coeffs
 
 
+@pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
+def test_bools_are_no_integers(lat1d, flag):
+    """A bool is neither a seed nor a G-index part, as no count argument
+    takes one, though int() reads it as 1 or 0."""
+    with pytest.raises(ValueError, match=re.escape(f"need an integer seed >= 0, got seed={flag!r}")):
+        bl.synth_power_law(lat1d, t=2.1, gmax=1, seed=flag)
+    with pytest.raises(ValueError, match=re.escape(f"G-index {(flag,)} must be 1 integers")):
+        bl.potential_from_coeffs(lat1d, [((flag,), 1.0), ((-1,), 1.0)])
+
+
 def test_coefficient_arrays_cached(hex2d):
     """hermitian_coeffs, the one array form of the coefficients, is built once
     per potential and read-only, also for the zero potential."""
@@ -161,7 +172,7 @@ def test_synth_digest_pinned(primitive, args, digest):
     """The benchmark and test potentials keep every coefficient bit: each G's
     phase from numpy's generator for (seed, G), drawn for all G in one
     batched pass, |G| from the arithmetic of norm(lat.gvector(G))."""
-    assert bl.synth_power_law(bl.new_lattice(primitive), **args).digest() == digest
+    assert _digest(bl.synth_power_law(bl.new_lattice(primitive), **args).to_dict()) == digest
 
 
 def test_broken_partner_check_names_each_offender(hex2d):

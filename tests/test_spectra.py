@@ -3,7 +3,7 @@ import pytest
 
 import bandlab as bl
 from bandlab import spectra
-from bandlab.cli import _solve_bands as solve_bands
+from bandlab.cli import _digest, _solve_bands as solve_bands
 
 PI2_TWICE = 19.739208802178717238
 
@@ -72,6 +72,20 @@ def test_eigh_graded_three_by_three():
     vals = bl.eigh(H, n_lowest=2).values
     assert vals[0] == pytest.approx(GRADED3_LOW, abs=1e-12)
     assert vals[1] == pytest.approx(GRADED3_MID, abs=1e-12)
+
+
+def test_eigh_reads_any_memory_layout():
+    """A Fortran-ordered matrix and a transposed view of a stack get the
+    values and bounds of their C-ordered copies, bit for bit: the graded
+    split finds the 1e12 diagonal entry in every layout."""
+    H = np.array([[0.0, 1.0, 0.5], [1.0, 2.0, 0.3], [0.5, 0.3, 1e12]])
+    stack = np.stack([H, H + np.diag([1.0, 0.0, 0.0])]).transpose(0, 2, 1)
+    for A in (np.asfortranarray(H), stack):
+        assert not A.flags.c_contiguous
+        got, want = bl.eigh(A, 2), bl.eigh(np.ascontiguousarray(A), 2)
+        assert np.all(want.bounds < 1e-13)  # the Schur route's bound
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.bounds.tobytes() == want.bounds.tobytes()
 
 
 def test_eigh_graded_matches_plain_when_benign():
@@ -160,9 +174,9 @@ def test_band_metadata(lat1d, cosine):
     scheme, and a k-dependent run carries no blow-up spec."""
     bands, record = solve_bands({"ec": 25.0, "nbands": 2}, lat1d, cosine,
                                 bl.kdependent_scheme(), bl.uniform_grid(lat1d, 4))
-    assert record["potential_digest"] == cosine.digest()
+    assert record["potential_digest"] == _digest(cosine.to_dict())
     assert record["scheme"] == "kdependent"
-    assert (record["Ec"], record["n_bands"]) == (bands.Ec, bands.n_bands) == (25.0, 2)
+    assert (record["Ec"], record["n_bands"]) == (25.0, bands.n_bands) == (25.0, 2)
     assert "blowup" not in record
 
 
